@@ -15,11 +15,21 @@ PHYSICS SCOPE
     measures.
 
 CONVENTIONS
-    Criticality is detected on sigma_min(1 - g T-hat), not on eigenvalues
-    of T-hat: the object of interest is the null space, and sigma_min is
-    robust for non-normal matrices. The operator is assembled once at
-    unit coupling; the coupling scan reuses it, so each probe costs one
-    LU factorization. Matrix norms in thresholds are 1-norms.
+    Eigenvalues locate g*, sigma_min certifies it. 1 - g T-hat is
+    singular exactly when 1/g is an eigenvalue of T-hat, so one
+    shift-invert Arnoldi run on T-hat (one LU at a shift inside the
+    bracket's image in 1/g) yields every candidate coupling at once; the
+    Kramers pair appears as a double eigenvalue and counts once. The
+    run is complete when its farthest eigenvalue lies beyond both ends
+    of that image. Eigenvalues of a non-normal matrix can be far more
+    sensitive than its singular values, and the object of interest is
+    the null space, not the eigenvalue: so a candidate is accepted only
+    when sigma_min(1 - g T-hat) < 1e-8 |1 - g T-hat|_1, and a failed
+    factorization (NaN) never passes. The null space is spanned by the
+    right singular vectors below ten times that threshold, taken from
+    block inverse iteration on one LU plus a Rayleigh-Ritz step, without
+    a dense SVD. The operator is assembled once at unit coupling. Matrix
+    norms in thresholds are 1-norms.
 
     gram_n[p, q] = <Phi_p, A, Phi_q>, gram_m[p, q] = <Phi_p, A, A Phi_q>;
     with Hermitian A these are the Gram matrices of N and of the span
@@ -31,10 +41,11 @@ CONVENTIONS
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .algebra import one_plus_beta
 from .potentials import FourPotential, Grid3, SpinorField, pseudo_inner
@@ -43,11 +54,13 @@ from .solver import (
     assemble_T,
     smallest_singular_value,
     _fold_rows,
+    _shift_invert_eigs,
 )
 
 __all__ = [
     "CriticalStructure",
     "Projectors",
+    "critical_couplings",
     "find_critical_coupling",
     "lambda_of",
     "classify_lambda_bar",
@@ -59,7 +72,10 @@ __all__ = [
 
 _CRITICAL_REL = 1e-8
 _SUBSPACE_FACTOR = 10.0
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_REAL_REL = 1e-8  # |Im mu| <= this * |mu|: a real eigenvalue
+_KRAMERS_REL = 1e-8  # eigenvalues closer than this (relative) are one coupling
+_BLOCK = 4
+_BLOCK_STEPS = 30
 
 
 def _thread_count() -> int:
@@ -80,7 +96,7 @@ class CriticalStructure:
     lambda_bar: int
     gram_n: np.ndarray
     gram_m: np.ndarray
-    sigma_records: list = field(default_factory=list)  # (g, sigma_rel) pairs
+    sigma_records: list = field(default_factory=list)  # (g, sigma_rel) per candidate
     sigma_min: float = 0.0
     matrix_scale: float = 0.0
 
@@ -99,72 +115,76 @@ def sigma_min_at(that: np.ndarray, g: float) -> tuple[float, float]:
     return smallest_singular_value(m), scale
 
 
-def find_critical_coupling(
-    shape: FourPotential,
-    bracket: tuple,
-    n_scan: int = 24,
-    g_tol: float = 1e-13,
-    collapse_tol: float = 1e-6,
-) -> CriticalStructure:
-    """Locate the coupling in the bracket where 1 - T^{gA}_1 is singular.
+def critical_couplings(that: np.ndarray, bracket: tuple) -> list:
+    """Every real g in the open bracket with 1/g an eigenvalue of T-hat.
 
-    Coarse scan (concurrent) to find the sigma_min dip, golden-section
-    refinement to solver precision, then one dense SVD at g* to extract
-    the null space. Raises ValueError("not critical in range") when no
-    scanned point dips toward singularity.
+    Shift-invert Arnoldi at the midpoint s0 of the bracket's image in
+    1/g (clipped at +-|T-hat|_1, which bounds every eigenvalue). k starts
+    at 6 and doubles until the farthest returned eigenvalue lies farther
+    from s0 than both ends of the image, which proves that none in the
+    image was missed. Eigenvalues with |Im mu| <= 1e-8 |mu| count as real;
+    a Kramers double eigenvalue gives one coupling. Ascending order.
     """
     g_lo, g_hi = float(bracket[0]), float(bracket[1])
     if not g_lo < g_hi:
         raise ValueError("bracket must satisfy g_lo < g_hi")
+    if g_lo < 0.0 < g_hi:
+        return critical_couplings(that, (g_lo, 0.0)) + critical_couplings(that, (0.0, g_hi))
+    n = that.shape[0]
+    clip = float(np.linalg.norm(that, 1))
+    side = np.sign(g_lo + g_hi)
+    ends = [np.clip(1.0 / g, -clip, clip) if g != 0.0 else side * clip for g in (g_lo, g_hi)]
+    shift, radius = 0.5 * (ends[0] + ends[1]), 0.5 * abs(ends[0] - ends[1])
+    if radius == 0.0:
+        return []
+    k = 6
+    while True:
+        if k >= n - 1:  # ARPACK needs k < n - 1; take the whole spectrum
+            mus = sla.eigvals(that)
+            break
+        mus = _shift_invert_eigs(that, shift, k)
+        if np.max(np.abs(mus - shift)) > radius:
+            break
+        k *= 2
+    real = np.sort(mus[np.abs(mus.imag) <= _REAL_REL * np.abs(mus)].real)
+    groups = []
+    for mu in real[real != 0.0]:
+        if groups and mu - groups[-1][-1] <= _KRAMERS_REL * abs(mu):
+            groups[-1].append(mu)
+        else:
+            groups.append([mu])
+    gs = (1.0 / float(np.mean(grp)) for grp in groups)
+    return sorted(g for g in gs if g_lo < g < g_hi)
+
+
+def find_critical_coupling(
+    shape: FourPotential,
+    bracket: tuple,
+    collapse_tol: float = 1e-6,
+) -> CriticalStructure:
+    """Locate the coupling in the bracket where 1 - T^{gA}_1 is singular.
+
+    Candidates come from critical_couplings; each is certified by
+    sigma_min(1 - g T-hat) (all are kept in sigma_records) and the one
+    with the smallest certificate wins. The null space is extracted from
+    one LU at g*. Raises ValueError("not critical in range") when the
+    bracket holds no real eigenvalue or no candidate is certified.
+    """
     op = assemble_T(shape, 0.0)
     that = op.matrix
     records = []
-
-    def sigma_rel(g):
+    for g in critical_couplings(that, bracket):
         s, scale = sigma_min_at(that, g)
-        rel = s / scale
-        records.append((g, rel))
-        return rel
-
-    gs = np.linspace(g_lo, g_hi, n_scan)
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        vals = list(pool.map(sigma_rel, gs))
-    vals = np.array(vals)
-    i = int(np.argmin(vals))
-    if i == 0 or i == n_scan - 1:
+        records.append((g, s / scale, s))
+    certified = [r for r in records if r[1] < _CRITICAL_REL]  # NaN never passes
+    if not certified:
         raise ValueError("not critical in range")
-    # require an actual dip, not a flat valley of well-conditioned systems
-    if vals[i] > 0.25 * min(vals[0], vals[-1]):
-        raise ValueError("not critical in range")
-
-    a, b = gs[i - 1], gs[i + 1]
-    # golden-section: sigma_min is V-shaped (conical) at the crossing
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = sigma_rel(c), sigma_rel(d)
-    while (b - a) > g_tol * max(1.0, abs(a), abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = sigma_rel(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = sigma_rel(d)
-    g_star = 0.5 * (a + b)
+    g_star, _, sigma = min(certified, key=lambda r: r[1])
 
     m = np.eye(that.shape[0], dtype=np.complex128) - g_star * that
     scale = float(np.linalg.norm(m, 1))
-    svals, vh = _right_singular(m)
-    sigma = float(svals[-1])
-    records.append((g_star, sigma / scale))
-    if sigma >= _CRITICAL_REL * scale:
-        raise ValueError("not critical in range")
-
-    cut = _SUBSPACE_FACTOR * _CRITICAL_REL * scale
-    n_dim = int(np.sum(svals < cut))
-    # right singular vectors are columns of V = Vh^dagger, hence conj rows
-    basis_vecs = vh[-n_dim:][::-1].conj()  # ascending sigma first
+    basis_vecs = _null_basis(m, _SUBSPACE_FACTOR * _CRITICAL_REL * scale)
+    n_dim = len(basis_vecs)
 
     grid = shape.grid
     sup = op.support
@@ -199,7 +219,7 @@ def find_critical_coupling(
         lambda_bar=0,
         gram_n=gram_n,
         gram_m=gram_m,
-        sigma_records=sorted(records),
+        sigma_records=sorted(r[:2] for r in records),
         sigma_min=sigma,
         matrix_scale=scale,
     )
@@ -207,9 +227,34 @@ def find_critical_coupling(
     return crit
 
 
-def _right_singular(m: np.ndarray):
-    svals, vh = np.linalg.svd(m, compute_uv=True)[1:]
-    return svals, vh
+def _null_basis(m: np.ndarray, cut: float) -> np.ndarray:
+    """Right singular vectors of m with sigma < cut, ascending sigma, as rows.
+
+    Block inverse iteration on (M^H M)^{-1} from a fixed start, reusing
+    one LU of m, then a Rayleigh-Ritz step: the SVD of the n x b block
+    M Q. Ritz values never undercut the true singular values, so only a
+    block filled entirely below the cut can hide more of the null space;
+    then the block doubles.
+    """
+    n = m.shape[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lu = sla.lu_factor(m)
+    b = min(_BLOCK, n)
+    while True:
+        q = np.cos(np.outer(np.arange(n), np.arange(1, b + 1))).astype(np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(_BLOCK_STEPS):
+                y = sla.lu_solve(lu, sla.lu_solve(lu, q, trans=2))
+                if not np.all(np.isfinite(y)):
+                    raise RuntimeError("null-space iteration broke down")
+                q = np.linalg.qr(y)[0]
+        _, svals, wh = np.linalg.svd(m @ q, full_matrices=False)
+        n_dim = int(np.sum(svals < cut))
+        if n_dim < b or b == n:
+            # svd orders descending: the last rows of Wh are the smallest
+            return (q @ wh[b - n_dim :][::-1].conj().T).T
+        b = min(2 * b, n)
 
 
 def _apply_pot(A: FourPotential, f: SpinorField) -> SpinorField:

@@ -132,7 +132,7 @@ def _pair_matrix_at(A: FourPotential, crit: CriticalStructure, k: complex) -> np
     return out
 
 
-def taylor_form_fd(A: FourPotential, crit: CriticalStructure, order: int) -> np.ndarray:
+def taylor_form_fd(A: FourPotential, crit: CriticalStructure, *orders: int) -> dict:
     """Contour (complex-node difference) oracle for taylor_form.
 
     The pairing F(k)[p, q] = <Phi_p, A, T^A_{E_k} Phi_q> is analytic in k
@@ -150,14 +150,18 @@ def taylor_form_fd(A: FourPotential, crit: CriticalStructure, order: int) -> np.
     kernel rows are evaluated, at complex k; the closed-form derivative
     kernels that taylor_form assembles are never touched, so the two
     routes share the quadrature but not the code path under test.
+
+    One set of samples serves every order: returns {m: form_m} for the
+    requested orders (all of 1, 2, 3 when none are given).
     """
-    if order not in (1, 2, 3):
+    orders = orders or (1, 2, 3)
+    if any(m not in (1, 2, 3) for m in orders):
         raise ValueError("derivative kernels cover orders 1..3 only")
     n = _CONTOUR_NODES
     ks = _CONTOUR_RADIUS * np.exp(2j * math.pi * np.arange(n) / n)
     with ThreadPoolExecutor(max_workers=min(_thread_count(), n)) as pool:
         samples = list(pool.map(lambda k: _pair_matrix_at(A, crit, k), ks))
-    return sum(F * k**-order for F, k in zip(samples, ks)) / n
+    return {m: sum(F * k**-m for F, k in zip(samples, ks)) / n for m in orders}
 
 
 def q1_from_lambda(crit: CriticalStructure) -> np.ndarray:

@@ -39,7 +39,6 @@ from threading import Semaphore
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
 from .critical import CriticalStructure, _thread_count, make_projectors
@@ -56,6 +55,7 @@ from .solver import (
     smallest_singular_value,
     _fold_rows,
     _rcond_from_lu,
+    _shift_invert_eigs,
 )
 
 __all__ = [
@@ -516,7 +516,6 @@ def _track_eigen(plan: SweepPlan, c: float) -> list:
     kappas = np.geomspace(kmin, kmax, n_curve)
     n4 = 4 * len(pts)
     n_eig = min(6, n4 - 2)
-    v0 = np.ones(n4, dtype=np.complex128)
 
     def assemble(kappa: float) -> np.ndarray:
         T, _ = _assemble_pair(1j * kappa, pts, h, vs)
@@ -524,12 +523,7 @@ def _track_eigen(plan: SweepPlan, c: float) -> list:
 
     def branch_mus(T: np.ndarray) -> np.ndarray:
         """All crossing shifts mu at this kappa, from eigenvalues near 1/g*."""
-        lu = sla.lu_factor(T - sigma0 * np.eye(n4, dtype=np.complex128))
-        op = spla.LinearOperator(
-            (n4, n4), matvec=lambda x: sla.lu_solve(lu, x), dtype=np.complex128
-        )
-        w = spla.eigs(op, k=n_eig, which="LM", return_eigenvectors=False, v0=v0)
-        nus = sigma0 + 1.0 / w
+        nus = _shift_invert_eigs(T, sigma0, n_eig)
         nus = nus[np.abs(nus.imag) <= 1e-3 * np.abs(nus)]
         good = nus.real[np.abs(nus.real) > 1e-12]
         return np.sort((1.0 / good - g_star) / c)

@@ -43,6 +43,7 @@ import warnings
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from .algebra import alpha_stack, beta, identity4
 from .kernel import energy, self_cell_integral
@@ -371,7 +372,11 @@ def smallest_singular_value(matrix: np.ndarray, lu=None, iters: int = 40) -> flo
     """Estimate sigma_min by inverse power iteration on (M M^H)^{-1}.
 
     Deterministic start vector; reuses an LU factorization when given.
-    Returns 0.0 if the factorization is numerically singular.
+    Returns 0.0 when a finite factorization has an exactly zero pivot
+    (the matrix is singular as stored) and NaN when the factorization
+    fails, is not finite or the iteration breaks down: a failure is not
+    a certificate of singularity, and NaN fails every ``sigma < bound``
+    test.
     """
     m = matrix.shape[0]
     if m == 0:
@@ -382,8 +387,10 @@ def smallest_singular_value(matrix: np.ndarray, lu=None, iters: int = 40) -> flo
             try:
                 lu = sla.lu_factor(matrix)
             except Exception:
-                return 0.0
+                return np.nan
     if not np.all(np.isfinite(lu[0])):
+        return np.nan
+    if np.any(np.diagonal(lu[0]) == 0.0):
         return 0.0
     v = np.ones(m, dtype=np.complex128) + 0.1 * np.sin(np.arange(m))
     v /= np.linalg.norm(v)
@@ -394,10 +401,10 @@ def smallest_singular_value(matrix: np.ndarray, lu=None, iters: int = 40) -> flo
                 u = sla.lu_solve(lu, v, trans=2)
                 w = sla.lu_solve(lu, u, trans=0)
             except Exception:
-                return 0.0
+                return np.nan
             nw = np.linalg.norm(w)
             if not np.isfinite(nw) or nw == 0.0:
-                return 0.0
+                return np.nan
             new_sigma = 1.0 / np.sqrt(nw)
             v = w / nw
             if abs(new_sigma - sigma) <= 1e-4 * new_sigma:
@@ -405,6 +412,22 @@ def smallest_singular_value(matrix: np.ndarray, lu=None, iters: int = 40) -> flo
                 break
             sigma = new_sigma
     return float(sigma)
+
+
+def _shift_invert_eigs(T: np.ndarray, shift: float, k: int) -> np.ndarray:
+    """The k eigenvalues of T nearest ``shift``, by shift-invert ARPACK.
+
+    One LU of T - shift I; ARPACK's start vector is fixed (all ones), so
+    repeated calls give the same eigenvalues bit for bit.
+    """
+    n = T.shape[0]
+    lu = sla.lu_factor(T - shift * np.eye(n, dtype=np.complex128))
+    op = spla.LinearOperator(
+        (n, n), matvec=lambda x: sla.lu_solve(lu, x), dtype=np.complex128
+    )
+    v0 = np.ones(n, dtype=np.complex128)
+    w = spla.eigs(op, k=k, which="LM", return_eigenvectors=False, v0=v0)
+    return shift + 1.0 / w
 
 
 def solve_generalized(

@@ -1,5 +1,10 @@
 """Critical coupling location, threshold space extraction, classification."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,8 +15,10 @@ from threshold_dirac.potentials import (
     check_class_c,
     pseudo_inner,
 )
+from threshold_dirac import critical
 from threshold_dirac.critical import (
     classify_lambda_bar,
+    critical_couplings,
     decay_decomposition,
     extend_to_grid,
     find_critical_coupling,
@@ -89,6 +96,128 @@ def test_no_dip_raises():
     shape = build_potential(grid, "spherical-well", 1.0, R)
     with pytest.raises(ValueError, match="not critical in range"):
         find_critical_coupling(shape, (-0.4, -0.05))
+
+
+# ---------------------------------------------------------------------------
+# eigenvalue route
+
+
+@pytest.fixture(scope="module")
+def that9():
+    grid = Grid3(R, 9)
+    return assemble_T(build_potential(grid, "spherical-well", 1.0, R), 0.0).matrix
+
+
+def test_critical_couplings_two_in_one_bracket(that9):
+    # two Kramers doubles in the bracket: each coupling comes back once
+    gs = critical_couplings(that9, (-4.0, -1.5))
+    assert len(gs) == 2
+    assert abs(gs[0] - (-3.6128926565)) < 1e-9
+    assert abs(gs[1] - (-1.8980231788)) < 1e-9
+
+
+def test_critical_couplings_completeness_loop(that9, monkeypatch):
+    # the image of (-6, -1.5) in 1/g holds eight eigenvalues (two Kramers
+    # doubles and a fourfold one), more than the first eigs call returns
+    ks = []
+    shift_invert = critical._shift_invert_eigs
+
+    def spy(T, shift, k):
+        ks.append(k)
+        return shift_invert(T, shift, k)
+
+    monkeypatch.setattr(critical, "_shift_invert_eigs", spy)
+    gs = critical_couplings(that9, (-6.0, -1.5))
+    assert ks[0] == 6 and max(ks) > 6
+    want = (-5.1478784274, -3.6128926565, -1.8980231788)
+    assert len(gs) == 3
+    assert all(abs(g - w) < 1e-9 for g, w in zip(gs, want))
+
+
+def test_critical_couplings_outside_spectrum(that9):
+    # |mu| <= |T-hat|_1 bounds every eigenvalue: nothing below |g| = 1/|T|_1
+    assert critical_couplings(that9, (-0.4, -0.05)) == []
+    with pytest.raises(ValueError, match="bracket"):
+        critical_couplings(that9, (1.0, 1.0))
+
+
+def test_gstar_matches_sigma_scan_route(crit9, crit9_bound):
+    """g* agrees with the values of the sigma_min scan + golden-section
+    search that the eigenvalue route replaced, to 1e-10 relative."""
+    grid = Grid3(R, 9)
+    cell = build_potential(
+        grid, "spherical-well", 1.0, R, w=0.12, cell_average=True, subsamples=5
+    )
+    crit_cell = find_critical_coupling(cell, (-1.6, -1.0))
+    for got, want in (
+        (crit9.g_star, -1.898023178830765),
+        (crit9_bound.g_star, 5.937573532822952),
+        (crit_cell.g_star, -1.2954574410478559),
+    ):
+        assert abs(got - want) <= 1e-10 * abs(want)
+    for crit in (crit9, crit9_bound, crit_cell):
+        assert [g for g, _ in crit.sigma_records] == [crit.g_star]
+
+
+def test_fourfold_null_space_widens_block():
+    """At g* = -5.1479 the null space is four-dimensional: the first block
+    of four fills up below the cut, so the block widens and finds all four
+    (the dense SVD gave dim 4 as well)."""
+    grid = Grid3(R, 9)
+    shape = build_potential(grid, "spherical-well", 1.0, R)
+    crit = find_critical_coupling(shape, (-5.5, -4.8))
+    assert abs(crit.g_star - (-5.14787842739795)) <= 1e-10 * 5.15
+    assert crit.dim == 4
+    op = assemble_T(shape, 0.0)
+    for phi in crit.basis:
+        flat = phi.values[op.support].reshape(-1)
+        res = flat - crit.g_star * (op.matrix @ flat)
+        assert np.max(np.abs(res)) <= 1e-6 * phi.sup_norm()
+
+
+def test_failed_certificate_never_certifies(monkeypatch):
+    grid = Grid3(R, 9)
+    shape = build_potential(grid, "spherical-well", 1.0, R)
+    monkeypatch.setattr(critical, "sigma_min_at", lambda that, g: (np.nan, 1.0))
+    with pytest.raises(ValueError, match="not critical in range"):
+        find_critical_coupling(shape, (-2.2, -0.4))
+
+
+_THREAD_PROBE = """
+import json
+from threshold_dirac.critical import find_critical_coupling
+from threshold_dirac.potentials import Grid3, build_potential
+grid = Grid3(1.0, 9)
+wells = (
+    (build_potential(grid, "spherical-well", 1.0, 1.0, w=0.12, cell_average=True,
+                     subsamples=5), (-1.6, -1.0)),
+    (build_potential(grid, "spherical-well", 1.0, 1.0), (5.0, 7.0)),
+)
+out = []
+for shape, bracket in wells:
+    c = find_critical_coupling(shape, bracket)
+    out.append([c.g_star.hex(), c.dim, c.lambda_bar, c.sigma_min / c.matrix_scale])
+print(json.dumps(out))
+"""
+
+
+def test_search_deterministic_across_thread_settings():
+    """The two benchmark wells give bit-identical g*, dim and lambda-bar
+    with 1 and 2 BLAS and worker threads. sigma_min is round-off and moves
+    in its last bits with the thread count, so it is only checked against
+    the certificate."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, THRESHOLD_DIRAC_THREADS=threads)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        runs.append(json.loads(proc.stdout))
+    assert [r[:3] for r in runs[0]] == [r[:3] for r in runs[1]]
+    assert all(r[3] < 1e-8 for run in runs for r in run)
 
 
 # ---------------------------------------------------------------------------

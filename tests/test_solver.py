@@ -373,3 +373,17 @@ def test_smallest_singular_detects_singularity():
     m = np.diag(np.array([1.0, 2.0, 3.0, 0.0], dtype=complex))
     est = smallest_singular_value(m)
     assert est < 1e-12
+
+
+def test_smallest_singular_failure_is_nan():
+    # a failed factorization is not "exactly singular": NaN fails every
+    # sigma < threshold test, so it can never certify a coupling
+    m = np.eye(6, dtype=complex)
+    m[2, 3] = np.nan
+    est = smallest_singular_value(m)
+    assert np.isnan(est)
+    assert not est < 1e-8
+    from threshold_dirac.critical import sigma_min_at
+
+    s, _ = sigma_min_at(m, 0.5)
+    assert np.isnan(s)
