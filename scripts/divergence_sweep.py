@@ -12,6 +12,7 @@ import os
 import numpy as np
 
 from threshold_dirac import configio as cio
+from threshold_dirac.forms import gamma_spectrum, taylor_form
 from threshold_dirac.probes import SweepPlan, mu_peak, resonance_sweep
 from threshold_dirac.cli import _plan_from_config
 
@@ -30,9 +31,7 @@ def main() -> int:
     crit, B0 = base.crit, base.B0
     ks = tuple(float(t) for t in args.ks.split(","))
 
-    gammas = resonance_sweep(
-        SweepPlan(crit, B0, mus=(0.0,), ks=(ks[0],), js=(1,))
-    ).gammas
+    gammas = gamma_spectrum(crit, B0, taylor_form(crit.critical_potential(), crit, 2)).gammas
     g1 = float(gammas[0])
     print(f"curvatures gamma_l = {gammas}")
 

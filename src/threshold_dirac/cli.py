@@ -75,7 +75,9 @@ def _plan_from_config(cfg):
     B0 = cio.potential_from_config(cfg, grid, section="perturbation", g=None)
     kwargs = cio.sweep_kwargs_from_config(cfg)
     kwargs.setdefault("ks", (0.1, 0.2))
-    return SweepPlan(crit, B0, mus=cio.mus_from_config(cfg), **kwargs)
+    return SweepPlan(
+        crit, B0, mus=cio.mus_from_config(cfg), eval_grid=cio.eval_grid_from_config(cfg), **kwargs
+    )
 
 
 def _emit(path: str | None, lines) -> None:
@@ -164,7 +166,8 @@ def _cmd_classify(args) -> int:
     cfg = cio.load_config(args.config)
     crit = _crit_from_config(cfg)
     A = crit.critical_potential()
-    eval_grid = cio.eval_grid_from_config(cfg) or Grid3(4.0 * A.radius, 33)
+    # the decay fit needs shells out to 4R whatever [eval] says
+    eval_grid = Grid3(4.0 * A.radius, 33)
     lines = ["p,lambda_abs,exponent_phi,exponent_phi1,lambda_bar"]
     for p, phi in enumerate(crit.basis):
         ext = extend_to_grid(crit, phi, eval_grid)
@@ -235,7 +238,9 @@ def _cmd_derivatives(args) -> int:
     for mu in plan.mus:
         for k in plan.ks:
             bounds.append(
-                derivative_bound(plan.crit, plan.B0, mu, k * khat, m=2, j=plan.js[0])
+                derivative_bound(
+                    plan.crit, plan.B0, mu, k * khat, m=2, j=plan.js[0], eval_grid=plan.eval_grid
+                )
             )
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "derivatives.csv")

@@ -6,8 +6,11 @@ Config files are key=value INI sections read with configparser (no
 interpolation).  The sections in use:
 
   [grid]          L, n                    cube half width and odd nodes/axis
-  [eval]          L, n                    optional evaluation grid (defaults
-                                          to the solver's standard extension)
+  [eval]          L, n                    optional evaluation grid of solve,
+                                          sweep and derivatives (defaults to
+                                          the solver's standard extension);
+                                          classify always fits its decay on
+                                          L = 4R, n = 33
   [potential]     shape, g, R, w, components, cell_average, subsamples,
                   table, bracket          bracket present means "solve for
                                           the critical coupling first"
@@ -49,7 +52,6 @@ __all__ = [
     "write_boundstates_csv",
     "write_derivatives_csv",
     "write_inverse_csv",
-    "write_kernel_check_csv",
     "write_oracle_compare_csv",
     "write_forms_csv",
     "write_dat",
@@ -269,11 +271,6 @@ def write_inverse_csv(path: str, reports) -> None:
         for rep in reports
     ]
     _write_lines(path, _table_lines(INVERSE_COLUMNS, rows))
-
-
-def write_kernel_check_csv(path: str, rows) -> None:
-    """Kernel-derivative verification table: k, x, order, rel_err."""
-    _write_lines(path, _table_lines(("k", "x", "order", "rel_err"), rows))
 
 
 def write_oracle_compare_csv(path: str, rows) -> None:

@@ -35,7 +35,8 @@ CONVENTIONS
     with Hermitian A these are the Gram matrices of N and of the span
     M = {A Phi} under the A-weighted pairing. Basis states are sup-norm
     normalized with a deterministic phase (largest component real
-    positive), ordered by ascending singular value.
+    positive); inside a degenerate null space the basis is pinned to the
+    projections of fixed start vectors.
 """
 
 from __future__ import annotations
@@ -106,6 +107,14 @@ class CriticalStructure:
 
     def critical_potential(self) -> FourPotential:
         return self.shape.rescaled(self.g_star)
+
+    def pairing(self, B: FourPotential) -> np.ndarray:
+        """W[p, q] = <Phi_p, B, Phi_q> over the basis."""
+        return _pairing(self.basis, B, self.basis)
+
+
+def _pairing(left: list, B: FourPotential, right: list) -> np.ndarray:
+    return np.array([[pseudo_inner(f, B, g) for g in right] for f in left])
 
 
 def sigma_min_at(that: np.ndarray, g: float) -> tuple[float, float]:
@@ -184,7 +193,6 @@ def find_critical_coupling(
     m = np.eye(that.shape[0], dtype=np.complex128) - g_star * that
     scale = float(np.linalg.norm(m, 1))
     basis_vecs = _null_basis(m, _SUBSPACE_FACTOR * _CRITICAL_REL * scale)
-    n_dim = len(basis_vecs)
 
     grid = shape.grid
     sup = op.support
@@ -194,23 +202,13 @@ def find_critical_coupling(
         full = np.zeros((grid.n_nodes, 4), dtype=np.complex128)
         full[sup] = rows
         f = SpinorField(grid, full)
-        mag = np.abs(full)
-        flat = int(np.argmax(mag))
-        phase = full.reshape(-1)[flat]
-        f = f.scaled(abs(phase) / (phase * f.sup_norm()))
-        basis.append(f)
+        phase = full.reshape(-1)[np.argmax(np.abs(full))]
+        basis.append(f.scaled(abs(phase) / (phase * f.sup_norm())))
 
     A = shape.rescaled(g_star)
     lam = [lambda_of(f, A) for f in basis]
-    gram_n = np.array(
-        [[pseudo_inner(basis[p], A, basis[q]) for q in range(n_dim)] for p in range(n_dim)]
-    )
-    gram_m = np.array(
-        [
-            [pseudo_inner(basis[p], A, _apply_pot(A, basis[q])) for q in range(n_dim)]
-            for p in range(n_dim)
-        ]
-    )
+    gram_n = _pairing(basis, A, basis)
+    gram_m = _pairing(basis, A, [_apply_pot(A, f) for f in basis])
     crit = CriticalStructure(
         shape=shape,
         g_star=float(g_star),
@@ -228,13 +226,16 @@ def find_critical_coupling(
 
 
 def _null_basis(m: np.ndarray, cut: float) -> np.ndarray:
-    """Right singular vectors of m with sigma < cut, ascending sigma, as rows.
+    """Orthonormal basis of the right singular space of m below cut, as rows.
 
     Block inverse iteration on (M^H M)^{-1} from a fixed start, reusing
     one LU of m, then a Rayleigh-Ritz step: the SVD of the n x b block
     M Q. Ritz values never undercut the true singular values, so only a
     block filled entirely below the cut can hide more of the null space;
-    then the block doubles.
+    then the block doubles. The returned basis is the QR orthonormalization
+    of the projections of the first start columns onto that space, so it
+    depends on the space only and not on how round-off rotated the
+    singular vectors inside it (a Kramers pair is degenerate).
     """
     n = m.shape[0]
     with warnings.catch_warnings():
@@ -242,7 +243,8 @@ def _null_basis(m: np.ndarray, cut: float) -> np.ndarray:
         lu = sla.lu_factor(m)
     b = min(_BLOCK, n)
     while True:
-        q = np.cos(np.outer(np.arange(n), np.arange(1, b + 1))).astype(np.complex128)
+        start = np.cos(np.outer(np.arange(n), np.arange(1, b + 1))).astype(np.complex128)
+        q = start
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(_BLOCK_STEPS):
                 y = sla.lu_solve(lu, sla.lu_solve(lu, q, trans=2))
@@ -253,7 +255,11 @@ def _null_basis(m: np.ndarray, cut: float) -> np.ndarray:
         n_dim = int(np.sum(svals < cut))
         if n_dim < b or b == n:
             # svd orders descending: the last rows of Wh are the smallest
-            return (q @ wh[b - n_dim :][::-1].conj().T).T
+            null = q @ wh[b - n_dim :].conj().T
+            # pin the gauge: round-off picks the rotation within a
+            # degenerate null space, its projector does not
+            pinned = null @ (null.conj().T @ start[:, :n_dim])
+            return np.linalg.qr(pinned)[0].T
         b = min(2 * b, n)
 
 

@@ -56,7 +56,7 @@ import numpy as np
 
 from .algebra import alpha, one_plus_beta
 from .critical import CriticalStructure, _thread_count, lambda_of
-from .potentials import FourPotential, SpinorField, norms, pseudo_inner
+from .potentials import FourPotential, SpinorField, norms
 from .solver import _fold_rows, apply_kernel_rows
 
 __all__ = [
@@ -268,12 +268,7 @@ def gamma_spectrum(
     self-adjoint and anti-self-adjoint in the gram_n metric; the gammas
     are the eigenvalues of Mhat, real because the metric is definite.
     """
-    n = crit.dim
-    W = np.empty((n, n), dtype=np.complex128)
-    for p in range(n):
-        for q in range(n):
-            W[p, q] = pseudo_inner(crit.basis[p], B0, crit.basis[q])
-    B0hat = np.linalg.solve(crit.gram_n, W)
+    B0hat = np.linalg.solve(crit.gram_n, crit.pairing(B0))
     sv = np.linalg.svd(B0hat, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
         raise ValueError("projected perturbation matrix is singular on the span")

@@ -18,6 +18,11 @@ PHYSICS SCOPE
                                      + ca_m (alpha . zhat) ]
 
     with scalar radial profiles cI_m, cb_m, ca_m listed in _profiles.
+    So every kernel value, and every cell integral of one, is a vector
+    of five complex Clifford coefficients on the basis
+    CLIFFORD_BASIS = (I, beta, alpha_1, alpha_2, alpha_3): coefficients()
+    is the one evaluator, the alpha coefficients being ca_m zhat_l, and
+    expand() turns coefficients into 4x4 matrices (green, green_dk).
     Two identities worth knowing (both covered by tests):
 
       * d_k G at k = 0 is the constant matrix -(i/4 pi)(1 + beta); all
@@ -46,18 +51,23 @@ import numpy as np
 from .algebra import alpha_stack, beta, identity4
 
 __all__ = [
+    "CLIFFORD_BASIS",
+    "coefficients",
+    "expand",
     "energy",
     "green",
     "green_dk",
     "radial_moment",
+    "self_cell_coefficients",
     "self_cell_integral",
     "sphere_radius",
     "fd_reference",
 ]
 
-_I4 = identity4()
-_BETA = beta()
-_ALPHA = alpha_stack()
+# d^m G, its self-cell ball integral and every cell average of them lie
+# in the span of these five matrices
+CLIFFORD_BASIS = np.concatenate([identity4()[None], beta()[None], alpha_stack()])
+CLIFFORD_BASIS.flags.writeable = False
 
 
 def energy(k) -> complex:
@@ -92,35 +102,43 @@ def _profiles(k: complex, r: np.ndarray, order: int):
     return cI, cb, ca
 
 
-def _evaluate(k: complex, disp: np.ndarray, order: int) -> np.ndarray:
-    disp = np.asarray(disp, dtype=np.float64)
-    single = disp.ndim == 1
-    z = np.atleast_2d(disp)
-    r = np.linalg.norm(z, axis=-1)
+def coefficients(k, disp, order: int = 0) -> np.ndarray:
+    """Clifford coefficients of d^order G at displacement(s) disp.
+
+    Returns (..., 5) complex c with d^order G = sum_c c[c] CLIFFORD_BASIS[c]:
+    the I, beta and alpha_1..3 parts, e^{ikr}/4pi included.
+    """
+    z = np.asarray(disp, dtype=np.float64)
+    r = np.sqrt(z[..., 0] ** 2 + z[..., 1] ** 2 + z[..., 2] ** 2)
     if np.any(r == 0.0):
         raise ValueError("kernel evaluated at zero displacement")
-    zhat = z / r[..., None]
+    k = complex(k)
     cI, cb, ca = _profiles(k, r, order)
     phase = np.exp(1j * k * r) / (4.0 * np.pi)
-    adotz = np.einsum("nl,lij->nij", zhat, _ALPHA)
-    out = (
-        (phase * cI)[:, None, None] * _I4
-        + (phase * cb)[:, None, None] * _BETA
-        + (phase * ca)[:, None, None] * adotz
-    )
-    return out[0] if single else out
+    out = np.empty(r.shape + (5,), dtype=np.complex128)
+    np.multiply(phase, cI, out=out[..., 0])
+    np.multiply(phase, cb, out=out[..., 1])
+    pa = phase * ca
+    for l in range(3):
+        np.multiply(pa, z[..., l] / r, out=out[..., 2 + l])
+    return out
+
+
+def expand(coeffs: np.ndarray) -> np.ndarray:
+    """(..., 5) Clifford coefficients to (..., 4, 4) matrices."""
+    return np.tensordot(coeffs, CLIFFORD_BASIS, axes=1)
 
 
 def green(k, x) -> np.ndarray:
     """Outgoing kernel G_k at displacement(s) x; shape (..., 4, 4)."""
-    return _evaluate(complex(k), x, 0)
+    return expand(coefficients(k, x, 0))
 
 
 def green_dk(k, x, order: int = 1) -> np.ndarray:
     """Closed-form d^order/dk^order of green, order in {1, 2, 3}."""
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
-    return _evaluate(complex(k), x, order)
+    return expand(coefficients(k, x, order))
 
 
 def radial_moment(n: int, k, a: float) -> complex:
@@ -155,8 +173,9 @@ def sphere_radius(h: float) -> float:
     return h * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
 
 
-def self_cell_integral(k, h: float, order: int = 0) -> np.ndarray:
-    """Integral of d^order G over the equal-volume ball around z = 0.
+def self_cell_coefficients(k, h: float, order: int = 0) -> np.ndarray:
+    """Clifford coefficients of the integral of d^order G over the
+    equal-volume ball around z = 0.
 
     The alpha.zhat parts integrate to zero by parity; what remains are
     radial moments against the I and beta profiles. Used as the diagonal
@@ -167,19 +186,23 @@ def self_cell_integral(k, h: float, order: int = 0) -> np.ndarray:
     E = energy(k)
     J = [radial_moment(n, k, a) for n in range(5)]
     if order == 0:
-        return -(E * _I4 + _BETA) * J[1]
-    if order == 1:
-        return -1j * (E * _I4 + _BETA) * J[2] - (k / E) * J[1] * _I4
-    if order == 2:
-        return (E * _I4 + _BETA) * J[3] - (2j * k / E) * J[2] * _I4 - J[1] / E**3 * _I4
-    if order == 3:
-        return (
-            1j * (E * _I4 + _BETA) * J[4]
-            + (3.0 * k / E) * J[3] * _I4
-            - (3j / E**3) * J[2] * _I4
-            + (3.0 * k / E**5) * J[1] * _I4
-        )
-    raise ValueError("order must be 0, 1, 2 or 3")
+        cI, cb = -E * J[1], -J[1]
+    elif order == 1:
+        cI, cb = -1j * E * J[2] - (k / E) * J[1], -1j * J[2]
+    elif order == 2:
+        cI, cb = E * J[3] - (2j * k / E) * J[2] - J[1] / E**3, J[3]
+    elif order == 3:
+        cI = 1j * E * J[4] + (3.0 * k / E) * J[3] - (3j / E**3) * J[2] + (3.0 * k / E**5) * J[1]
+        cb = 1j * J[4]
+    else:
+        raise ValueError("order must be 0, 1, 2 or 3")
+    return np.array([cI, cb, 0.0, 0.0, 0.0], dtype=np.complex128)
+
+
+def self_cell_integral(k, h: float, order: int = 0) -> np.ndarray:
+    """Integral of d^order G over the equal-volume ball around z = 0, as a
+    4x4 matrix; see self_cell_coefficients."""
+    return expand(self_cell_coefficients(k, h, order))
 
 
 def fd_reference(k, x, order: int, step: float = 1e-2) -> np.ndarray:

@@ -32,7 +32,6 @@ UNITS
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from threading import Semaphore
@@ -43,7 +42,7 @@ from scipy.optimize import brentq
 
 from .critical import CriticalStructure, _thread_count, make_projectors
 from .forms import gamma_spectrum, taylor_form
-from .potentials import FourPotential, Grid3, SpinorField, norms, pseudo_inner
+from .potentials import FourPotential, Grid3, SpinorField, norms
 from .solver import (
     apply_kernel_rows,
     assemble_kernel_blocks,
@@ -53,9 +52,11 @@ from .solver import (
     free_solution,
     free_spinor,
     smallest_singular_value,
+    _chunk_rows,
     _fold_rows,
-    _rcond_from_lu,
+    _lu_with_flag,
     _shift_invert_eigs,
+    _solve_cell,
 )
 
 __all__ = [
@@ -78,7 +79,6 @@ __all__ = [
     "lambda1_probe",
 ]
 
-_RESONANCE_RCOND = 1e-10
 _CROSSING_REL = 1e-5
 _REFINE_TRIGGER_REL = 0.2
 _MAX_REFINES_PER_MU = 6
@@ -100,8 +100,6 @@ class SweepPlan:
     n_kappa: int = 400
     kappa_range: tuple = (1e-4, 0.9)
     bound_mode: str = "auto"  # auto | eigen | sigma-scan
-    probes: tuple = ("sweep",)
-    out_dir: str | None = None
 
     def __post_init__(self):
         self.mus = tuple(float(m) for m in self.mus)
@@ -176,12 +174,7 @@ def _metric_chol(gram: np.ndarray):
 
 def _bhat_matrix(crit: CriticalStructure, B: FourPotential) -> np.ndarray:
     """gram_n-metric matrix of the span-projected perturbation B."""
-    n = crit.dim
-    W = np.empty((n, n), dtype=np.complex128)
-    for p in range(n):
-        for q in range(n):
-            W[p, q] = pseudo_inner(crit.basis[p], B, crit.basis[q])
-    return np.linalg.solve(crit.gram_n, W)
+    return np.linalg.solve(crit.gram_n, crit.pairing(B))
 
 
 def resonance_denominator(
@@ -207,12 +200,7 @@ def pairing_inf(crit: CriticalStructure, B: FourPotential | None) -> float:
         return 0.0
     L = _metric_chol(crit.gram_n)
     Linv = np.linalg.inv(L)
-    n = crit.dim
-    W = np.empty((n, n), dtype=np.complex128)
-    for p in range(n):
-        for q in range(n):
-            W[p, q] = pseudo_inner(crit.basis[p], B, crit.basis[q])
-    vals = np.linalg.eigvalsh(Linv @ W @ Linv.conj().T)
+    vals = np.linalg.eigvalsh(Linv @ crit.pairing(B) @ Linv.conj().T)
     return float(np.min(np.abs(vals)))
 
 
@@ -231,7 +219,7 @@ def _assemble_pair(k: complex, pts: np.ndarray, h: float, vals_a, vals_b=None):
     n = len(pts)
     TA = np.empty((4 * n, 4 * n), dtype=np.complex128)
     TB = np.empty_like(TA) if vals_b is not None else None
-    chunk = max(1, 800_000 // max(n, 1))
+    chunk = _chunk_rows(n)
     for s in range(0, n, chunk):
         stop = min(s + chunk, n)
         blocks = assemble_kernel_blocks(k, pts[s:stop], pts, h)
@@ -241,43 +229,10 @@ def _assemble_pair(k: complex, pts: np.ndarray, h: float, vals_a, vals_b=None):
     return TA, TB
 
 
-def _lu_with_flag(M: np.ndarray):
-    anorm = float(np.linalg.norm(M, 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu = sla.lu_factor(M)
-        rcond = _rcond_from_lu(M, lu, anorm)
-    flagged = bool(rcond < _RESONANCE_RCOND or not np.isfinite(rcond))
-    return lu, rcond, flagged
-
-
-def _solve_cell(M, lu, flagged, rhs):
-    if flagged:
-        x, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        return x
-    return sla.lu_solve(lu, rhs)
-
-
 def _embed(grid: Grid3, sup: np.ndarray, vals: np.ndarray) -> SpinorField:
     dense = np.zeros((grid.n_nodes, 4), dtype=np.complex128)
     dense[sup] = vals
     return SpinorField(grid, dense)
-
-
-def _extend_many(k: float, targets: np.ndarray, spts: np.ndarray, h: float, folded):
-    """Kernel extension of many folded sources in one pass over targets.
-
-    folded: (ncells, ns, 4) rows of (V f) on the shared source nodes.
-    Each target chunk assembles its kernel blocks once and applies them
-    to every cell, so a mu/j scan pays for one kernel pass per k.
-    """
-    folded = np.asarray(folded)
-    out = np.empty((folded.shape[0], len(targets), 4), dtype=np.complex128)
-    chunk = max(1, 800_000 // max(len(spts), 1))
-    for s in range(0, len(targets), chunk):
-        blocks = assemble_kernel_blocks(k, targets[s : s + chunk], spts, h)
-        out[:, s : s + chunk] = np.einsum("tsij,csj->cti", blocks, folded)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +263,11 @@ def resonance_sweep(plan: SweepPlan) -> SweepResult:
     eval_grid = plan.eval_grid or default_eval_grid(grid)
     proj = make_projectors(crit)
     gate = Semaphore(max(1, plan.max_inflight))
+    # unit scalar on the union: apply_kernel_rows then folds nothing, and
+    # one kernel pass per k extends every cell's own (V_mu u) rows
+    unit_values = np.zeros_like(A.values)
+    unit_values[union, 0] = 1.0
+    unit = FourPotential(grid, "unit", 1.0, max(A.radius, plan.B0.radius), unit_values)
 
     def run_k(k: float) -> list:
         with gate:
@@ -327,9 +287,9 @@ def resonance_sweep(plan: SweepPlan) -> SweepResult:
                     u = _solve_cell(M, lu, flagged, rhs).reshape(-1, 4)
                     cells.append((mu, j, flagged, chi, u))
                     folded.append(_fold_rows(vmu_rows, u))
-            exts = _extend_many(k, eval_grid.points, pts, h, folded)
+            exts = apply_kernel_rows(k, eval_grid.points, unit, np.stack(folded), h)
             out = []
-            for (mu, j, flagged, chi, u), tail in zip(cells, exts):
+            for (mu, j, flagged, chi, u), tail in zip(cells, exts.transpose(1, 0, 2)):
                 ext = chi.values_at(eval_grid.points) + tail
                 sup_norm = max(
                     float(np.max(np.linalg.norm(ext, axis=1))),

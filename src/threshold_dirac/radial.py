@@ -101,9 +101,6 @@ class RadialWell:
         t = np.clip((r - (R - w)) / w, 0.0, 1.0)
         return 1.0 - (3.0 * t * t - 2.0 * t**3)
 
-    def v_of_r(self, r):
-        return self.depth * self.shape_of_r(r)
-
 
 def _riccati_regular(l: int, q2: float, r):
     """Regular Riccati-Bessel G and G' for G'' = l(l+1)/r^2 G - q^2 G.

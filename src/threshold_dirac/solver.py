@@ -26,6 +26,16 @@ QUADRATURE
     125 near-cell integrals are tabulated once per (k, h, order) and
     scattered, which makes repeated assembly during coupling scans cheap.
 
+    Every quadrature block lies in the span of the Clifford basis
+    (I, beta, alpha_1, alpha_2, alpha_3) (see the kernel module): the
+    midpoint samples, the sphere rule -(E I + beta) J_1 and its
+    derivative orders, and every average over subcells or table entries.
+    So quadrature is computed as (nt, ns, 5) complex coefficients, in
+    chunks of about _PAIR_BUDGET target-source pairs. apply_kernel_rows
+    applies a chunk to any number of fields as one complex GEMM,
+    C.reshape(t, 5 ns) @ Y with Y[s, c] = B_c (A f)_s; only dense
+    assembly expands coefficients into 4x4 blocks.
+
 SOLVES
     Dense LU with partial pivoting by default; reciprocal condition
     estimate from the factorization. Systems whose condition estimate
@@ -45,9 +55,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .algebra import alpha_stack, beta, identity4
-from .kernel import energy, self_cell_integral
-from .kernel import _evaluate as _kernel_eval
+from .algebra import alpha_stack, identity4
+from .kernel import CLIFFORD_BASIS, expand, self_cell_coefficients
+from .kernel import coefficients as kernel_coefficients
 from .potentials import FourPotential, Grid3, SpinorField
 
 __all__ = [
@@ -58,7 +68,6 @@ __all__ = [
     "assemble_T",
     "assemble_kernel_blocks",
     "contract_potential",
-    "apply_T",
     "apply_kernel_rows",
     "solve_generalized",
     "symmetry_probe",
@@ -68,13 +77,13 @@ __all__ = [
 ]
 
 _ALPHA = alpha_stack()
-_BETA = beta()
 _I4 = identity4()
 
 _SUBDIV = 4
 _NEAR_CELLS = 2  # Chebyshev distance, in cells
 _RESONANCE_RCOND = 1e-10
 _RESIDUAL_REL = 1e-8
+_PAIR_BUDGET = 100_000  # target-source pairs per kernel chunk
 
 
 # ---------------------------------------------------------------------------
@@ -142,42 +151,80 @@ def free_solution(
 # kernel block assembly
 
 
+def _chunk_rows(n_sources: int) -> int:
+    """Targets per chunk, so that one chunk holds about _PAIR_BUDGET pairs."""
+    return max(1, _PAIR_BUDGET // max(n_sources, 1))
+
+
+def _cube(steps: np.ndarray) -> np.ndarray:
+    """Every point with all three coordinates in steps, as (n^3, 3)."""
+    return np.stack(np.meshgrid(steps, steps, steps, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _subdivided_coefficients(k: complex, disp: np.ndarray, h: float, order: int) -> np.ndarray:
+    """Cell integrals of d^order G at near displacements, 4x4x4 midpoint."""
+    sub = _cube((np.arange(_SUBDIV) + 0.5) / _SUBDIV - 0.5) * h
+    out = np.empty((len(disp), 5), dtype=np.complex128)
+    step = _chunk_rows(len(sub))
+    for s in range(0, len(disp), step):
+        d = disp[s : s + step, None, :] - sub
+        out[s : s + step] = kernel_coefficients(k, d, order).mean(axis=1) * h**3
+    return out
+
+
 def _near_cell_table(k: complex, h: float, order: int) -> np.ndarray:
-    """Cell integrals of d^order G over all 5^3 lattice offsets within 2h.
+    """Cell-integral coefficients of d^order G at the 5^3 lattice offsets
+    within 2h, as (125, 5).
 
     Entry [key] with key = (dx+2)*25 + (dy+2)*5 + (dz+2) holds
     int_cell(offset) G(z) dz; the centered entry is the analytic sphere
     rule, the others 4x4x4 subdivided midpoint.
     """
-    offs = (np.arange(_SUBDIV) + 0.5) / _SUBDIV - 0.5
-    ox, oy, oz = np.meshgrid(offs, offs, offs, indexing="ij")
-    sub = np.stack([ox, oy, oz], axis=-1).reshape(-1, 3) * h
-    table = np.zeros((125, 4, 4), dtype=np.complex128)
-    for dx in range(-2, 3):
-        for dy in range(-2, 3):
-            for dz in range(-2, 3):
-                key = (dx + 2) * 25 + (dy + 2) * 5 + (dz + 2)
-                if dx == dy == dz == 0:
-                    table[key] = self_cell_integral(k, h, order)
-                else:
-                    disp = np.array([dx, dy, dz], dtype=float) * h - sub
-                    vals = _kernel_eval(k, disp, order)
-                    table[key] = vals.mean(axis=0) * h**3
+    offsets = _cube(np.arange(-_NEAR_CELLS, _NEAR_CELLS + 1, dtype=float)) * h
+    centre = len(offsets) // 2
+    table = np.empty((len(offsets), 5), dtype=np.complex128)
+    table[centre] = self_cell_coefficients(k, h, order)
+    rest = np.arange(len(offsets)) != centre
+    table[rest] = _subdivided_coefficients(k, offsets[rest], h, order)
     return table
 
 
-def _subdivided_blocks(k: complex, disp: np.ndarray, h: float, order: int) -> np.ndarray:
-    """Cell integrals for arbitrary displacements within the near zone."""
-    offs = (np.arange(_SUBDIV) + 0.5) / _SUBDIV - 0.5
-    ox, oy, oz = np.meshgrid(offs, offs, offs, indexing="ij")
-    sub = np.stack([ox, oy, oz], axis=-1).reshape(-1, 3) * h
-    out = np.empty((len(disp), 4, 4), dtype=np.complex128)
-    step = max(1, 4_000_000 // (len(sub) * 16))
-    for s in range(0, len(disp), step):
-        d = disp[s : s + step, None, :] - sub[None, :, :]
-        flat = _kernel_eval(k, d.reshape(-1, 3), order)
-        out[s : s + step] = flat.reshape(-1, len(sub), 4, 4).mean(axis=1) * h**3
+def _quadrature_coefficients(k, targets, sources, h, order, table) -> np.ndarray:
+    """Clifford coefficients (nt, ns, 5) of the quadrature blocks.
+
+    Far pairs are midpoint samples; near pairs on the source lattice come
+    from the near-cell table, the other near pairs from direct
+    subdivision.
+    """
+    disp = targets[:, None, :] - sources[None, :, :]
+    reach = _NEAR_CELLS * h + 1e-9 * h
+    near = np.abs(disp[..., 0]) <= reach
+    for l in (1, 2):
+        near &= np.abs(disp[..., l]) <= reach
+    dnear = disp[near]
+    disp[near] = h  # a nonzero stand-in; these entries are replaced below
+    out = kernel_coefficients(k, disp, order)
+    out *= h**3
+    if len(dnear):
+        vals = np.empty((len(dnear), 5), dtype=np.complex128)
+        idx = np.rint(dnear / h).astype(int)
+        on_lattice = np.max(np.abs(dnear - idx * h), axis=1) <= 1e-9 * h
+        vals[on_lattice] = table[(idx[on_lattice] + _NEAR_CELLS) @ np.array([25, 5, 1])]
+        if not on_lattice.all():
+            vals[~on_lattice] = _subdivided_coefficients(k, dnear[~on_lattice], h, order)
+        out[near] = vals
     return out
+
+
+def _coefficient_chunks(k, targets, sources, h, order):
+    """(first row, coefficients) for each target chunk of the quadrature."""
+    k = complex(k)
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    sources = np.atleast_2d(np.asarray(sources, dtype=np.float64))
+    table = _near_cell_table(k, h, order)
+    step = _chunk_rows(len(sources))
+    for s in range(0, len(targets), step):
+        yield s, _quadrature_coefficients(k, targets[s : s + step], sources, h, order, table)
 
 
 def assemble_kernel_blocks(
@@ -186,55 +233,16 @@ def assemble_kernel_blocks(
     sources: np.ndarray,
     h: float,
     order: int = 0,
-    lattice: bool = True,
 ) -> np.ndarray:
     """Quadrature blocks int_cell(y_j) d^order G(x_i - y) dy as (nt, ns, 4, 4).
 
-    lattice=True enables the tabulated near-cell path for displacements
-    that sit on the source lattice; off-lattice near displacements fall
-    back to direct subdivision, so mixed target sets are fine.
+    Near displacements on the source lattice use the tabulated near-cell
+    integrals, off-lattice ones direct subdivision, so mixed target sets
+    are fine.  Only dense assembly needs the 4x4 blocks; apply_kernel_rows
+    works on the coefficients.
     """
-    k = complex(k)
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    sources = np.atleast_2d(np.asarray(sources, dtype=np.float64))
-    nt, ns = len(targets), len(sources)
-    out = np.empty((nt, ns, 4, 4), dtype=np.complex128)
-    table = _near_cell_table(k, h, order) if lattice else None
-    near_tol = 1e-9 * h
-    chunk = max(1, 800_000 // max(ns, 1))
-    for s in range(0, nt, chunk):
-        tc = targets[s : s + chunk]
-        disp = tc[:, None, :] - sources[None, :, :]
-        cheb = np.max(np.abs(disp), axis=-1)
-        near = cheb <= _NEAR_CELLS * h + near_tol
-        far = ~near
-        block = np.zeros((len(tc), ns, 4, 4), dtype=np.complex128)
-        if far.any():
-            block[far] = _kernel_eval(k, disp[far], order) * h**3
-        if near.any():
-            dnear = disp[near]
-            done = np.zeros(len(dnear), dtype=bool)
-            if table is not None:
-                idx = np.rint(dnear / h).astype(int)
-                on_lattice = np.max(np.abs(dnear - idx * h), axis=1) <= near_tol
-                if on_lattice.any():
-                    keys = (idx[on_lattice, 0] + 2) * 25 + (idx[on_lattice, 1] + 2) * 5 + (
-                        idx[on_lattice, 2] + 2
-                    )
-                    vals = np.zeros((int(on_lattice.sum()), 4, 4), dtype=np.complex128)
-                    vals[:] = table[keys]
-                    tmp = np.zeros((len(dnear), 4, 4), dtype=np.complex128)
-                    tmp[on_lattice] = vals
-                    block[near] = tmp
-                    done = on_lattice
-            if not done.all():
-                rest = ~done
-                sub = _subdivided_blocks(k, dnear[rest], h, order)
-                tmp = block[near]
-                tmp[rest] = sub
-                block[near] = tmp
-        out[s : s + chunk] = block
-    return out
+    chunks = [c for _, c in _coefficient_chunks(k, targets, sources, h, order)]
+    return expand(np.concatenate(chunks))
 
 
 def _fold_rows(pot_rows: np.ndarray, f_rows: np.ndarray) -> np.ndarray:
@@ -270,29 +278,20 @@ class IntegralOperator:
     potential: FourPotential
     k: complex
     support: np.ndarray
-    matrix: np.ndarray | None
-    subdivision: int = _SUBDIV
-    matrix_free: bool = False
+    matrix: np.ndarray | None  # None: matrix-free, rows applied per matvec
 
     @property
     def n_unknowns(self) -> int:
         return 4 * len(self.support)
 
-    def source_points(self) -> np.ndarray:
-        return self.potential.grid.points[self.support]
-
     def matvec(self, flat: np.ndarray) -> np.ndarray:
         if self.matrix is not None:
             return self.matrix @ flat
-        vals = flat.reshape(-1, 4)
-        out = apply_kernel_rows(
-            self.k,
-            self.source_points(),
-            self.potential,
-            vals,
-            self.potential.grid.spacing,
+        grid = self.potential.grid
+        rows = apply_kernel_rows(
+            self.k, grid.points[self.support], self.potential, flat.reshape(-1, 4), grid.spacing
         )
-        return out.reshape(-1)
+        return rows.reshape(-1)
 
 
 def assemble_T(A: FourPotential, k, matrix_free: bool = False) -> IntegralOperator:
@@ -301,7 +300,7 @@ def assemble_T(A: FourPotential, k, matrix_free: bool = False) -> IntegralOperat
     if len(sup) == 0:
         return IntegralOperator(A, complex(k), sup, np.zeros((0, 0), dtype=complex))
     if matrix_free:
-        return IntegralOperator(A, complex(k), sup, None, matrix_free=True)
+        return IntegralOperator(A, complex(k), sup, None)
     pts = A.grid.points[sup]
     blocks = assemble_kernel_blocks(k, pts, pts, A.grid.spacing)
     return IntegralOperator(A, complex(k), sup, contract_potential(blocks, A.values[sup]))
@@ -314,35 +313,27 @@ def apply_kernel_rows(
     f_support: np.ndarray,
     h: float,
     order: int = 0,
-    lattice: bool = True,
 ) -> np.ndarray:
     """(T^A f) at arbitrary target points without storing the full matrix.
 
-    f_support: (n_support, 4) samples of f on the support nodes of A.
-    Evaluates row chunks of the kernel and folds them immediately; memory
-    stays bounded regardless of the number of targets.
+    f_support: (n_support, 4) samples of f on the support nodes of A, or
+    a stack (m, n_support, 4) of m such fields; the result is (nt, 4),
+    or (nt, m, 4) for a stack.  Each target chunk's (t, ns, 5) Clifford
+    coefficients are computed once and applied to every field as one
+    complex GEMM against Y[s, c] = B_c (A f)_s, so memory stays bounded
+    regardless of the number of targets.
     """
     sup = A.support_indices()
     spts = A.grid.points[sup]
-    af = _fold_rows(A.values[sup], f_support)
+    f = np.asarray(f_support)
+    stack = f if f.ndim == 3 else f[None]
+    af = np.stack([_fold_rows(A.values[sup], g) for g in stack])
+    y = np.einsum("cij,msj->scmi", CLIFFORD_BASIS, af).reshape(5 * len(spts), 4 * len(stack))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    out = np.empty((len(targets), 4), dtype=np.complex128)
-    chunk = max(1, 800_000 // max(len(spts), 1))
-    for s in range(0, len(targets), chunk):
-        blocks = assemble_kernel_blocks(k, targets[s : s + chunk], spts, h, order, lattice)
-        out[s : s + chunk] = np.einsum("tsij,sj->ti", blocks, af)
-    return out
-
-
-def apply_T(op: IntegralOperator, f: SpinorField, eval_grid: Grid3) -> SpinorField:
-    """Evaluate T^A f on an evaluation grid (possibly larger than A's)."""
-    if not f.grid.same_layout(op.potential.grid):
-        raise ValueError("f must live on the operator's grid")
-    fsup = f.values[op.support]
-    vals = apply_kernel_rows(
-        op.k, eval_grid.points, op.potential, fsup, op.potential.grid.spacing
-    )
-    return SpinorField(eval_grid, vals)
+    out = np.empty((len(targets), y.shape[1]), dtype=np.complex128)
+    for s, coeffs in _coefficient_chunks(k, targets, spts, h, order):
+        out[s : s + len(coeffs)] = coeffs.reshape(len(coeffs), y.shape[0]) @ y
+    return out.reshape((len(targets),) + f.shape[:-2] + (4,))
 
 
 # ---------------------------------------------------------------------------
@@ -469,27 +460,17 @@ def solve_generalized(
     if mode == "dense":
         op = assemble_T(V, k)
         M = np.eye(op.n_unknowns, dtype=np.complex128) - op.matrix
-        anorm = np.linalg.norm(M, 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lu = sla.lu_factor(M)
-        rcond = _rcond_from_lu(M, lu, anorm)
-        diagnostics["rcond"] = rcond
-        if rcond < _RESONANCE_RCOND or not np.isfinite(rcond):
-            diagnostics["at_resonance"] = True
-            sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        else:
-            sol = sla.lu_solve(lu, rhs)
+        lu, rcond, flagged = _lu_with_flag(M)
+        diagnostics.update(rcond=rcond, at_resonance=flagged)
+        sol = _solve_cell(M, lu, flagged, rhs)
         residual = M @ sol - rhs
     elif mode == "iterative":
-        from scipy.sparse.linalg import LinearOperator, gmres
-
         op = assemble_T(V, k, matrix_free=True)
         n = op.n_unknowns
-        lop = LinearOperator(
+        lop = spla.LinearOperator(
             (n, n), matvec=lambda v: v - op.matvec(v), dtype=np.complex128
         )
-        sol, info = gmres(
+        sol, info = spla.gmres(
             lop, rhs, rtol=tol, atol=0.0, restart=gmres_restart, maxiter=400
         )
         if info != 0:
@@ -516,14 +497,43 @@ def solve_generalized(
 
 
 def _rcond_from_lu(M: np.ndarray, lu, anorm: float) -> float:
+    """1-norm reciprocal condition estimate; NaN when LAPACK fails."""
     try:
         gecon = sla.get_lapack_funcs("gecon", (M,))
         rcond, info = gecon(lu[0], anorm, norm="1")
-        if info != 0:
-            return 0.0
-        return float(rcond)
     except Exception:
-        return 0.0
+        return np.nan
+    return float(rcond) if info == 0 else np.nan
+
+
+def _lu_with_flag(M: np.ndarray):
+    """(lu, rcond, at-resonance flag) of a dense system matrix.
+
+    A failed factorization (a non-finite matrix included) gives lu None
+    and rcond NaN: it is flagged, but it is not read as exactly singular.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            lu = sla.lu_factor(M)
+        except (ValueError, np.linalg.LinAlgError):
+            return None, np.nan, True
+        rcond = _rcond_from_lu(M, lu, float(np.linalg.norm(M, 1)))
+    return lu, rcond, not rcond >= _RESONANCE_RCOND
+
+
+def _solve_cell(M: np.ndarray, lu, flagged: bool, rhs: np.ndarray) -> np.ndarray:
+    """LU solve, least squares for a flagged cell, NaN for a failed LU.
+
+    LAPACK's least-squares driver does not return on a non-finite matrix,
+    so a failed factorization yields NaN instead of a solution.
+    """
+    if lu is None:
+        return np.full(rhs.shape, np.nan, dtype=np.complex128)
+    if flagged:
+        x, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+        return x
+    return sla.lu_solve(lu, rhs)
 
 
 def symmetry_probe(

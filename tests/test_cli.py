@@ -1,5 +1,7 @@
 """CLI plumbing: determinism of dumps and the solve field round trip."""
 
+import os
+
 import numpy as np
 
 from threshold_dirac import configio as cio
@@ -50,3 +52,18 @@ def test_solve_dumps_field_with_sidecar(tmp_path):
     out2 = str(tmp_path / "field2.csv")
     assert main(["solve", "--config", str(cfg_path), "--kz", "0.3", "--out", out2]) == 0
     assert open(out, "rb").read() == open(out2, "rb").read()
+
+
+def test_readme_classify_reference_config(tmp_path):
+    """The README quick-start `classify --config scripts/configs/reference.ini`
+    fits the decay on the 4R grid even though [eval] has L = 2."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    config = os.path.join(root, "scripts", "configs", "reference.ini")
+    out = str(tmp_path / "classify.csv")
+    assert main(["classify", "--config", config, "--out", out]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (2, 5)
+    exponents = rows[:, 2:4]
+    assert np.all(np.isfinite(exponents))
+    assert np.all(np.abs(exponents + 2.0) <= 0.15)
+    assert np.all(rows[:, 4] == 0)

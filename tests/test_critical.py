@@ -396,3 +396,23 @@ def test_class_c_report(crit9):
     assert rep["b_weighted_finite"]
     assert rep["c_nondegenerate"]
     assert rep["e_nonzero_moment"]
+
+
+def test_null_basis_gauge_pinned_against_roundoff(crit9_bound):
+    """A Kramers pair is degenerate, so round-off in the matrix used to
+    rotate the returned vectors inside their plane by O(1). The pinned
+    basis depends on the null space only: a 1e-14 relative perturbation
+    moves each vector by far less than 1e-10."""
+    that = assemble_T(crit9_bound.shape, 0.0).matrix
+    m = np.eye(that.shape[0], dtype=np.complex128) - crit9_bound.g_star * that
+    cut = 10 * 1e-8 * np.linalg.norm(m, 1)
+    rng = np.random.default_rng(11)
+    e = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+    e *= 1e-14 * np.linalg.norm(m) / np.linalg.norm(e)
+    base = critical._null_basis(m, cut)
+    moved = critical._null_basis(m + e, cut)
+    assert base.shape == moved.shape == (2, m.shape[0])
+    assert np.allclose(base.conj() @ base.T, np.eye(2), atol=1e-13)
+    assert np.max(np.linalg.norm(m @ base.T, axis=0)) < cut
+    for a, b in zip(base, moved):
+        assert np.linalg.norm(a - b) <= 1e-10

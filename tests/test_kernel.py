@@ -1,14 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from threshold_dirac.algebra import alpha_stack, beta, identity4, one_plus_beta
+from threshold_dirac.algebra import alpha, alpha_stack, beta, identity4, one_plus_beta
 from threshold_dirac.kernel import (
+    CLIFFORD_BASIS,
+    coefficients,
     energy,
+    expand,
     fd_reference,
     green,
     green_dk,
     radial_moment,
+    self_cell_coefficients,
     self_cell_integral,
     sphere_radius,
 )
@@ -128,3 +134,59 @@ def test_self_cell_integral_against_quadrature(order, k):
 
     expect = prof_integral("I") * identity4() + prof_integral("b") * beta()
     assert np.max(np.abs(got - expect)) < 1e-10 * max(1.0, np.max(np.abs(expect)))
+
+
+# ---------------------------------------------------------------------------
+# Clifford-coefficient representation
+
+
+def _green_written_out(k, z):
+    """G_k(z) typed in from the physics formula, with algebra's matrices."""
+    k = complex(k)
+    r = np.linalg.norm(z)
+    E = np.sqrt(k * k + 1.0)
+    adotz = sum(z[l] / r * alpha(l + 1) for l in range(3))
+    return (np.exp(1j * k * r) / (4 * np.pi)) * (
+        -(E * np.eye(4) + beta()) / r - (k / r + 1j / r**2) * adotz
+    )
+
+
+def _green_dk_contour(k, z, order, radius=0.3, nodes=64):
+    """d^order G by the trapezoid Cauchy integral of _green_written_out."""
+    ts = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    total = sum(_green_written_out(k + radius * t, z) / t**order for t in ts)
+    return math.factorial(order) * total / (nodes * radius**order)
+
+
+@pytest.mark.parametrize("k", [0.0, 0.7, 0.45j, 0.9 + 0.3j])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_coefficients_expand_to_written_out_kernel(rng, k, order):
+    basis = CLIFFORD_BASIS
+    # the five basis matrices are trace-orthogonal: tr(B_c B_d) = 4 delta
+    gram = np.einsum("cij,dji->cd", basis, basis)
+    assert np.array_equal(gram, 4 * np.eye(5))
+    zs = rng.uniform(-1.5, 1.5, size=(6, 3))
+    zs[np.linalg.norm(zs, axis=1) < 0.3] += 0.6
+    coeffs = coefficients(k, zs, order)
+    assert coeffs.shape == (6, 5)
+    for z, c in zip(zs, coeffs):
+        if order == 0:
+            want = _green_written_out(k, z)
+        else:
+            want = _green_dk_contour(k, z, order)
+        scale = np.max(np.abs(want))
+        got = expand(c)
+        assert np.max(np.abs(got - want)) < 1e-11 * scale, (k, order, z)
+        # the coefficients are the trace projections of the matrix
+        proj = np.einsum("cij,ji->c", basis, want) / 4
+        assert np.max(np.abs(c - proj)) < 1e-11 * scale
+    single = green(k, zs[0]) if order == 0 else green_dk(k, zs[0], order)
+    assert np.max(np.abs(single - expand(coeffs[0]))) < 1e-15 * np.max(np.abs(single))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_self_cell_coefficients_expand_to_integral(order):
+    c = self_cell_coefficients(0.3 + 0.1j, 0.25, order)
+    assert np.all(c[2:] == 0)
+    m = self_cell_integral(0.3 + 0.1j, 0.25, order)
+    assert np.array_equal(m, expand(c))

@@ -282,3 +282,55 @@ def test_lambda1_probe_gating_and_decay(crit_free, crit_res):
         assert r["denominator"] == pytest.approx(
             pairing_inf(crit_res, None) + r["k"], rel=1e-12
         )
+
+
+_SWEEP_THREAD_PROBE = """
+import json
+import numpy as np
+from threshold_dirac.critical import find_critical_coupling
+from threshold_dirac.potentials import Grid3, build_potential
+from threshold_dirac.probes import SweepPlan, resonance_sweep
+from threshold_dirac.solver import apply_kernel_rows
+grid = Grid3(1.0, 7)
+shape = build_potential(grid, "spherical-well", 1.0, 1.0)
+crit = find_critical_coupling(shape, (5.0, 9.0))
+plan = SweepPlan(crit, shape, mus=(0.01, 0.03), ks=(0.1, 0.2), js=(1, 2))
+res = resonance_sweep(plan)
+rows = [[r.sup_norm, r.n_part_norm, r.residual_part, r.predicted_bound, r.n_part_l2]
+        for r in res.records]
+sup = shape.support_indices()
+f = np.cos(np.arange(3 * len(sup) * 4)).reshape(3, len(sup), 4) * (1 + 0.5j)
+ext = apply_kernel_rows(0.15, plan.crit.shape.grid.points * 1.7, shape, f, grid.spacing)
+print(json.dumps({"records": [[v.hex() for v in row] for row in rows],
+                  "rows": [v.hex() for v in ext.view(float).ravel()[::7].tolist()]}))
+"""
+
+
+def test_sweep_records_deterministic_across_thread_settings():
+    """Kernel rows are one GEMM per target chunk and come out bit-identical
+    with 1 and 2 BLAS threads; sweep records are bit-identical with 1 and
+    2 worker threads. Across BLAS thread counts the records agree only to
+    round-off: OpenBLAS's LU (zgetrf) of the cell systems differs in its
+    last bits between 1 and 2 threads (measured about 1e-12 relative on
+    these near-resonant cells)."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    runs = []
+    for blas, workers in (("1", "1"), ("1", "2"), ("2", "2")):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, THRESHOLD_DIRAC_THREADS=workers)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _SWEEP_THREAD_PROBE],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        runs.append(json.loads(proc.stdout))
+    assert len(runs[0]["records"]) == 8
+    assert runs[0] == runs[1]
+    assert runs[0]["rows"] == runs[2]["rows"]
+    one = np.array([[float.fromhex(v) for v in row] for row in runs[0]["records"]])
+    two = np.array([[float.fromhex(v) for v in row] for row in runs[2]["records"]])
+    assert np.all(np.abs(one - two) <= 1e-9 * np.abs(one))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from threshold_dirac.algebra import beta, free_dirac_symbol
-from threshold_dirac.kernel import energy
+from threshold_dirac import solver
+from threshold_dirac.kernel import energy, green, green_dk, self_cell_integral
 from threshold_dirac.potentials import Grid3, SpinorField, build_potential
 from threshold_dirac.solver import (
     IntegralOperator,
@@ -119,6 +120,71 @@ def test_application_linear_in_potential():
         )
     diff = outs["AB"] - outs["A"] - outs["B"]
     assert np.max(np.abs(diff)) < 1e-13 * np.max(np.abs(outs["AB"]))
+
+
+def _pairwise_rows(k, targets, A, f_support, h, order):
+    """Slow oracle: the quadrature rule pair by pair with 4x4 kernel.green
+    / green_dk blocks (self cell: sphere rule; Chebyshev distance <= 2h:
+    4x4x4 subdivided midpoint; else one midpoint sample)."""
+    kern = (lambda z: green(k, z)) if order == 0 else (lambda z: green_dk(k, z, order))
+    sub = (np.arange(4) + 0.5) / 4 - 0.5
+    sub = np.stack(np.meshgrid(sub, sub, sub, indexing="ij"), axis=-1).reshape(-1, 3) * h
+    sup = A.support_indices()
+    af = A.apply(_embed_rows(A, f_support))[sup]
+    out = np.zeros((len(targets), 4), dtype=complex)
+    for t, x in enumerate(targets):
+        for y, v in zip(A.grid.points[sup], af):
+            z = x - y
+            if np.max(np.abs(z)) < 1e-12:
+                block = self_cell_integral(k, h, order)
+            elif np.max(np.abs(z)) <= 2 * h + 1e-9 * h:
+                block = sum(kern(z - d) for d in sub) / len(sub) * h**3
+            else:
+                block = kern(z) * h**3
+            out[t] += block @ v
+    return out
+
+
+def _embed_rows(A, f_support):
+    full = np.zeros((A.grid.n_nodes, 4), dtype=complex)
+    full[A.support_indices()] = f_support
+    return full
+
+
+@pytest.mark.parametrize("k, order", [(0.3, 0), (0.0, 2), (0.4j, 0), (0.2 + 0.1j, 3)])
+def test_apply_kernel_rows_matches_pairwise_green_sum(k, order):
+    grid = make_grid(5)
+    A = build_potential(grid, "gaussian-bump", 1.0, R, w=0.45, components=(1.0, 0.2, -0.1, 0.3))
+    f = smooth_field(grid).values[A.support_indices()]
+    h = grid.spacing
+    targets = np.vstack(
+        [
+            grid.points[[0, 31, 62, 93, 124]],  # on the lattice, near and far
+            grid.points[[40, 62, 80]] + np.array([0.3, -0.2, 0.45]) * h,  # off-lattice near
+            np.array([[3.0, -1.0, 2.0], [0.1, 4.2, -0.7]]),  # far away
+        ]
+    )
+    got = apply_kernel_rows(k, targets, A, f, h, order=order)
+    want = _pairwise_rows(k, targets, A, f, h, order)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_stacked_rows_equal_single_calls():
+    grid = make_grid(7)
+    A = build_potential(grid, "spherical-well", 0.9, R)
+    sup = A.support_indices()
+    fields = np.stack([smooth_field(grid, seed=s).values[sup] * (1 + 0.3j * s) for s in range(3)])
+    fields[1] = np.roll(fields[1], 5, axis=0)
+    targets = Grid3(1.6, 9).points
+    stacked = apply_kernel_rows(0.2, targets, A, fields, grid.spacing)
+    assert stacked.shape == (len(targets), 3, 4)
+    for i, f in enumerate(fields):
+        single = apply_kernel_rows(0.2, targets, A, f, grid.spacing)
+        assert single.shape == (len(targets), 4)
+        assert np.max(np.abs(stacked[:, i] - single)) <= 1e-14 * np.max(np.abs(single))
+    zero = build_potential(grid, "spherical-well", 0.0, R)
+    empty = apply_kernel_rows(0.2, targets, zero, fields[:, :0], grid.spacing)
+    assert empty.shape == (len(targets), 3, 4) and not np.any(empty)
 
 
 def defect_residual(n, k=0.4):
@@ -387,3 +453,25 @@ def test_smallest_singular_failure_is_nan():
 
     s, _ = sigma_min_at(m, 0.5)
     assert np.isnan(s)
+
+
+def test_failed_factorization_is_flagged_with_nan_rcond(monkeypatch):
+    """A NaN system matrix is a failure, not a resonance: rcond is NaN
+    (never 0.0, which would read as exactly singular), the cell is still
+    flagged, and no least-squares solve is attempted on it."""
+    m = np.eye(8, dtype=complex)
+    m[2, 3] = np.nan
+    lu, rcond, flagged = solver._lu_with_flag(m)
+    assert lu is None and np.isnan(rcond) and flagged
+    assert np.isnan(solver._rcond_from_lu(m, (np.ones((2, 3)), None), 1.0))
+
+    grid = make_grid(5)
+    A = build_potential(grid, "spherical-well", -0.5, R)
+    op = assemble_T(A, 0.1)
+    broken = IntegralOperator(A, op.k, op.support, op.matrix.copy())
+    broken.matrix[0, 1] = np.nan
+    monkeypatch.setattr(solver, "assemble_T", lambda *args, **kw: broken)
+    phi, diag = solve_generalized(A, None, 1, [0.1, 0.0, 0.0])
+    assert np.isnan(diag["rcond"])
+    assert diag["at_resonance"]
+    assert np.isnan(diag["sup_norm"])
