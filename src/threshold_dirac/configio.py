@@ -17,7 +17,9 @@ interpolation).  The sections in use:
   [perturbation]  shape, g, R, w, components, mus
   [sweep]         ks, js, khat, band, n_kappa, kappa_range, bound_mode
   [solver]        mode, tol
-  [tolerances]    free-form float overrides, kept verbatim
+
+load_config rejects any other section or key, naming file, section and
+key: a setting that nothing reads must not look as if it took effect.
 
 List values are comma separated.  Every writer below uses repr() of the
 Python float, which is the shortest round-trip form: a rerun with the
@@ -96,10 +98,29 @@ def _cell(x) -> str:
     return fmt_float(x)
 
 
+_POTENTIAL_KEYS = {"shape", "g", "r", "w", "components", "cell_average", "subsamples", "table"}
+_KNOWN_KEYS = {
+    "grid": {"l", "n"},
+    "eval": {"l", "n"},
+    "potential": _POTENTIAL_KEYS | {"bracket"},
+    "perturbation": _POTENTIAL_KEYS | {"mus"},
+    "sweep": {"ks", "js", "khat", "band", "n_kappa", "kappa_range", "bound_mode"},
+    "solver": {"mode", "tol"},
+}
+
+
 def load_config(path: str) -> configparser.ConfigParser:
+    """Read a config; ValueError on any section or key nothing reads."""
     cfg = configparser.ConfigParser(interpolation=None)
     with open(path, "r") as fh:
         cfg.read_file(fh)
+    known = {cfg.default_section: set(), **_KNOWN_KEYS}
+    for section in (cfg.default_section, *cfg.sections()):
+        if section not in known:
+            raise ValueError(f"{path}: [{section}]: unknown section")
+        for key in cfg[section]:
+            if key not in known[section]:
+                raise ValueError(f"{path}: [{section}] {key}: unknown key")
     return cfg
 
 

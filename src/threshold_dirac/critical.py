@@ -174,10 +174,13 @@ def find_critical_coupling(
     """Locate the coupling in the bracket where 1 - T^{gA}_1 is singular.
 
     Candidates come from critical_couplings; each is certified by
-    sigma_min(1 - g T-hat) (all are kept in sigma_records) and the one
-    with the smallest certificate wins. The null space is extracted from
-    one LU at g*. Raises ValueError("not critical in range") when the
-    bracket holds no real eigenvalue or no candidate is certified.
+    sigma_min(1 - g T-hat) (all are kept in sigma_records) and the
+    certified coupling of smallest |g| wins. The certificates of genuine
+    couplings are all round-off, so ranking by them would make the pick
+    depend on round-off when a bracket holds several. The null space is
+    extracted from one LU at g*. Raises ValueError("not critical in
+    range") when the bracket holds no real eigenvalue or no candidate is
+    certified.
     """
     op = assemble_T(shape, 0.0)
     that = op.matrix
@@ -188,7 +191,7 @@ def find_critical_coupling(
     certified = [r for r in records if r[1] < _CRITICAL_REL]  # NaN never passes
     if not certified:
         raise ValueError("not critical in range")
-    g_star, _, sigma = min(certified, key=lambda r: r[1])
+    g_star, _, sigma = min(certified, key=lambda r: abs(r[0]))
 
     m = np.eye(that.shape[0], dtype=np.complex128) - g_star * that
     scale = float(np.linalg.norm(m, 1))

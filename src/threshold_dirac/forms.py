@@ -86,12 +86,23 @@ def _support_data(A: FourPotential):
     return sup, A.grid.points[sup], A.grid.weights[sup], A.values[sup]
 
 
-def _pair_against_basis(crit: CriticalStructure, folded, weights, timg) -> np.ndarray:
-    """Column of <Phi_p, A, timg> for precomputed (A Phi_p) rows."""
-    col = np.empty(len(folded), dtype=np.complex128)
-    for p, apf in enumerate(folded):
-        col[p] = np.sum(weights * np.einsum("ti,ti->t", apf.conj(), timg))
-    return col
+def _pair_matrix(A: FourPotential, crit: CriticalStructure, k: complex, order: int) -> np.ndarray:
+    """F[p, q] = <Phi_p, A, [d^order T^A_{E_k}] Phi_q> on the support nodes.
+
+    One stacked apply_kernel_rows call applies the kernel to every basis
+    state at once.
+    """
+    sup, pts, w, pot = _support_data(A)
+    fields = np.stack([phi.values[sup] for phi in crit.basis])
+    timg = apply_kernel_rows(k, pts, A, fields, A.grid.spacing, order=order)
+    folded = [_fold_rows(pot, f) for f in fields]
+    n = crit.dim
+    out = np.empty((n, n), dtype=np.complex128)
+    for q in range(n):
+        col = np.ascontiguousarray(timg[:, q])
+        for p, apf in enumerate(folded):
+            out[p, q] = np.sum(w * np.einsum("ti,ti->t", apf.conj(), col))
+    return out
 
 
 def taylor_form(A: FourPotential, crit: CriticalStructure, order: int) -> np.ndarray:
@@ -102,34 +113,7 @@ def taylor_form(A: FourPotential, crit: CriticalStructure, order: int) -> np.nda
     """
     if order not in (1, 2, 3):
         raise ValueError("derivative kernels cover orders 1..3 only")
-    sup, pts, w, pot = _support_data(A)
-    h = A.grid.spacing
-    folded = [_fold_rows(pot, phi.values[sup]) for phi in crit.basis]
-    fac = 1.0 / math.factorial(order)
-
-    def column(q: int) -> np.ndarray:
-        timg = apply_kernel_rows(0.0, pts, A, crit.basis[q].values[sup], h, order=order)
-        return _pair_against_basis(crit, folded, w, timg)
-
-    n = crit.dim
-    out = np.empty((n, n), dtype=np.complex128)
-    with ThreadPoolExecutor(max_workers=min(_thread_count(), n)) as pool:
-        for q, col in enumerate(pool.map(column, range(n))):
-            out[:, q] = fac * col
-    return out
-
-
-def _pair_matrix_at(A: FourPotential, crit: CriticalStructure, k: complex) -> np.ndarray:
-    """F(k)[p, q] = <Phi_p, A, T^A_{E_k} Phi_q> on the support nodes."""
-    sup, pts, w, pot = _support_data(A)
-    h = A.grid.spacing
-    folded = [_fold_rows(pot, phi.values[sup]) for phi in crit.basis]
-    n = crit.dim
-    out = np.empty((n, n), dtype=np.complex128)
-    for q in range(n):
-        timg = apply_kernel_rows(k, pts, A, crit.basis[q].values[sup], h, order=0)
-        out[:, q] = _pair_against_basis(crit, folded, w, timg)
-    return out
+    return (1.0 / math.factorial(order)) * _pair_matrix(A, crit, 0.0, order)
 
 
 def taylor_form_fd(A: FourPotential, crit: CriticalStructure, *orders: int) -> dict:
@@ -160,7 +144,7 @@ def taylor_form_fd(A: FourPotential, crit: CriticalStructure, *orders: int) -> d
     n = _CONTOUR_NODES
     ks = _CONTOUR_RADIUS * np.exp(2j * math.pi * np.arange(n) / n)
     with ThreadPoolExecutor(max_workers=min(_thread_count(), n)) as pool:
-        samples = list(pool.map(lambda k: _pair_matrix_at(A, crit, k), ks))
+        samples = list(pool.map(lambda k: _pair_matrix(A, crit, k, 0), ks))
     return {m: sum(F * k**-m for F, k in zip(samples, ks)) / n for m in orders}
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from threading import Semaphore
 
 import numpy as np
 import scipy.linalg as sla
@@ -45,18 +44,16 @@ from .forms import gamma_spectrum, taylor_form
 from .potentials import FourPotential, Grid3, SpinorField, norms
 from .solver import (
     apply_kernel_rows,
-    assemble_kernel_blocks,
+    assemble_pair,
+    assemble_T,
     combine_potentials,
-    contract_potential,
     default_eval_grid,
+    factor,
     free_solution,
     free_spinor,
     smallest_singular_value,
-    _chunk_rows,
     _fold_rows,
-    _lu_with_flag,
     _shift_invert_eigs,
-    _solve_cell,
 )
 
 __all__ = [
@@ -96,7 +93,6 @@ class SweepPlan:
     khat: tuple = (0.0, 0.0, 1.0)
     eval_grid: Grid3 | None = None
     band: float = 10.0
-    max_inflight: int = 2
     n_kappa: int = 400
     kappa_range: tuple = (1e-4, 0.9)
     bound_mode: str = "auto"  # auto | eigen | sigma-scan
@@ -172,11 +168,6 @@ def _metric_chol(gram: np.ndarray):
     return sla.cholesky(sign * gram, lower=True)
 
 
-def _bhat_matrix(crit: CriticalStructure, B: FourPotential) -> np.ndarray:
-    """gram_n-metric matrix of the span-projected perturbation B."""
-    return np.linalg.solve(crit.gram_n, crit.pairing(B))
-
-
 def resonance_denominator(
     crit: CriticalStructure, R: np.ndarray, B: FourPotential | None, k: float
 ) -> float:
@@ -188,7 +179,7 @@ def resonance_denominator(
     Rhat = np.linalg.solve(crit.gram_n, np.asarray(R, dtype=np.complex128))
     K = Rhat * k**2
     if B is not None:
-        K = K + _bhat_matrix(crit, B)
+        K = K + np.linalg.solve(crit.gram_n, crit.pairing(B))
     L = _metric_chol(crit.gram_n)
     Km = L.conj().T @ K @ np.linalg.inv(L.conj().T)
     return float(np.linalg.svd(Km, compute_uv=False)[-1] + k**3)
@@ -210,25 +201,6 @@ def resonance_prediction(mu: float, k: float, gammas: np.ndarray) -> float:
     return float(k * np.sum(1.0 / dens))
 
 
-def _assemble_pair(k: complex, pts: np.ndarray, h: float, vals_a, vals_b=None):
-    """T-hat matrices on one node set, one kernel pass for both potentials.
-
-    The kernel blocks are contracted chunk by chunk so the (nt, ns, 4, 4)
-    block array never exceeds the solver's standing memory budget.
-    """
-    n = len(pts)
-    TA = np.empty((4 * n, 4 * n), dtype=np.complex128)
-    TB = np.empty_like(TA) if vals_b is not None else None
-    chunk = _chunk_rows(n)
-    for s in range(0, n, chunk):
-        stop = min(s + chunk, n)
-        blocks = assemble_kernel_blocks(k, pts[s:stop], pts, h)
-        TA[4 * s : 4 * stop] = contract_potential(blocks, vals_a)
-        if TB is not None:
-            TB[4 * s : 4 * stop] = contract_potential(blocks, vals_b)
-    return TA, TB
-
-
 def _embed(grid: Grid3, sup: np.ndarray, vals: np.ndarray) -> SpinorField:
     dense = np.zeros((grid.n_nodes, 4), dtype=np.complex128)
     dense[sup] = vals
@@ -239,83 +211,85 @@ def _embed(grid: Grid3, sup: np.ndarray, vals: np.ndarray) -> SpinorField:
 # resonance sweep
 
 
-def _sweep_gammas(plan: SweepPlan) -> np.ndarray:
-    A = plan.crit.critical_potential()
-    R = taylor_form(A, plan.crit, 2)
-    return gamma_spectrum(plan.crit, plan.B0, R).gammas
+def _sweep_column(crit, proj, V: FourPotential, k: float, kvec, systems, js, eval_points) -> list:
+    """Every (coupling, j) cell at one k: solve, extend, project.
+
+    systems yields (mu, M, V_mu rows) per coupling, with M = 1 - T-hat of
+    V_mu on the support of V and the rows of V_mu there.  phi = chi + T phi
+    is extended by one stacked kernel pass: the cells' (V_mu u) rows are
+    applied through a unit scalar potential on the support, which folds
+    nothing.  Returns one SweepRecord per cell, predicted_bound left 0.
+    """
+    grid = V.grid
+    union = V.support_indices()
+    pts = grid.points[union]
+    unit_values = np.zeros_like(V.values)
+    unit_values[union, 0] = 1.0
+    unit = FourPotential(grid, "unit", 1.0, V.radius, unit_values)
+    cells = []
+    folded = []
+    for mu, M, vmu_rows in systems:
+        fac = factor(M)
+        for j in js:
+            chi = free_solution(j, kvec)
+            u = fac.solve(chi.values_at(pts).reshape(-1)).reshape(-1, 4)
+            cells.append((mu, j, fac.at_resonance, chi, u))
+            folded.append(_fold_rows(vmu_rows, u))
+    exts = apply_kernel_rows(k, eval_points, unit, np.stack(folded), grid.spacing)
+    out = []
+    for (mu, j, flagged, chi, u), tail in zip(cells, exts.transpose(1, 0, 2)):
+        ext = chi.values_at(eval_points) + tail
+        phi = _embed(grid, union, u)
+        npar = proj.project("N_par", phi)
+        coeffs = proj._coeffs(crit.gram_n, phi)
+        resid = phi.values[union] - npar.values[union] - chi.values_at(pts)
+        out.append(
+            SweepRecord(
+                mu=mu,
+                k=k,
+                j=j,
+                sup_norm=max(
+                    float(np.max(np.linalg.norm(ext, axis=1))),
+                    float(np.max(np.linalg.norm(u, axis=1))),
+                ),
+                n_part_norm=npar.sup_norm(),
+                residual_part=float(np.max(np.linalg.norm(resid, axis=1))),
+                predicted_bound=0.0,
+                at_resonance=flagged,
+                n_part_l2=float(np.sqrt(abs(coeffs.conj() @ (crit.gram_n @ coeffs)))),
+            )
+        )
+    return out
 
 
 def resonance_sweep(plan: SweepPlan) -> SweepResult:
     """Solve every (mu, k, j) cell, project onto the span, fit the law.
 
-    The combined operator is assembled once per k at unit couplings and
+    The operator pair is assembled once per k at unit couplings and
     recombined per mu (the contraction is exactly linear in the
     potential), so a mu scan costs one LU per cell and one kernel pass
-    per k.  Solver failures become flagged records, never exceptions.
+    per k.  At most two k columns run at once.  Solver failures become
+    flagged records, never exceptions.
     """
     crit = plan.crit
     A = crit.critical_potential()
-    gammas = _sweep_gammas(plan)
-    union = combine_potentials(A, plan.B0).support_indices()
-    grid = A.grid
-    pts = grid.points[union]
-    h = grid.spacing
-    eval_grid = plan.eval_grid or default_eval_grid(grid)
+    gammas = gamma_spectrum(crit, plan.B0, taylor_form(A, crit, 2)).gammas
+    V = combine_potentials(A, plan.B0)
+    union = V.support_indices()
+    va, vb = A.values[union], plan.B0.values[union]
+    eval_grid = plan.eval_grid or default_eval_grid(A.grid)
     proj = make_projectors(crit)
-    gate = Semaphore(max(1, plan.max_inflight))
-    # unit scalar on the union: apply_kernel_rows then folds nothing, and
-    # one kernel pass per k extends every cell's own (V_mu u) rows
-    unit_values = np.zeros_like(A.values)
-    unit_values[union, 0] = 1.0
-    unit = FourPotential(grid, "unit", 1.0, max(A.radius, plan.B0.radius), unit_values)
+    khat = np.asarray(plan.khat, dtype=np.float64)
 
     def run_k(k: float) -> list:
-        with gate:
-            khat = np.asarray(plan.khat, dtype=np.float64)
-            kvec = k * khat / np.linalg.norm(khat)
-            TA, TB = _assemble_pair(k, pts, h, A.values[union], plan.B0.values[union])
-            eye = np.eye(TA.shape[0], dtype=np.complex128)
-            cells = []
-            folded = []
-            for mu in plan.mus:
-                M = eye - TA - mu * TB
-                lu, rcond, flagged = _lu_with_flag(M)
-                vmu_rows = A.values[union] + mu * plan.B0.values[union]
-                for j in plan.js:
-                    chi = free_solution(j, kvec)
-                    rhs = chi.values_at(pts).reshape(-1)
-                    u = _solve_cell(M, lu, flagged, rhs).reshape(-1, 4)
-                    cells.append((mu, j, flagged, chi, u))
-                    folded.append(_fold_rows(vmu_rows, u))
-            exts = apply_kernel_rows(k, eval_grid.points, unit, np.stack(folded), h)
-            out = []
-            for (mu, j, flagged, chi, u), tail in zip(cells, exts.transpose(1, 0, 2)):
-                ext = chi.values_at(eval_grid.points) + tail
-                sup_norm = max(
-                    float(np.max(np.linalg.norm(ext, axis=1))),
-                    float(np.max(np.linalg.norm(u, axis=1))),
-                )
-                phi = _embed(grid, union, u)
-                npar = proj.project("N_par", phi)
-                coeffs = proj._coeffs(crit.gram_n, phi)
-                n_l2 = float(np.sqrt(abs(coeffs.conj() @ (crit.gram_n @ coeffs))))
-                resid = phi.values[union] - npar.values[union] - chi.values_at(pts)
-                out.append(
-                    SweepRecord(
-                        mu=mu,
-                        k=k,
-                        j=j,
-                        sup_norm=sup_norm,
-                        n_part_norm=npar.sup_norm(),
-                        residual_part=float(np.max(np.linalg.norm(resid, axis=1))),
-                        predicted_bound=resonance_prediction(mu, k, gammas),
-                        at_resonance=flagged,
-                        n_part_l2=n_l2,
-                    )
-                )
-            return out
+        TA, TB = assemble_pair(A, plan.B0, k)
+        eye = np.eye(TA.shape[0], dtype=np.complex128)
+        systems = ((mu, eye - TA - mu * TB, va + mu * vb) for mu in plan.mus)
+        kvec = k * khat / np.linalg.norm(khat)
+        cells = _sweep_column(crit, proj, V, k, kvec, systems, plan.js, eval_grid.points)
+        return [replace(r, predicted_bound=resonance_prediction(r.mu, k, gammas)) for r in cells]
 
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+    with ThreadPoolExecutor(max_workers=min(2, _thread_count())) as pool:
         per_k = list(pool.map(run_k, plan.ks))
     records = [r for chunk in per_k for r in chunk]
 
@@ -370,14 +344,12 @@ def mu_peak(
     pts = A.grid.points[union]
     khat = np.asarray(khat, dtype=np.float64)
     kvec = float(k) * khat / np.linalg.norm(khat)
-    TA, TB = _assemble_pair(float(k), pts, A.grid.spacing, A.values[union], B0.values[union])
+    TA, TB = assemble_pair(A, B0, float(k))
     eye = np.eye(TA.shape[0], dtype=np.complex128)
     chi_rhs = free_solution(j, kvec).values_at(pts).reshape(-1)
 
     def sup_at(mu: float) -> float:
-        M = eye - TA - mu * TB
-        lu, rcond, flagged = _lu_with_flag(M)
-        u = _solve_cell(M, lu, flagged, chi_rhs).reshape(-1, 4)
+        u = factor(eye - TA - mu * TB).solve(chi_rhs).reshape(-1, 4)
         return float(np.max(np.linalg.norm(u, axis=1)))
 
     mu_lo, mu_hi = float(bracket[0]), float(bracket[1])
@@ -465,21 +437,16 @@ def boundstate_track(plan: SweepPlan) -> list:
 def _track_eigen(plan: SweepPlan, c: float) -> list:
     crit = plan.crit
     shape = crit.shape
-    sup = shape.support_indices()
-    pts = shape.grid.points[sup]
-    h = shape.grid.spacing
-    vs = shape.values[sup]
     g_star = crit.g_star
     sigma0 = 1.0 / g_star
     kmin, kmax = plan.kappa_range
     n_curve = max(16, plan.n_kappa // 10)
     kappas = np.geomspace(kmin, kmax, n_curve)
-    n4 = 4 * len(pts)
+    n4 = 4 * len(shape.support_indices())
     n_eig = min(6, n4 - 2)
 
     def assemble(kappa: float) -> np.ndarray:
-        T, _ = _assemble_pair(1j * kappa, pts, h, vs)
-        return T
+        return assemble_T(shape, 1j * kappa).matrix
 
     def branch_mus(T: np.ndarray) -> np.ndarray:
         """All crossing shifts mu at this kappa, from eigenvalues near 1/g*."""
@@ -552,20 +519,16 @@ def _track_eigen(plan: SweepPlan, c: float) -> list:
 def _track_sigma_scan(plan: SweepPlan) -> list:
     crit = plan.crit
     A = crit.critical_potential()
-    union = combine_potentials(A, plan.B0).support_indices()
-    pts = A.grid.points[union]
-    h = A.grid.spacing
-    va, vb = A.values[union], plan.B0.values[union]
     kmin, kmax = plan.kappa_range
     kappas = np.geomspace(kmin, kmax, plan.n_kappa)
 
     def sigma_of(kappa: float, mu: float) -> float:
-        TA, TB = _assemble_pair(1j * kappa, pts, h, va, vb)
+        TA, TB = assemble_pair(A, plan.B0, 1j * kappa)
         M = np.eye(TA.shape[0], dtype=np.complex128) - TA - mu * TB
         return smallest_singular_value(M)
 
     def scan_col(kappa: float) -> list:
-        TA, TB = _assemble_pair(1j * kappa, pts, h, va, vb)
+        TA, TB = assemble_pair(A, plan.B0, 1j * kappa)
         eye = np.eye(TA.shape[0], dtype=np.complex128)
         col = []
         for mu in plan.mus:
@@ -649,27 +612,25 @@ def inverse_bound_probe(
     and the perturbation norm factor.
     """
     A = crit.critical_potential()
-    V = combine_potentials(A, B) if B is not None else A
+    V = combine_potentials(A, B)
     union = V.support_indices()
     grid = A.grid
-    pts = grid.points[union]
     k = float(np.linalg.norm(np.asarray(kvec, dtype=np.float64)))
-    TV, _ = _assemble_pair(k, pts, grid.spacing, V.values[union])
-    M = np.eye(TV.shape[0], dtype=np.complex128) - TV
-    lu, rcond, flagged = _lu_with_flag(M)
+    TV = assemble_T(V, k).matrix
+    fac = factor(np.eye(TV.shape[0], dtype=np.complex128) - TV)
 
     rhs1 = _fold_rows(A.values[union], phi.values[union]).reshape(-1)
     rhs2 = m_perp.values[union].reshape(-1)
-    u = _solve_cell(M, lu, flagged, rhs1).reshape(-1, 4)
-    v = _solve_cell(M, lu, flagged, rhs2).reshape(-1, 4)
+    u = fac.solve(rhs1).reshape(-1, 4)
+    v = fac.solve(rhs2).reshape(-1, 4)
 
     proj = make_projectors(crit)
     R = taylor_form(A, crit, 2)
     bn = norms(B) if B is not None else {"l1": 0.0, "linf": 0.0}
     report = {
         "k": k,
-        "rcond": rcond,
-        "at_resonance": flagged,
+        "rcond": fac.rcond,
+        "at_resonance": fac.at_resonance,
         "denominator": resonance_denominator(crit, R, B, k),
         "b_l1": bn["l1"],
         "b_linf": bn["linf"],
@@ -766,18 +727,17 @@ def derivative_recursion(
     pts = V.grid.points[union]
     h = V.grid.spacing
     eval_grid = eval_grid or default_eval_grid(V.grid)
-    TV, _ = _assemble_pair(k, pts, h, V.values[union])
-    M = np.eye(TV.shape[0], dtype=np.complex128) - TV
-    lu, rcond, flagged = _lu_with_flag(M)
+    TV = assemble_T(V, k).matrix
+    fac = factor(np.eye(TV.shape[0], dtype=np.complex128) - TV)
 
     chis_sup = _free_derivatives(j, k, khat, m, pts)
-    phis = [_solve_cell(M, lu, flagged, chis_sup[0].reshape(-1)).reshape(-1, 4)]
+    phis = [fac.solve(chis_sup[0].reshape(-1)).reshape(-1, 4)]
     for order in range(1, m + 1):
         f = chis_sup[order].copy()
         for l in range(1, order + 1):
             dT = apply_kernel_rows(k, pts, V, phis[order - l], h, order=l)
             f += math.comb(order, l) * dT
-        phis.append(_solve_cell(M, lu, flagged, f.reshape(-1)).reshape(-1, 4))
+        phis.append(fac.solve(f.reshape(-1)).reshape(-1, 4))
 
     chis_eval = _free_derivatives(j, k, khat, m, eval_grid.points)
     orders = {}
@@ -798,8 +758,8 @@ def derivative_recursion(
         "phi_m": phi_m_field,
         "weighted_sup": orders[m],
         "orders": orders,
-        "rcond": rcond,
-        "at_resonance": flagged,
+        "rcond": fac.rcond,
+        "at_resonance": fac.at_resonance,
     }
 
 
@@ -856,43 +816,28 @@ def lambda1_probe(
     """
     if crit.lambda_bar != 1:
         raise ValueError("lambda1 probe needs a resonance-class structure")
-    A = crit.critical_potential()
-    V = combine_potentials(A, B) if B is not None else A
-    union = V.support_indices()
-    grid = A.grid
-    pts = grid.points[union]
-    h = grid.spacing
-    eval_grid = eval_grid or default_eval_grid(grid)
+    V = combine_potentials(crit.critical_potential(), B)
+    eval_grid = eval_grid or default_eval_grid(V.grid)
     proj = make_projectors(crit)
     pinf = pairing_inf(crit, B)
     khat = np.asarray(khat, dtype=np.float64)
     khat = khat / np.linalg.norm(khat)
+    vrows = V.values[V.support_indices()]
 
     out = []
     for k in ks:
         k = float(k)
-        TV, _ = _assemble_pair(k, pts, h, V.values[union])
-        M = np.eye(TV.shape[0], dtype=np.complex128) - TV
-        lu, rcond, flagged = _lu_with_flag(M)
-        chi = free_solution(j, k * khat)
-        u = _solve_cell(M, lu, flagged, chi.values_at(pts).reshape(-1)).reshape(-1, 4)
-        ext = chi.values_at(eval_grid.points) + apply_kernel_rows(
-            k, eval_grid.points, V, u, h
-        )
-        phi = _embed(grid, union, u)
-        npar = proj.project("N_par", phi)
-        resid = phi.values[union] - npar.values[union] - chi.values_at(pts)
+        TV = assemble_T(V, k).matrix
+        system = (0.0, np.eye(TV.shape[0], dtype=np.complex128) - TV, vrows)
+        (r,) = _sweep_column(crit, proj, V, k, k * khat, [system], (j,), eval_grid.points)
         out.append(
             {
                 "k": k,
-                "sup_norm": max(
-                    float(np.max(np.linalg.norm(ext, axis=1))),
-                    float(np.max(np.linalg.norm(u, axis=1))),
-                ),
-                "n_part_norm": npar.sup_norm(),
-                "residual_part": float(np.max(np.linalg.norm(resid, axis=1))),
+                "sup_norm": r.sup_norm,
+                "n_part_norm": r.n_part_norm,
+                "residual_part": r.residual_part,
                 "denominator": pinf + k,
-                "at_resonance": flagged,
+                "at_resonance": r.at_resonance,
             }
         )
     return out

@@ -23,8 +23,9 @@ QUADRATURE
     grid is anchored to the source cell, so T f is a smooth function of
     the target point; classification (self / near / far) only depends on
     the target-source displacement. For lattice-aligned target sets the
-    125 near-cell integrals are tabulated once per (k, h, order) and
-    scattered, which makes repeated assembly during coupling scans cheap.
+    125 near-cell integrals are tabulated once per kernel call (one
+    target chunk of an assembly) and scattered, which makes repeated
+    assembly during coupling scans cheap.
 
     Every quadrature block lies in the span of the Clifford basis
     (I, beta, alpha_1, alpha_2, alpha_3) (see the kernel module): the
@@ -37,10 +38,11 @@ QUADRATURE
     assembly expands coefficients into 4x4 blocks.
 
 SOLVES
-    Dense LU with partial pivoting by default; reciprocal condition
-    estimate from the factorization. Systems whose condition estimate
-    falls below 1e-10 are flagged "at-resonance" and solved in the
-    least-squares sense instead (sweeps cross resonances on purpose).
+    One path: assemble_T (assemble_pair for a coupling scan), then
+    factor: dense LU with partial pivoting and a reciprocal condition
+    estimate. Systems whose estimate falls below 1e-10 are flagged
+    "at-resonance" and solved in the least-squares sense instead (sweeps
+    cross resonances on purpose).
     An optional matrix-free restarted-GMRES mode exists for grids whose
     dense matrix would not fit in memory; it honors the same residual
     contract or raises.
@@ -66,9 +68,12 @@ __all__ = [
     "free_spinor",
     "free_solution",
     "assemble_T",
+    "assemble_pair",
     "assemble_kernel_blocks",
     "contract_potential",
     "apply_kernel_rows",
+    "Factorization",
+    "factor",
     "solve_generalized",
     "symmetry_probe",
     "combine_potentials",
@@ -265,10 +270,14 @@ def contract_potential(blocks: np.ndarray, pot_values: np.ndarray) -> np.ndarray
             pot_values[:, 0, None, None] * _I4
             + np.einsum("sl,lij->sij", pot_values[:, 1:], _ALPHA)
         )
-        ka = np.matmul(blocks, amat[None, :, :, :])
+        ka = np.matmul(blocks, amat[None, :, :, :]).transpose(0, 2, 1, 3)
     else:
-        ka = blocks * pot_values[None, :, 0, None, None]
-    return ka.transpose(0, 2, 1, 3).reshape(4 * nt, 4 * ns)
+        # written straight in (target, row, source, column) order, so the
+        # reshape below is a view and no second matrix-sized copy is made
+        ka = np.multiply(
+            blocks.transpose(0, 2, 1, 3), pot_values[None, None, :, 0, None], order="C"
+        )
+    return ka.reshape(4 * nt, 4 * ns)
 
 
 @dataclass
@@ -294,16 +303,43 @@ class IntegralOperator:
         return rows.reshape(-1)
 
 
+def _assembled(k, grid: Grid3, nodes: np.ndarray, *pot_values: np.ndarray) -> list:
+    """Dense T-hat of each (n_nodes, 4) potential array on one node set.
+
+    Each chunk of _chunk_rows targets gets its 4x4 blocks from one
+    assemble_kernel_blocks call and is contracted once per potential, so
+    the block array never exceeds the chunk budget.
+    """
+    pts = grid.points[nodes]
+    rows = [vals[nodes] for vals in pot_values]
+    n = len(pts)
+    mats = [np.empty((4 * n, 4 * n), dtype=np.complex128) for _ in rows]
+    step = _chunk_rows(n)
+    for s in range(0, n, step):
+        blocks = assemble_kernel_blocks(k, pts[s : s + step], pts, grid.spacing)
+        for mat, vals in zip(mats, rows):
+            mat[4 * s : 4 * (s + step)] = contract_potential(blocks, vals)
+    return mats
+
+
 def assemble_T(A: FourPotential, k, matrix_free: bool = False) -> IntegralOperator:
     """Dense (default) or matrix-free T^A_{E_k} on the support of A."""
     sup = A.support_indices()
-    if len(sup) == 0:
-        return IntegralOperator(A, complex(k), sup, np.zeros((0, 0), dtype=complex))
-    if matrix_free:
+    if matrix_free and len(sup):
         return IntegralOperator(A, complex(k), sup, None)
-    pts = A.grid.points[sup]
-    blocks = assemble_kernel_blocks(k, pts, pts, A.grid.spacing)
-    return IntegralOperator(A, complex(k), sup, contract_potential(blocks, A.values[sup]))
+    (matrix,) = _assembled(k, A.grid, sup, A.values)
+    return IntegralOperator(A, complex(k), sup, matrix)
+
+
+def assemble_pair(A: FourPotential, B: FourPotential, k) -> tuple:
+    """(T-hat of A, T-hat of B) on the support of A + B, one kernel pass.
+
+    The contraction is linear in the potential, so T-hat of A + mu B is
+    TA + mu TB for every mu: a coupling scan recombines this pair instead
+    of assembling again.
+    """
+    union = combine_potentials(A, B).support_indices()
+    return tuple(_assembled(k, A.grid, union, A.values, B.values))
 
 
 def apply_kernel_rows(
@@ -459,11 +495,10 @@ def solve_generalized(
 
     if mode == "dense":
         op = assemble_T(V, k)
-        M = np.eye(op.n_unknowns, dtype=np.complex128) - op.matrix
-        lu, rcond, flagged = _lu_with_flag(M)
-        diagnostics.update(rcond=rcond, at_resonance=flagged)
-        sol = _solve_cell(M, lu, flagged, rhs)
-        residual = M @ sol - rhs
+        fac = factor(np.eye(op.n_unknowns, dtype=np.complex128) - op.matrix)
+        diagnostics.update(rcond=fac.rcond, at_resonance=fac.at_resonance)
+        sol = fac.solve(rhs)
+        residual = fac.matrix @ sol - rhs
     elif mode == "iterative":
         op = assemble_T(V, k, matrix_free=True)
         n = op.n_unknowns
@@ -506,34 +541,43 @@ def _rcond_from_lu(M: np.ndarray, lu, anorm: float) -> float:
     return float(rcond) if info == 0 else np.nan
 
 
-def _lu_with_flag(M: np.ndarray):
-    """(lu, rcond, at-resonance flag) of a dense system matrix.
+@dataclass(frozen=True)
+class Factorization:
+    """Dense LU of a system matrix, its 1-norm rcond and resonance flag.
 
-    A failed factorization (a non-finite matrix included) gives lu None
-    and rcond NaN: it is flagged, but it is not read as exactly singular.
+    A failed factorization (a non-finite matrix included) has lu None and
+    rcond NaN: it is flagged, but it is not read as exactly singular.
     """
+
+    matrix: np.ndarray
+    lu: tuple | None
+    rcond: float
+    at_resonance: bool
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """LU solve, least squares when flagged, NaN when the LU failed.
+
+        LAPACK's least-squares driver does not return on a non-finite
+        matrix, so a failed factorization yields NaN instead of a solution.
+        """
+        if self.lu is None:
+            return np.full(rhs.shape, np.nan, dtype=np.complex128)
+        if self.at_resonance:
+            x, *_ = np.linalg.lstsq(self.matrix, rhs, rcond=None)
+            return x
+        return sla.lu_solve(self.lu, rhs)
+
+
+def factor(M: np.ndarray) -> Factorization:
+    """LU of a dense system matrix, its rcond and its at-resonance flag."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
             lu = sla.lu_factor(M)
         except (ValueError, np.linalg.LinAlgError):
-            return None, np.nan, True
+            return Factorization(M, None, np.nan, True)
         rcond = _rcond_from_lu(M, lu, float(np.linalg.norm(M, 1)))
-    return lu, rcond, not rcond >= _RESONANCE_RCOND
-
-
-def _solve_cell(M: np.ndarray, lu, flagged: bool, rhs: np.ndarray) -> np.ndarray:
-    """LU solve, least squares for a flagged cell, NaN for a failed LU.
-
-    LAPACK's least-squares driver does not return on a non-finite matrix,
-    so a failed factorization yields NaN instead of a solution.
-    """
-    if lu is None:
-        return np.full(rhs.shape, np.nan, dtype=np.complex128)
-    if flagged:
-        x, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        return x
-    return sla.lu_solve(lu, rhs)
+    return Factorization(M, lu, rcond, not rcond >= _RESONANCE_RCOND)
 
 
 def symmetry_probe(

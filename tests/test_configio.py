@@ -3,6 +3,7 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from threshold_dirac.potentials import Grid3
 from threshold_dirac import configio as cio
@@ -47,6 +48,16 @@ def _write_config(tmp_path):
     path = tmp_path / "ref.ini"
     path.write_text(CONFIG_TEXT)
     return str(path)
+
+
+def test_unread_section_or_key_is_rejected(tmp_path):
+    path = tmp_path / "extra.ini"
+    path.write_text(CONFIG_TEXT + "\n[tolerances]\ncrossing_rel = 1e-5\n")
+    with pytest.raises(ValueError, match=r"extra\.ini: \[tolerances\]"):
+        cio.load_config(str(path))
+    path.write_text(CONFIG_TEXT.replace("n_kappa", "kappas"))
+    with pytest.raises(ValueError, match=r"extra\.ini: \[sweep\] kappas"):
+        cio.load_config(str(path))
 
 
 def test_config_round_trip(tmp_path):

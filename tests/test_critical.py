@@ -159,6 +159,20 @@ def test_gstar_matches_sigma_scan_route(crit9, crit9_bound):
         assert [g for g, _ in crit.sigma_records] == [crit.g_star]
 
 
+def test_bracket_with_several_couplings_returns_smallest_magnitude():
+    """(4, 9) holds 5.93757, 7.63151 and 8.89571 at n = 9. Their sigma_min
+    certificates (7.9e-18, 7.2e-18, 4.0e-17 relative) are all round-off,
+    so the pick is the certified coupling of smallest |g|, not the
+    smallest certificate; every candidate stays in sigma_records."""
+    grid = Grid3(R, 9)
+    shape = build_potential(grid, "spherical-well", 1.0, R)
+    crit = find_critical_coupling(shape, (4.0, 9.0))
+    assert abs(crit.g_star - 5.937573532822952) <= 1e-10 * 5.94
+    gs = [g for g, _ in crit.sigma_records]
+    assert len(gs) == 3
+    assert all(abs(g - w) < 1e-4 for g, w in zip(gs, (5.93757, 7.63151, 8.89571)))
+
+
 def test_fourfold_null_space_widens_block():
     """At g* = -5.1479 the null space is four-dimensional: the first block
     of four fills up below the cut, so the block widens and finds all four

@@ -103,6 +103,33 @@ def test_assembly_linear_in_potential_entrywise():
     assert np.max(np.abs(diff)) < 1e-13 * np.max(np.abs(opAB.matrix))
 
 
+def test_pair_assembly_spans_chunks_and_matches_assemble_T(monkeypatch):
+    """With a budget of 2000 pairs the 99 support nodes at n = 7 span
+    five target chunks; each matrix of the pair equals the one-chunk
+    assemble_T of its potential bit for bit, at zero, real and imaginary k."""
+    grid = make_grid(7)
+    A = build_potential(grid, "spherical-well", 1.3, R)
+    B = build_potential(grid, "spherical-well", 0.7, R, components=(1.0, 0.2, 0.0, -0.1))
+    assert np.array_equal(A.support_indices(), B.support_indices())
+    ks = (0.0, 0.2, 0.1j)
+    want = [(assemble_T(A, k).matrix, assemble_T(B, k).matrix) for k in ks]
+    calls = []
+    kernel_blocks = solver.assemble_kernel_blocks
+
+    def spy(k, targets, sources, h, order=0):
+        calls.append(len(targets))
+        return kernel_blocks(k, targets, sources, h, order)
+
+    monkeypatch.setattr(solver, "_PAIR_BUDGET", 2000)
+    monkeypatch.setattr(solver, "assemble_kernel_blocks", spy)
+    for k, (want_a, want_b) in zip(ks, want):
+        calls.clear()
+        TA, TB = solver.assemble_pair(A, B, k)
+        assert len(calls) == 5 and sum(calls) == len(A.support_indices())
+        assert np.array_equal(TA, want_a) and np.array_equal(TB, want_b)
+        assert np.array_equal(TA, assemble_T(A, k).matrix)
+
+
 def test_application_linear_in_potential():
     # heterogeneous shapes: supports differ, so compare the actions, which
     # are support-embedding independent
@@ -461,8 +488,8 @@ def test_failed_factorization_is_flagged_with_nan_rcond(monkeypatch):
     flagged, and no least-squares solve is attempted on it."""
     m = np.eye(8, dtype=complex)
     m[2, 3] = np.nan
-    lu, rcond, flagged = solver._lu_with_flag(m)
-    assert lu is None and np.isnan(rcond) and flagged
+    fac = solver.factor(m)
+    assert fac.lu is None and np.isnan(fac.rcond) and fac.at_resonance
     assert np.isnan(solver._rcond_from_lu(m, (np.ones((2, 3)), None), 1.0))
 
     grid = make_grid(5)
