@@ -98,11 +98,8 @@ def _cmd_solve(args) -> int:
     grid = cio.grid_from_config(cfg)
     A = cio.potential_from_config(cfg, grid)
     eval_grid = cio.eval_grid_from_config(cfg)
-    opts = cio.solver_options(cfg)
     kvec = (args.kx, args.ky, args.kz)
-    phi, diag = solve_generalized(
-        A, None, args.j, kvec, eval_grid=eval_grid, mode=opts["mode"], tol=opts["tol"]
-    )
+    phi, diag = solve_generalized(A, None, args.j, kvec, eval_grid=eval_grid)
     print(
         f"k={np.linalg.norm(kvec):g} j={args.j} sup={diag['sup_norm']:.6e} "
         f"residual={diag['residual']:.3e} at_resonance={diag['at_resonance']}"

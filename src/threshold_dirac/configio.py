@@ -16,7 +16,6 @@ interpolation).  The sections in use:
                                           the critical coupling first"
   [perturbation]  shape, g, R, w, components, mus
   [sweep]         ks, js, khat, band, n_kappa, kappa_range, bound_mode
-  [solver]        mode, tol
 
 load_config rejects any other section or key, naming file, section and
 key: a setting that nothing reads must not look as if it took effect.
@@ -47,7 +46,6 @@ __all__ = [
     "bracket_from_config",
     "mus_from_config",
     "sweep_kwargs_from_config",
-    "solver_options",
     "write_field_csv",
     "read_field_csv",
     "write_records_csv",
@@ -105,7 +103,6 @@ _KNOWN_KEYS = {
     "potential": _POTENTIAL_KEYS | {"bracket"},
     "perturbation": _POTENTIAL_KEYS | {"mus"},
     "sweep": {"ks", "js", "khat", "band", "n_kappa", "kappa_range", "bound_mode"},
-    "solver": {"mode", "tol"},
 }
 
 
@@ -201,15 +198,6 @@ def sweep_kwargs_from_config(cfg) -> dict:
     if cfg.has_option("sweep", "bound_mode"):
         out["bound_mode"] = cfg.get("sweep", "bound_mode")
     return out
-
-
-def solver_options(cfg) -> dict:
-    mode = "dense"
-    tol = 1e-12
-    if cfg.has_section("solver"):
-        mode = cfg.get("solver", "mode", fallback="dense")
-        tol = cfg.getfloat("solver", "tol", fallback=1e-12)
-    return {"mode": mode, "tol": tol}
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ CONVENTIONS
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -77,13 +76,7 @@ _REAL_REL = 1e-8  # |Im mu| <= this * |mu|: a real eigenvalue
 _KRAMERS_REL = 1e-8  # eigenvalues closer than this (relative) are one coupling
 _BLOCK = 4
 _BLOCK_STEPS = 30
-
-
-def _thread_count() -> int:
-    env = os.environ.get("THRESHOLD_DIRAC_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+_COLLAPSE_REL = 1e-6  # tail-moment tolerance of classify_lambda_bar
 
 
 @dataclass
@@ -169,7 +162,6 @@ def critical_couplings(that: np.ndarray, bracket: tuple) -> list:
 def find_critical_coupling(
     shape: FourPotential,
     bracket: tuple,
-    collapse_tol: float = 1e-6,
 ) -> CriticalStructure:
     """Locate the coupling in the bracket where 1 - T^{gA}_1 is singular.
 
@@ -182,8 +174,7 @@ def find_critical_coupling(
     range") when the bracket holds no real eigenvalue or no candidate is
     certified.
     """
-    op = assemble_T(shape, 0.0)
-    that = op.matrix
+    that = assemble_T(shape, 0.0)
     records = []
     for g in critical_couplings(that, bracket):
         s, scale = sigma_min_at(that, g)
@@ -198,7 +189,7 @@ def find_critical_coupling(
     basis_vecs = _null_basis(m, _SUBSPACE_FACTOR * _CRITICAL_REL * scale)
 
     grid = shape.grid
-    sup = op.support
+    sup = shape.support_indices()
     basis = []
     for vec in basis_vecs:
         rows = vec.reshape(-1, 4)
@@ -224,7 +215,7 @@ def find_critical_coupling(
         sigma_min=sigma,
         matrix_scale=scale,
     )
-    crit.lambda_bar = classify_lambda_bar(crit, collapse_tol)
+    crit.lambda_bar = classify_lambda_bar(crit)
     return crit
 
 
@@ -279,7 +270,7 @@ def lambda_of(phi: SpinorField, A: FourPotential) -> np.ndarray:
     return one_plus_beta() @ moment
 
 
-def classify_lambda_bar(crit: CriticalStructure, tol_rel: float = 1e-6) -> int:
+def classify_lambda_bar(crit: CriticalStructure, tol_rel: float = _COLLAPSE_REL) -> int:
     """0 when every basis tail moment vanishes, 1 when none does.
 
     The threshold separating "vanishes" from "does not" is

@@ -49,13 +49,12 @@ UNITS
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import alpha, one_plus_beta
-from .critical import CriticalStructure, _thread_count, lambda_of
+from .critical import CriticalStructure, lambda_of
 from .potentials import FourPotential, SpinorField, norms
 from .solver import _fold_rows, apply_kernel_rows
 
@@ -143,8 +142,7 @@ def taylor_form_fd(A: FourPotential, crit: CriticalStructure, *orders: int) -> d
         raise ValueError("derivative kernels cover orders 1..3 only")
     n = _CONTOUR_NODES
     ks = _CONTOUR_RADIUS * np.exp(2j * math.pi * np.arange(n) / n)
-    with ThreadPoolExecutor(max_workers=min(_thread_count(), n)) as pool:
-        samples = list(pool.map(lambda k: _pair_matrix(A, crit, k, 0), ks))
+    samples = [_pair_matrix(A, crit, k, 0) for k in ks]
     return {m: sum(F * k**-m for F, k in zip(samples, ks)) / n for m in orders}
 
 

@@ -32,14 +32,13 @@ UNITS
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import brentq
 
-from .critical import CriticalStructure, _thread_count, make_projectors
+from .critical import CriticalStructure, make_projectors, sigma_min_at
 from .forms import gamma_spectrum, taylor_form
 from .potentials import FourPotential, Grid3, SpinorField, norms
 from .solver import (
@@ -79,6 +78,8 @@ __all__ = [
 _CROSSING_REL = 1e-5
 _REFINE_TRIGGER_REL = 0.2
 _MAX_REFINES_PER_MU = 6
+_PEAK_COARSE = 12  # coarse mu samples of mu_peak
+_PEAK_TOL_REL = 1e-5  # golden-section tolerance of mu_peak, relative
 
 
 @dataclass
@@ -268,8 +269,7 @@ def resonance_sweep(plan: SweepPlan) -> SweepResult:
     The operator pair is assembled once per k at unit couplings and
     recombined per mu (the contraction is exactly linear in the
     potential), so a mu scan costs one LU per cell and one kernel pass
-    per k.  At most two k columns run at once.  Solver failures become
-    flagged records, never exceptions.
+    per k.  Solver failures become flagged records, never exceptions.
     """
     crit = plan.crit
     A = crit.critical_potential()
@@ -289,9 +289,7 @@ def resonance_sweep(plan: SweepPlan) -> SweepResult:
         cells = _sweep_column(crit, proj, V, k, kvec, systems, plan.js, eval_grid.points)
         return [replace(r, predicted_bound=resonance_prediction(r.mu, k, gammas)) for r in cells]
 
-    with ThreadPoolExecutor(max_workers=min(2, _thread_count())) as pool:
-        per_k = list(pool.map(run_k, plan.ks))
-    records = [r for chunk in per_k for r in chunk]
+    records = [r for k in plan.ks for r in run_k(k)]
 
     clean = [r for r in records if not r.at_resonance and r.predicted_bound > 0]
     if clean:
@@ -329,8 +327,6 @@ def mu_peak(
     bracket: tuple,
     j: int = 1,
     khat=(0.0, 0.0, 1.0),
-    n_coarse: int = 12,
-    tol: float = 1e-5,
 ) -> tuple:
     """Locate the mu maximizing the response at fixed k (coarse + golden).
 
@@ -353,12 +349,12 @@ def mu_peak(
         return float(np.max(np.linalg.norm(u, axis=1)))
 
     mu_lo, mu_hi = float(bracket[0]), float(bracket[1])
-    grid_mu = np.linspace(mu_lo, mu_hi, n_coarse)
+    grid_mu = np.linspace(mu_lo, mu_hi, _PEAK_COARSE)
     vals = np.array([sup_at(m) for m in grid_mu])
     i = int(np.argmax(vals))
     a = grid_mu[max(i - 1, 0)]
-    b = grid_mu[min(i + 1, n_coarse - 1)]
-    mu_best, neg = _golden_min(lambda m: -sup_at(m), a, b, tol * max(abs(mu_hi), 1.0))
+    b = grid_mu[min(i + 1, _PEAK_COARSE - 1)]
+    mu_best, neg = _golden_min(lambda m: -sup_at(m), a, b, _PEAK_TOL_REL * max(abs(mu_hi), 1.0))
     return float(mu_best), float(-neg)
 
 
@@ -442,11 +438,10 @@ def _track_eigen(plan: SweepPlan, c: float) -> list:
     kmin, kmax = plan.kappa_range
     n_curve = max(16, plan.n_kappa // 10)
     kappas = np.geomspace(kmin, kmax, n_curve)
-    n4 = 4 * len(shape.support_indices())
-    n_eig = min(6, n4 - 2)
+    n_eig = min(6, 4 * len(shape.support_indices()) - 2)
 
     def assemble(kappa: float) -> np.ndarray:
-        return assemble_T(shape, 1j * kappa).matrix
+        return assemble_T(shape, 1j * kappa)
 
     def branch_mus(T: np.ndarray) -> np.ndarray:
         """All crossing shifts mu at this kappa, from eigenvalues near 1/g*."""
@@ -455,8 +450,6 @@ def _track_eigen(plan: SweepPlan, c: float) -> list:
         good = nus.real[np.abs(nus.real) > 1e-12]
         return np.sort((1.0 / good - g_star) / c)
 
-    # ARPACK is not reentrant and one dense operator can be GB-sized at the
-    # finest grids, so the curve is traced strictly serially.
     curve = [branch_mus(assemble(kp)) for kp in kappas]
 
     def nearest(mus: np.ndarray, mu: float) -> float:
@@ -466,9 +459,7 @@ def _track_eigen(plan: SweepPlan, c: float) -> list:
 
     # validation threshold mirrors the sigma-scan acceptance
     def sigma_at(kappa: float, mu: float):
-        T = assemble(kappa)
-        M = np.eye(n4, dtype=np.complex128) - (g_star + mu * c) * T
-        return smallest_singular_value(M), float(np.linalg.norm(M, 1))
+        return sigma_min_at(assemble(kappa), g_star + mu * c)
 
     records = []
     for mu in plan.mus:
@@ -536,8 +527,7 @@ def _track_sigma_scan(plan: SweepPlan) -> list:
             col.append((smallest_singular_value(M), float(np.linalg.norm(M, 1))))
         return col
 
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        grid_vals = list(pool.map(scan_col, kappas))
+    grid_vals = [scan_col(kappa) for kappa in kappas]
 
     records = []
     for im, mu in enumerate(plan.mus):
@@ -616,7 +606,7 @@ def inverse_bound_probe(
     union = V.support_indices()
     grid = A.grid
     k = float(np.linalg.norm(np.asarray(kvec, dtype=np.float64)))
-    TV = assemble_T(V, k).matrix
+    TV = assemble_T(V, k)
     fac = factor(np.eye(TV.shape[0], dtype=np.complex128) - TV)
 
     rhs1 = _fold_rows(A.values[union], phi.values[union]).reshape(-1)
@@ -727,7 +717,7 @@ def derivative_recursion(
     pts = V.grid.points[union]
     h = V.grid.spacing
     eval_grid = eval_grid or default_eval_grid(V.grid)
-    TV = assemble_T(V, k).matrix
+    TV = assemble_T(V, k)
     fac = factor(np.eye(TV.shape[0], dtype=np.complex128) - TV)
 
     chis_sup = _free_derivatives(j, k, khat, m, pts)
@@ -827,7 +817,7 @@ def lambda1_probe(
     out = []
     for k in ks:
         k = float(k)
-        TV = assemble_T(V, k).matrix
+        TV = assemble_T(V, k)
         system = (0.0, np.eye(TV.shape[0], dtype=np.complex128) - TV, vrows)
         (r,) = _sweep_column(crit, proj, V, k, k * khat, [system], (j,), eval_grid.points)
         out.append(

@@ -43,9 +43,6 @@ SOLVES
     estimate. Systems whose estimate falls below 1e-10 are flagged
     "at-resonance" and solved in the least-squares sense instead (sweeps
     cross resonances on purpose).
-    An optional matrix-free restarted-GMRES mode exists for grids whose
-    dense matrix would not fit in memory; it honors the same residual
-    contract or raises.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ from .kernel import coefficients as kernel_coefficients
 from .potentials import FourPotential, Grid3, SpinorField
 
 __all__ = [
-    "IntegralOperator",
     "FreeSolution",
     "free_spinor",
     "free_solution",
@@ -89,6 +85,7 @@ _NEAR_CELLS = 2  # Chebyshev distance, in cells
 _RESONANCE_RCOND = 1e-10
 _RESIDUAL_REL = 1e-8
 _PAIR_BUDGET = 100_000  # target-source pairs per kernel chunk
+_SIGMA_ITERS = 40  # inverse power steps of smallest_singular_value
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +127,6 @@ class FreeSolution:
     j: int
     kvec: tuple
     spinor: np.ndarray
-    phase_convention: str = "first-nonzero-real-positive"
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
         phase = np.exp(1j * (np.asarray(points) @ np.asarray(self.kvec)))
@@ -280,29 +276,6 @@ def contract_potential(blocks: np.ndarray, pot_values: np.ndarray) -> np.ndarray
     return ka.reshape(4 * nt, 4 * ns)
 
 
-@dataclass
-class IntegralOperator:
-    """Assembled T^A_{E_k} restricted to the support nodes of A."""
-
-    potential: FourPotential
-    k: complex
-    support: np.ndarray
-    matrix: np.ndarray | None  # None: matrix-free, rows applied per matvec
-
-    @property
-    def n_unknowns(self) -> int:
-        return 4 * len(self.support)
-
-    def matvec(self, flat: np.ndarray) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix @ flat
-        grid = self.potential.grid
-        rows = apply_kernel_rows(
-            self.k, grid.points[self.support], self.potential, flat.reshape(-1, 4), grid.spacing
-        )
-        return rows.reshape(-1)
-
-
 def _assembled(k, grid: Grid3, nodes: np.ndarray, *pot_values: np.ndarray) -> list:
     """Dense T-hat of each (n_nodes, 4) potential array on one node set.
 
@@ -322,13 +295,13 @@ def _assembled(k, grid: Grid3, nodes: np.ndarray, *pot_values: np.ndarray) -> li
     return mats
 
 
-def assemble_T(A: FourPotential, k, matrix_free: bool = False) -> IntegralOperator:
-    """Dense (default) or matrix-free T^A_{E_k} on the support of A."""
-    sup = A.support_indices()
-    if matrix_free and len(sup):
-        return IntegralOperator(A, complex(k), sup, None)
-    (matrix,) = _assembled(k, A.grid, sup, A.values)
-    return IntegralOperator(A, complex(k), sup, matrix)
+def assemble_T(A: FourPotential, k) -> np.ndarray:
+    """Dense T-hat of T^A_{E_k} on the support of A, (4 N_s, 4 N_s).
+
+    Row and column blocks follow A.support_indices().
+    """
+    (matrix,) = _assembled(k, A.grid, A.support_indices(), A.values)
+    return matrix
 
 
 def assemble_pair(A: FourPotential, B: FourPotential, k) -> tuple:
@@ -395,11 +368,10 @@ def default_eval_grid(support_grid: Grid3) -> Grid3:
     return Grid3(2.0 * support_grid.half_width, 21)
 
 
-def smallest_singular_value(matrix: np.ndarray, lu=None, iters: int = 40) -> float:
+def smallest_singular_value(matrix: np.ndarray) -> float:
     """Estimate sigma_min by inverse power iteration on (M M^H)^{-1}.
 
-    Deterministic start vector; reuses an LU factorization when given.
-    Returns 0.0 when a finite factorization has an exactly zero pivot
+    Deterministic start vector, at most _SIGMA_ITERS steps. Returns 0.0 when a finite factorization has an exactly zero pivot
     (the matrix is singular as stored) and NaN when the factorization
     fails, is not finite or the iteration breaks down: a failure is not
     a certificate of singularity, and NaN fails every ``sigma < bound``
@@ -408,13 +380,12 @@ def smallest_singular_value(matrix: np.ndarray, lu=None, iters: int = 40) -> flo
     m = matrix.shape[0]
     if m == 0:
         return 0.0
-    if lu is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                lu = sla.lu_factor(matrix)
-            except Exception:
-                return np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            lu = sla.lu_factor(matrix)
+        except Exception:
+            return np.nan
     if not np.all(np.isfinite(lu[0])):
         return np.nan
     if np.any(np.diagonal(lu[0]) == 0.0):
@@ -423,7 +394,7 @@ def smallest_singular_value(matrix: np.ndarray, lu=None, iters: int = 40) -> flo
     v /= np.linalg.norm(v)
     sigma = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(iters):
+        for _ in range(_SIGMA_ITERS):
             try:
                 u = sla.lu_solve(lu, v, trans=2)
                 w = sla.lu_solve(lu, u, trans=0)
@@ -463,16 +434,12 @@ def solve_generalized(
     j: int,
     kvec,
     eval_grid: Grid3 | None = None,
-    mode: str = "dense",
-    gmres_restart: int = 60,
-    tol: float = 1e-12,
 ):
     """Solve (1 - T^{A+B}_{E_k}) phi = chi(j, k, .) and extend.
 
     Returns (phi on eval_grid, diagnostics dict). Diagnostics: sup_norm
     (evaluation grid), support_sup, residual (support nodes, sup norm),
-    rcond estimate, at_resonance flag.  tol is the iterative-mode
-    convergence target; the dense path ignores it.
+    rcond estimate, at_resonance flag.
     """
     kvec = np.asarray(kvec, dtype=np.float64)
     k = float(np.linalg.norm(kvec))
@@ -493,28 +460,11 @@ def solve_generalized(
     rhs = chi.values_at(V.grid.points[sup]).reshape(-1)
     chi_sup = float(np.max(np.linalg.norm(rhs.reshape(-1, 4), axis=1)))
 
-    if mode == "dense":
-        op = assemble_T(V, k)
-        fac = factor(np.eye(op.n_unknowns, dtype=np.complex128) - op.matrix)
-        diagnostics.update(rcond=fac.rcond, at_resonance=fac.at_resonance)
-        sol = fac.solve(rhs)
-        residual = fac.matrix @ sol - rhs
-    elif mode == "iterative":
-        op = assemble_T(V, k, matrix_free=True)
-        n = op.n_unknowns
-        lop = spla.LinearOperator(
-            (n, n), matvec=lambda v: v - op.matvec(v), dtype=np.complex128
-        )
-        sol, info = spla.gmres(
-            lop, rhs, rtol=tol, atol=0.0, restart=gmres_restart, maxiter=400
-        )
-        if info != 0:
-            raise RuntimeError(f"GMRES did not converge (info={info})")
-        residual = (sol - op.matvec(sol)) - rhs
-        diagnostics["rcond"] = np.nan
-    else:
-        raise ValueError("mode must be 'dense' or 'iterative'")
-
+    TV = assemble_T(V, k)
+    fac = factor(np.eye(TV.shape[0], dtype=np.complex128) - TV)
+    diagnostics.update(rcond=fac.rcond, at_resonance=fac.at_resonance)
+    sol = fac.solve(rhs)
+    residual = fac.matrix @ sol - rhs
     res_sup = float(np.max(np.linalg.norm(residual.reshape(-1, 4), axis=1)))
     diagnostics["residual"] = res_sup
     if not diagnostics["at_resonance"] and res_sup > _RESIDUAL_REL * max(chi_sup, 1e-300):

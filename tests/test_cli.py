@@ -20,10 +20,6 @@ n = 7
 shape = spherical-well
 g = -1.0
 R = 1.0
-
-[solver]
-mode = dense
-tol = 1e-12
 """
 
 

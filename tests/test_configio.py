@@ -37,10 +37,6 @@ khat = 0, 0, 1
 n_kappa = 150
 kappa_range = 0.02, 0.3
 bound_mode = eigen
-
-[solver]
-mode = iterative
-tol = 1e-10
 """
 
 
@@ -58,6 +54,9 @@ def test_unread_section_or_key_is_rejected(tmp_path):
     path.write_text(CONFIG_TEXT.replace("n_kappa", "kappas"))
     with pytest.raises(ValueError, match=r"extra\.ini: \[sweep\] kappas"):
         cio.load_config(str(path))
+    path.write_text(CONFIG_TEXT + "\n[solver]\nmode = dense\n")
+    with pytest.raises(ValueError, match=r"extra\.ini: \[solver\]"):
+        cio.load_config(str(path))
 
 
 def test_config_round_trip(tmp_path):
@@ -74,7 +73,6 @@ def test_config_round_trip(tmp_path):
     assert kw["ks"] == (0.1, 0.2) and kw["js"] == (1,)
     assert kw["n_kappa"] == 150 and kw["bound_mode"] == "eigen"
     assert kw["kappa_range"] == (0.02, 0.3)
-    assert cio.solver_options(cfg) == {"mode": "iterative", "tol": 1e-10}
 
 
 def test_field_csv_round_trip(tmp_path):

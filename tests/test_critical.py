@@ -68,17 +68,16 @@ def test_structure_invariants(crit9):
 
 
 def test_basis_solves_homogeneous_equation(crit9):
-    op = assemble_T(crit9.shape, 0.0)
-    sup = op.support
+    that = assemble_T(crit9.shape, 0.0)
+    sup = crit9.shape.support_indices()
     for phi in crit9.basis:
         flat = phi.values[sup].reshape(-1)
-        res = flat - crit9.g_star * (op.matrix @ flat)
+        res = flat - crit9.g_star * (that @ flat)
         assert np.max(np.abs(res)) <= 1e-6 * phi.sup_norm()
 
 
 def test_subcritical_sigma_bounded(crit9):
-    op = assemble_T(crit9.shape, 0.0)
-    s, scale = sigma_min_at(op.matrix, 0.5 * crit9.g_star)
+    s, scale = sigma_min_at(assemble_T(crit9.shape, 0.0), 0.5 * crit9.g_star)
     assert s > 1e-3 * scale
 
 
@@ -105,7 +104,7 @@ def test_no_dip_raises():
 @pytest.fixture(scope="module")
 def that9():
     grid = Grid3(R, 9)
-    return assemble_T(build_potential(grid, "spherical-well", 1.0, R), 0.0).matrix
+    return assemble_T(build_potential(grid, "spherical-well", 1.0, R), 0.0)
 
 
 def test_critical_couplings_two_in_one_bracket(that9):
@@ -182,10 +181,10 @@ def test_fourfold_null_space_widens_block():
     crit = find_critical_coupling(shape, (-5.5, -4.8))
     assert abs(crit.g_star - (-5.14787842739795)) <= 1e-10 * 5.15
     assert crit.dim == 4
-    op = assemble_T(shape, 0.0)
+    that = assemble_T(shape, 0.0)
     for phi in crit.basis:
-        flat = phi.values[op.support].reshape(-1)
-        res = flat - crit.g_star * (op.matrix @ flat)
+        flat = phi.values[shape.support_indices()].reshape(-1)
+        res = flat - crit.g_star * (that @ flat)
         assert np.max(np.abs(res)) <= 1e-6 * phi.sup_norm()
 
 
@@ -217,13 +216,13 @@ print(json.dumps(out))
 
 def test_search_deterministic_across_thread_settings():
     """The two benchmark wells give bit-identical g*, dim and lambda-bar
-    with 1 and 2 BLAS and worker threads. sigma_min is round-off and moves
+    with 1 and 2 BLAS threads. sigma_min is round-off and moves
     in its last bits with the thread count, so it is only checked against
     the certificate."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     runs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, THRESHOLD_DIRAC_THREADS=threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
             [sys.executable, "-c", _THREAD_PROBE],
@@ -383,12 +382,12 @@ def test_mperp_invariance_under_threshold_T(crit9, rng):
     proj = make_projectors(crit9)
     A = crit9.critical_potential()
     grid = crit9.shape.grid
-    op = assemble_T(crit9.shape, 0.0)
-    sup = op.support
+    that = assemble_T(crit9.shape, 0.0)
+    sup = crit9.shape.support_indices()
     for f in random_fields(grid, 5, rng):
         perp = proj.project("M_perp", f)
         flat = perp.values[sup].reshape(-1)
-        tvals = crit9.g_star * (op.matrix @ flat).reshape(-1, 4)
+        tvals = crit9.g_star * (that @ flat).reshape(-1, 4)
         full = np.zeros_like(perp.values)
         full[sup] = tvals
         tf = SpinorField(grid, full)
@@ -417,7 +416,7 @@ def test_null_basis_gauge_pinned_against_roundoff(crit9_bound):
     rotate the returned vectors inside their plane by O(1). The pinned
     basis depends on the null space only: a 1e-14 relative perturbation
     moves each vector by far less than 1e-10."""
-    that = assemble_T(crit9_bound.shape, 0.0).matrix
+    that = assemble_T(crit9_bound.shape, 0.0)
     m = np.eye(that.shape[0], dtype=np.complex128) - crit9_bound.g_star * that
     cut = 10 * 1e-8 * np.linalg.norm(m, 1)
     rng = np.random.default_rng(11)

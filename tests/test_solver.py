@@ -8,7 +8,6 @@ from threshold_dirac import solver
 from threshold_dirac.kernel import energy, green, green_dk, self_cell_integral
 from threshold_dirac.potentials import Grid3, SpinorField, build_potential
 from threshold_dirac.solver import (
-    IntegralOperator,
     apply_kernel_rows,
     assemble_T,
     combine_potentials,
@@ -85,8 +84,7 @@ def test_free_spinor_rejects_bad_input():
 def test_zero_potential_zero_operator():
     grid = make_grid(7)
     A = build_potential(grid, "spherical-well", 0.0, R)
-    op = assemble_T(A, 0.3)
-    assert op.n_unknowns == 0
+    assert assemble_T(A, 0.3).shape == (0, 0)
 
 
 def test_assembly_linear_in_potential_entrywise():
@@ -95,12 +93,12 @@ def test_assembly_linear_in_potential_entrywise():
     A = build_potential(grid, "spherical-well", 1.3, R)
     B = build_potential(grid, "spherical-well", 0.7, R)
     AB = combine_potentials(A, B)
-    opA = assemble_T(A, 0.25)
-    opB = assemble_T(B, 0.25)
-    opAB = assemble_T(AB, 0.25)
-    assert np.array_equal(opA.support, opAB.support)
-    diff = opAB.matrix - opA.matrix - opB.matrix
-    assert np.max(np.abs(diff)) < 1e-13 * np.max(np.abs(opAB.matrix))
+    TA = assemble_T(A, 0.25)
+    TB = assemble_T(B, 0.25)
+    TAB = assemble_T(AB, 0.25)
+    assert np.array_equal(A.support_indices(), AB.support_indices())
+    diff = TAB - TA - TB
+    assert np.max(np.abs(diff)) < 1e-13 * np.max(np.abs(TAB))
 
 
 def test_pair_assembly_spans_chunks_and_matches_assemble_T(monkeypatch):
@@ -112,7 +110,7 @@ def test_pair_assembly_spans_chunks_and_matches_assemble_T(monkeypatch):
     B = build_potential(grid, "spherical-well", 0.7, R, components=(1.0, 0.2, 0.0, -0.1))
     assert np.array_equal(A.support_indices(), B.support_indices())
     ks = (0.0, 0.2, 0.1j)
-    want = [(assemble_T(A, k).matrix, assemble_T(B, k).matrix) for k in ks]
+    want = [(assemble_T(A, k), assemble_T(B, k)) for k in ks]
     calls = []
     kernel_blocks = solver.assemble_kernel_blocks
 
@@ -127,7 +125,7 @@ def test_pair_assembly_spans_chunks_and_matches_assemble_T(monkeypatch):
         TA, TB = solver.assemble_pair(A, B, k)
         assert len(calls) == 5 and sum(calls) == len(A.support_indices())
         assert np.array_equal(TA, want_a) and np.array_equal(TB, want_b)
-        assert np.array_equal(TA, assemble_T(A, k).matrix)
+        assert np.array_equal(TA, assemble_T(A, k))
 
 
 def test_application_linear_in_potential():
@@ -322,21 +320,12 @@ def test_extension_matches_support_solution():
     # on the solve grid, chi + T phi must reproduce phi at support nodes
     sup = A.support_indices()
     chi = free_solution(1, [0.1, 0.0, 0.0], grid)
-    op = assemble_T(A, 0.1)
+    T = assemble_T(A, 0.1)
     lhs = phi.values[sup]
     direct = np.linalg.solve(
-        np.eye(op.n_unknowns) - op.matrix, chi.values[sup].reshape(-1)
+        np.eye(T.shape[0]) - T, chi.values[sup].reshape(-1)
     ).reshape(-1, 4)
     assert np.max(np.linalg.norm(lhs - direct, axis=1)) < 1e-7
-
-
-def test_iterative_mode_matches_dense():
-    grid = make_grid(7)
-    A = build_potential(grid, "spherical-well", -0.4, R)
-    kvec = [0.15, 0.0, 0.0]
-    dense, _ = solve_generalized(A, None, 1, kvec)
-    kry, _ = solve_generalized(A, None, 1, kvec, mode="iterative")
-    assert np.max(np.abs(dense.values - kry.values)) < 1e-8
 
 
 def test_far_field_decay_slope():
@@ -437,13 +426,12 @@ def test_operator_difference_linear_in_k():
     A = build_potential(grid, "spherical-well", 1.0, R)
     sup = A.support_indices()
     h = smooth_field(grid)
-    op0 = assemble_T(A, 0.0)
+    T0 = assemble_T(A, 0.0)
     flat = h.values[sup].reshape(-1)
     ks = np.geomspace(1e-3, 1e-1, 7)
     diffs = []
     for k in ks:
-        opk = assemble_T(A, k)
-        d = (opk.matrix - op0.matrix) @ flat
+        d = (assemble_T(A, k) - T0) @ flat
         diffs.append(np.max(np.linalg.norm(d.reshape(-1, 4), axis=1)))
     slope = np.polyfit(np.log(ks), np.log(diffs), 1)[0]
     assert 0.85 < slope < 1.15
@@ -494,9 +482,8 @@ def test_failed_factorization_is_flagged_with_nan_rcond(monkeypatch):
 
     grid = make_grid(5)
     A = build_potential(grid, "spherical-well", -0.5, R)
-    op = assemble_T(A, 0.1)
-    broken = IntegralOperator(A, op.k, op.support, op.matrix.copy())
-    broken.matrix[0, 1] = np.nan
+    broken = assemble_T(A, 0.1)
+    broken[0, 1] = np.nan
     monkeypatch.setattr(solver, "assemble_T", lambda *args, **kw: broken)
     phi, diag = solve_generalized(A, None, 1, [0.1, 0.0, 0.0])
     assert np.isnan(diag["rcond"])
