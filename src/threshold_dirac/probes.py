@@ -32,11 +32,11 @@ UNITS
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import brentq
 
 from .critical import CriticalStructure, make_projectors, sigma_min_at
 from .forms import gamma_spectrum, taylor_form
@@ -52,7 +52,6 @@ from .solver import (
     free_spinor,
     smallest_singular_value,
     _fold_rows,
-    _shift_invert_eigs,
 )
 
 __all__ = [
@@ -78,6 +77,10 @@ __all__ = [
 _CROSSING_REL = 1e-5
 _REFINE_TRIGGER_REL = 0.2
 _MAX_REFINES_PER_MU = 6
+_BRANCH_REL = 1e-12  # block iteration: pencil values steady to this, relative
+_BRANCH_STEPS = 40  # block iteration steps before a kappa counts as failed
+_NEWTON_REL = 1e-12  # crossing Newton: |d kappa| <= this * kappa ends the run
+_NEWTON_STEPS = 30  # crossing Newton: steps before the run counts as not converged
 _PEAK_COARSE = 12  # coarse mu samples of mu_peak
 _PEAK_TOL_REL = 1e-5  # golden-section tolerance of mu_peak, relative
 
@@ -96,7 +99,7 @@ class SweepPlan:
     band: float = 10.0
     n_kappa: int = 400
     kappa_range: tuple = (1e-4, 0.9)
-    bound_mode: str = "auto"  # auto | eigen | sigma-scan
+    bound_mode: str = "eigen"  # eigen | sigma-scan
 
     def __post_init__(self):
         self.mus = tuple(float(m) for m in self.mus)
@@ -108,8 +111,8 @@ class SweepPlan:
             raise ValueError("real-k probes need k > 0")
         if not self.B0.grid.same_layout(self.crit.shape.grid):
             raise ValueError("perturbation must live on the shape grid")
-        if self.bound_mode not in ("auto", "eigen", "sigma-scan"):
-            raise ValueError("bound_mode must be auto, eigen or sigma-scan")
+        if self.bound_mode not in ("eigen", "sigma-scan"):
+            raise ValueError("bound_mode must be eigen or sigma-scan")
 
 
 @dataclass(frozen=True)
@@ -202,6 +205,14 @@ def resonance_prediction(mu: float, k: float, gammas: np.ndarray) -> float:
     return float(k * np.sum(1.0 / dens))
 
 
+def _unit_potential(V: FourPotential) -> FourPotential:
+    """Unit scalar potential on the support of V: kernel rows through it
+    apply the kernel to already folded (V f) rows and fold nothing."""
+    values = np.zeros_like(V.values)
+    values[V.support_indices(), 0] = 1.0
+    return FourPotential(V.grid, "unit", 1.0, V.radius, values)
+
+
 def _embed(grid: Grid3, sup: np.ndarray, vals: np.ndarray) -> SpinorField:
     dense = np.zeros((grid.n_nodes, 4), dtype=np.complex128)
     dense[sup] = vals
@@ -218,15 +229,13 @@ def _sweep_column(crit, proj, V: FourPotential, k: float, kvec, systems, js, eva
     systems yields (mu, M, V_mu rows) per coupling, with M = 1 - T-hat of
     V_mu on the support of V and the rows of V_mu there.  phi = chi + T phi
     is extended by one stacked kernel pass: the cells' (V_mu u) rows are
-    applied through a unit scalar potential on the support, which folds
-    nothing.  Returns one SweepRecord per cell, predicted_bound left 0.
+    applied through the unit potential on the support.  Returns one
+    SweepRecord per cell, predicted_bound left 0.
     """
     grid = V.grid
     union = V.support_indices()
     pts = grid.points[union]
-    unit_values = np.zeros_like(V.values)
-    unit_values[union, 0] = 1.0
-    unit = FourPotential(grid, "unit", 1.0, V.radius, unit_values)
+    unit = _unit_potential(V)
     cells = []
     folded = []
     for mu, M, vmu_rows in systems:
@@ -380,19 +389,15 @@ def _golden_min(f, a: float, b: float, tol: float):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _proportional_coupling(crit: CriticalStructure, B0: FourPotential):
-    """Scalar c with B0 = c * shape nodewise, or None when not proportional."""
-    sv = crit.shape.values
-    bv = B0.values
-    i = np.unravel_index(int(np.argmax(np.abs(sv))), sv.shape)
-    if sv[i] == 0:
-        return None
-    c = bv[i] / sv[i]
-    if c == 0 or np.linalg.norm(bv - c * sv) > 1e-12 * max(np.linalg.norm(bv), 1e-300):
-        return None
-    if abs(c.imag) > 1e-14 * abs(c):
-        return None
-    return float(c.real)
+def _bound_record(mu: float, kappa, sigma) -> BoundStateRecord:
+    kappa = float(kappa)
+    return BoundStateRecord(
+        mu=mu,
+        kappa=kappa,
+        kappa_sq=kappa * kappa,
+        E=float(np.sqrt(1.0 - kappa * kappa)),
+        sigma_min=float(sigma),
+    )
 
 
 def boundstate_track(plan: SweepPlan) -> list:
@@ -400,110 +405,197 @@ def boundstate_track(plan: SweepPlan) -> list:
 
     Two modes, selected by plan.bound_mode:
 
-    "eigen" (the default when B0 is proportional to the critical shape):
-    per kappa, the eigenvalues nu of the unit-coupling operator near 1/g*
-    give every crossing coupling at once via mu = (1/nu - g*)/c, so one
-    coarse kappa scan serves all mu values; requested crossings are then
-    refined by root finding on the branch curve and validated against the
-    sigma_min criterion.
+    "eigen" (the default, for any B0): continue the threshold branch.
+    At k = i kappa the couplings where 1 - T_A - mu T_B is singular are
+    the eigenvalues mu of the pencil (1 - T_A, T_B); the branch that
+    leaves mu = 0 at kappa = 0 is followed by block inverse iteration
+    over a coarse kappa curve, one LU per kappa, starting from the
+    threshold basis.  Each sign change of mu(kappa) - mu is then solved
+    by safeguarded Newton with the analytic dmu/dkappa, and every
+    crossing is validated against the sigma_min criterion.
 
-    "sigma-scan" (the fallback for general B0): scan a log-spaced kappa
-    grid (one kernel pass per kappa serves every mu), refine each
-    candidate local minimum of sigma_min by golden section, and accept
-    when the refined singular value collapses.
+    "sigma-scan" (the literal cross-check): scan a log-spaced kappa grid
+    (one kernel pass per kappa serves every mu), refine each candidate
+    local minimum of sigma_min by golden section, and accept when the
+    refined singular value collapses.
 
     Either way, a mu of the wrong sign legitimately yields an empty
     list, and at mu = 0 the track sits at the kappa -> 0 boundary and is
-    reported at the first grid point.
+    reported at the first grid point.  A failed factorization or a
+    Newton run that does not converge gives no record, never a crossing.
     """
-    crit = plan.crit
-    if crit.lambda_bar != 0:
+    if plan.crit.lambda_bar != 0:
         raise ValueError("bound-state tracking needs the lambda-free class")
-    mode = plan.bound_mode
-    if mode == "auto":
-        mode = "eigen" if _proportional_coupling(crit, plan.B0) is not None else "sigma-scan"
-    if mode == "eigen":
-        c = _proportional_coupling(crit, plan.B0)
-        if c is None:
-            raise ValueError("eigen mode needs B0 proportional to the critical shape")
-        return _track_eigen(plan, c)
+    if plan.bound_mode == "eigen":
+        return _track_eigen(plan)
     return _track_sigma_scan(plan)
 
 
-def _track_eigen(plan: SweepPlan, c: float) -> list:
+def _block_iteration(apply, X: np.ndarray, shift: float):
+    """Block inverse iteration X <- apply(Q) with a Rayleigh-Ritz step.
+
+    Q is the orthonormalized block and H = Q^H apply(Q) the projected
+    operator, whose eigenvalues theta give the pencil values
+    shift + 1/theta.  Returns (Q, H) once those move by at most
+    _BRANCH_REL of their size, None when the iterate stops being finite
+    or never settles.
+    """
+    old = None
+    with np.errstate(all="ignore"):
+        for _ in range(_BRANCH_STEPS):
+            Q = np.linalg.qr(X)[0]
+            X = apply(Q)
+            if not np.all(np.isfinite(X)):
+                return None
+            H = Q.conj().T @ X
+            mus = np.sort_complex(shift + 1.0 / np.linalg.eigvals(H))
+            if not np.all(np.isfinite(mus)):
+                return None
+            if old is not None and np.max(np.abs(mus - old)) <= _BRANCH_REL * np.max(np.abs(mus)):
+                return Q, H
+            old = mus
+    return None
+
+
+def _branch(A: FourPotential, B0: FourPotential, kappa: float, shift: float, X, derivative=False):
+    """Pencil values mu of 1 - T^{A + mu B0} at k = i kappa nearest shift.
+
+    X seeds a block of vectors on the support of A + B0; the block size
+    is the number of values returned.  One assembly and one LU of
+    M = 1 - T_A - shift T_B, built in place over T_A, serve the right
+    block inverse iteration X <- M^-1 T_B X and, with derivative, the
+    left one on M^H.  Then dmu/dkappa is the diagonal, in the Ritz
+    basis, of -i (Y^H T_B X)^-1 Y^H T'_{A + mu B0} X (the eigenvalues of
+    that matrix when the block is one degenerate branch), where T' =
+    dT/dk is one order-1 kernel-row pass.  Returns (mus, dmus, X) with X
+    the Ritz block, dmus None without derivative; None when the LU is
+    not finite or an iteration does not settle.
+    """
+    V = combine_potentials(A, B0)
+    union = V.support_indices()
+    M, TB = assemble_pair(A, B0, 1j * kappa)  # M holds T_A until turned into M
+    M *= -1.0
+    M -= shift * TB
+    M.flat[:: len(M) + 1] += 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            # LAPACK factors a C-ordered matrix in a copy; M goes after
+            lu = sla.lu_factor(M)
+        except ValueError:  # non-finite entries
+            return None
+    del M
+    if not np.all(np.isfinite(lu[0])):
+        return None
+    right = _block_iteration(lambda Q: sla.lu_solve(lu, TB @ Q), X, shift)
+    if right is None:
+        return None
+    Q, H = right
+    theta, S = np.linalg.eig(H)
+    X = Q @ S
+    mus = (shift + 1.0 / theta).real
+    if not derivative:
+        return mus, None, X
+    left = _block_iteration(
+        lambda P: sla.lu_solve(lu, (P.conj().T @ TB).conj().T, trans=2), X, shift
+    )
+    if left is None:
+        return None
+    Y = left[0]
+    va, vb = A.values[union], B0.values[union]
+    fields = np.stack([_fold_rows(va + m * vb, x.reshape(-1, 4)) for m, x in zip(mus, X.T)])
+    dT = apply_kernel_rows(
+        1j * kappa, A.grid.points[union], _unit_potential(V), fields, A.grid.spacing, order=1
+    )
+    dTX = dT.transpose(1, 0, 2).reshape(len(mus), -1).T
+    D = -1j * np.linalg.solve(Y.conj().T @ (TB @ X), Y.conj().T @ dTX)
+    return mus, np.diagonal(D).real, X
+
+
+def _newton_crossing(A, B0, mu: float, lo: float, hi: float, f_lo: float, f_hi: float, X):
+    """The kappa in (lo, hi) where the branch value nearest mu equals mu.
+
+    f_lo and f_hi are those values minus mu at the ends, of opposite
+    sign.  Newton on f(kappa) = mu(kappa) - mu with mu itself as the
+    shift, from the secant point; a step that leaves the bracket is
+    replaced by bisection.  Stops when |d kappa| <= _NEWTON_REL kappa
+    and returns the new kappa; None when a step fails or the run does
+    not converge.
+    """
+    kap = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    for _ in range(_NEWTON_STEPS):
+        got = _branch(A, B0, kap, mu, X, derivative=True)
+        if got is None:
+            return None
+        mus, dmus, X = got
+        j = int(np.argmin(np.abs(mus - mu)))
+        f = mus[j] - mu
+        if f == 0.0:
+            return float(kap)
+        if (f < 0.0) == (f_lo < 0.0):
+            lo, f_lo = kap, f
+        else:
+            hi = kap
+        new = kap - f / dmus[j]
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - kap) <= _NEWTON_REL * kap:
+            return float(new)
+        kap = new
+    return None
+
+
+def _track_eigen(plan: SweepPlan) -> list:
     crit = plan.crit
-    shape = crit.shape
-    g_star = crit.g_star
-    sigma0 = 1.0 / g_star
+    A, B0 = crit.critical_potential(), plan.B0
+    union = combine_potentials(A, B0).support_indices()
     kmin, kmax = plan.kappa_range
-    n_curve = max(16, plan.n_kappa // 10)
-    kappas = np.geomspace(kmin, kmax, n_curve)
-    n_eig = min(6, 4 * len(shape.support_indices()) - 2)
+    kappas = np.geomspace(kmin, kmax, max(16, plan.n_kappa // 10))
 
-    def assemble(kappa: float) -> np.ndarray:
-        return assemble_T(shape, 1j * kappa)
+    # the branch leaves mu = 0 at kappa = 0 along the threshold basis
+    # (zero on nodes of B0's support outside A's); each kappa is shifted
+    # at the branch value of the one before
+    X = np.stack([f.values[union].reshape(-1) for f in crit.basis], axis=1)
+    shift = 0.0
+    curve = []
+    for kp in kappas:
+        got = _branch(A, B0, kp, shift, X)
+        curve.append(got)
+        if got is not None:
+            mus, _, X = got
+            shift = float(np.mean(mus))
 
-    def branch_mus(T: np.ndarray) -> np.ndarray:
-        """All crossing shifts mu at this kappa, from eigenvalues near 1/g*."""
-        nus = _shift_invert_eigs(T, sigma0, n_eig)
-        nus = nus[np.abs(nus.imag) <= 1e-3 * np.abs(nus)]
-        good = nus.real[np.abs(nus.real) > 1e-12]
-        return np.sort((1.0 / good - g_star) / c)
-
-    curve = [branch_mus(assemble(kp)) for kp in kappas]
-
-    def nearest(mus: np.ndarray, mu: float) -> float:
-        if len(mus) == 0:
-            return float("inf")
-        return float(mus[np.argmin(np.abs(mus - mu))] - mu)
-
-    # validation threshold mirrors the sigma-scan acceptance
     def sigma_at(kappa: float, mu: float):
-        return sigma_min_at(assemble(kappa), g_star + mu * c)
+        TA, TB = assemble_pair(A, B0, 1j * kappa)
+        TA += mu * TB
+        del TB
+        return sigma_min_at(TA, 1.0)
+
+    def nearest(got, mu: float) -> float:
+        if got is None:
+            return float("nan")
+        mus = got[0]
+        return float(mus[np.argmin(np.abs(mus - mu))] - mu)
 
     records = []
     for mu in plan.mus:
-        if mu == 0.0:
-            sig, scale = sigma_at(kappas[0], 0.0)
-            if sig < _CROSSING_REL * scale:
-                records.append(
-                    BoundStateRecord(
-                        mu=0.0,
-                        kappa=float(kappas[0]),
-                        kappa_sq=float(kappas[0] ** 2),
-                        E=float(np.sqrt(1.0 - kappas[0] ** 2)),
-                        sigma_min=float(sig),
-                    )
-                )
-            continue
-        dvals = [nearest(mus, mu) for mus in curve]
-        found = []
-        for i in range(len(kappas) - 1):
-            d0, d1 = dvals[i], dvals[i + 1]
-            if not (np.isfinite(d0) and np.isfinite(d1)) or d0 == 0.0:
-                continue
-            if d0 * d1 < 0.0:
-                kap = brentq(
-                    lambda kp: nearest(branch_mus(assemble(kp)), mu),
-                    kappas[i],
-                    kappas[i + 1],
-                    xtol=1e-10,
-                    rtol=1e-10,
-                )
-                if all(abs(kap - f) > 1e-6 * kap for f in found):
-                    found.append(float(kap))
+        if mu == 0.0:  # the track sits at the kappa -> 0 boundary
+            found = [float(kappas[0])]
+        else:
+            dvals = [nearest(got, mu) for got in curve]
+            found = []
+            for i in range(len(kappas) - 1):
+                d0, d1 = dvals[i], dvals[i + 1]
+                if not (np.isfinite(d0) and np.isfinite(d1)) or d0 == 0.0:
+                    continue
+                if d0 * d1 < 0.0:
+                    kap = _newton_crossing(A, B0, mu, kappas[i], kappas[i + 1], d0, d1, curve[i][2])
+                    if kap is not None and all(abs(kap - f) > 1e-6 * kap for f in found):
+                        found.append(kap)
         for kap in found:
             sig, scale = sigma_at(kap, mu)
             if sig < _CROSSING_REL * scale:
-                records.append(
-                    BoundStateRecord(
-                        mu=mu,
-                        kappa=kap,
-                        kappa_sq=kap * kap,
-                        E=float(np.sqrt(1.0 - kap * kap)),
-                        sigma_min=float(sig),
-                    )
-                )
+                records.append(_bound_record(mu, kap, sig))
     return records
 
 
@@ -553,15 +645,7 @@ def _track_sigma_scan(plan: SweepPlan) -> list:
                     1e-7 * kappas[i],
                 )
             if val < accept:
-                records.append(
-                    BoundStateRecord(
-                        mu=mu,
-                        kappa=float(kap),
-                        kappa_sq=float(kap * kap),
-                        E=float(np.sqrt(1.0 - kap * kap)),
-                        sigma_min=float(val),
-                    )
-                )
+                records.append(_bound_record(mu, kap, val))
     return records
 
 

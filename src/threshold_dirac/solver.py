@@ -243,7 +243,7 @@ def assemble_kernel_blocks(
     works on the coefficients.
     """
     chunks = [c for _, c in _coefficient_chunks(k, targets, sources, h, order)]
-    return expand(np.concatenate(chunks))
+    return expand(chunks[0] if len(chunks) == 1 else np.concatenate(chunks))
 
 
 def _fold_rows(pot_rows: np.ndarray, f_rows: np.ndarray) -> np.ndarray:
@@ -254,44 +254,53 @@ def _fold_rows(pot_rows: np.ndarray, f_rows: np.ndarray) -> np.ndarray:
     return af
 
 
-def contract_potential(blocks: np.ndarray, pot_values: np.ndarray) -> np.ndarray:
+def contract_potential(
+    blocks: np.ndarray, pot_values: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Fold per-node potential matrices into kernel blocks; flatten to 2D.
 
     blocks: (nt, ns, 4, 4); pot_values: (ns, 4) real components.
-    Returns the (4 nt, 4 ns) matrix of f |-> sum_j block_ij A_j f_j.
+    Returns the (4 nt, 4 ns) matrix of f |-> sum_j block_ij A_j f_j,
+    written into out when given (a C-contiguous complex array of that
+    shape, such as a row slice of the assembled matrix).
     """
     nt, ns = blocks.shape[:2]
+    if out is None:
+        out = np.empty((4 * nt, 4 * ns), dtype=np.complex128)
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    # (target, row, source, column) order is the row-major 2D layout
+    view = out.reshape(nt, 4, ns, 4)
     if np.any(pot_values[:, 1:]):
         amat = (
             pot_values[:, 0, None, None] * _I4
             + np.einsum("sl,lij->sij", pot_values[:, 1:], _ALPHA)
         )
-        ka = np.matmul(blocks, amat[None, :, :, :]).transpose(0, 2, 1, 3)
+        view[...] = np.matmul(blocks, amat[None, :, :, :]).transpose(0, 2, 1, 3)
     else:
-        # written straight in (target, row, source, column) order, so the
-        # reshape below is a view and no second matrix-sized copy is made
-        ka = np.multiply(
-            blocks.transpose(0, 2, 1, 3), pot_values[None, None, :, 0, None], order="C"
-        )
-    return ka.reshape(4 * nt, 4 * ns)
+        np.multiply(blocks.transpose(0, 2, 1, 3), pot_values[None, None, :, 0, None], out=view)
+    return out
 
 
 def _assembled(k, grid: Grid3, nodes: np.ndarray, *pot_values: np.ndarray) -> list:
     """Dense T-hat of each (n_nodes, 4) potential array on one node set.
 
-    Each chunk of _chunk_rows targets gets its 4x4 blocks from one
-    assemble_kernel_blocks call and is contracted once per potential, so
-    the block array never exceeds the chunk budget.
+    Each chunk of targets gets its 4x4 blocks from one
+    assemble_kernel_blocks call and is contracted once per potential
+    straight into the matrix rows.  The chunk budget counts each
+    target-source pair once per potential, so a pair assembly, which
+    holds one matrix more, holds a block array half as tall; no
+    matrix-sized temporary is made.
     """
     pts = grid.points[nodes]
     rows = [vals[nodes] for vals in pot_values]
     n = len(pts)
     mats = [np.empty((4 * n, 4 * n), dtype=np.complex128) for _ in rows]
-    step = _chunk_rows(n)
+    step = _chunk_rows(n * len(rows))
     for s in range(0, n, step):
         blocks = assemble_kernel_blocks(k, pts[s : s + step], pts, grid.spacing)
         for mat, vals in zip(mats, rows):
-            mat[4 * s : 4 * (s + step)] = contract_potential(blocks, vals)
+            contract_potential(blocks, vals, out=mat[4 * s : 4 * (s + step)])
     return mats
 
 

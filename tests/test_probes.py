@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from threshold_dirac import probes
 from threshold_dirac.potentials import Grid3, SpinorField, build_potential
 from threshold_dirac.critical import find_critical_coupling, make_projectors
 from threshold_dirac.forms import gamma_spectrum, taylor_form
-from threshold_dirac.solver import free_spinor, solve_generalized
+from threshold_dirac.solver import combine_potentials, free_spinor, solve_generalized
 from threshold_dirac.probes import (
     BoundStateRecord,
     DerivativeBound,
@@ -70,8 +72,9 @@ def test_plan_validation(crit_free, b0):
         SweepPlan(crit_free, b0, mus=(), ks=(0.1,))
     with pytest.raises(ValueError):
         SweepPlan(crit_free, b0, mus=(0.1,), ks=(0.0,))
-    with pytest.raises(ValueError):
-        SweepPlan(crit_free, b0, mus=(0.1,), ks=(0.1,), bound_mode="newton")
+    for mode in ("newton", "auto"):
+        with pytest.raises(ValueError):
+            SweepPlan(crit_free, b0, mus=(0.1,), ks=(0.1,), bound_mode=mode)
     other = build_potential(Grid3(R, 11), "spherical-well", 1.0, R)
     with pytest.raises(ValueError):
         SweepPlan(crit_free, other, mus=(0.1,), ks=(0.1,))
@@ -173,6 +176,110 @@ def test_boundstate_modes_agree_and_wrong_sign_empty(crit_free, b0, gammas):
     for rec in rec_e + rec_s:
         assert rec.sigma_min >= 0.0
         assert rec.E == pytest.approx(np.sqrt(1.0 - rec.kappa_sq), rel=1e-12)
+
+
+def test_branch_derivative_matches_difference_of_branch_values(crit_free, b0):
+    """The analytic dmu/dkappa (order-1 kernel rows, left and right
+    blocks) against a central difference of converged branch values,
+    which never touch the order-1 rows."""
+    A = crit_free.critical_potential()
+    union = combine_potentials(A, b0).support_indices()
+    seed = np.stack([f.values[union].reshape(-1) for f in crit_free.basis], axis=1)
+    kappa, shift, d = 0.08, -0.007, 1e-5
+    mus, dmus, X = probes._branch(A, b0, kappa, shift, seed, derivative=True)
+    up = probes._branch(A, b0, kappa + d, shift, X)[0]
+    dn = probes._branch(A, b0, kappa - d, shift, X)[0]
+    fd = (np.mean(up) - np.mean(dn)) / (2.0 * d)
+    assert len(mus) == crit_free.dim and np.all(mus < 0.0)
+    assert np.allclose(dmus, fd, rtol=1e-6, atol=0.0)
+
+
+@pytest.fixture(scope="module")
+def wider_b0_track():
+    """Eigen and sigma-scan tracks for a B0 that is not proportional to
+    the shape: a unit well of radius 1 against a critical well of radius
+    0.8, so B0 also lives on nodes outside A's support.  7^3 grid, short
+    kappa range.  The eigen track runs with assemble_pair and ARPACK
+    counted."""
+    grid = Grid3(R, 7)
+    crit = find_critical_coupling(build_potential(grid, "spherical-well", 1.0, 0.8), (8.0, 14.0))
+    B0 = build_potential(grid, "spherical-well", 1.0, 1.0)
+    assert len(B0.support_indices()) > len(crit.shape.support_indices())
+    g1 = float(gamma_spectrum(crit, B0, taylor_form(crit.critical_potential(), crit, 2)).gammas[0])
+    plan = SweepPlan(
+        crit,
+        B0,
+        mus=tuple(g1 * k * k for k in (0.06, 0.1)),
+        ks=(0.1,),
+        n_kappa=20,
+        kappa_range=(0.04, 0.15),
+    )
+    calls = {"assemble_pair": 0, "eigs": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return spy
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(probes, "assemble_pair", counted("assemble_pair", probes.assemble_pair))
+        mp.setattr(scipy.sparse.linalg, "eigs", counted("eigs", scipy.sparse.linalg.eigs))
+        rec_e = boundstate_track(plan)
+    rec_s = boundstate_track(replace(plan, bound_mode="sigma-scan"))
+    return plan, rec_e, rec_s, calls
+
+
+def test_boundstate_eigen_track_serves_general_b0(wider_b0_track):
+    plan, rec_e, rec_s, _ = wider_b0_track
+    assert plan.bound_mode == "eigen"
+    for mu in plan.mus:
+        kap_e = [r.kappa for r in rec_e if r.mu == mu]
+        kap_s = [r.kappa for r in rec_s if r.mu == mu]
+        assert len(kap_e) == 1 and kap_s
+        assert kap_e[0] == pytest.approx(min(kap_s), rel=1e-3)
+
+
+def test_boundstate_eigen_track_counts(wider_b0_track):
+    """No ARPACK call, and at most one assembly per curve point, six
+    Newton steps per crossing and one sigma_min validation per crossing."""
+    plan, rec_e, _, calls = wider_b0_track
+    n_curve = max(16, plan.n_kappa // 10)
+    crossings = len(rec_e)
+    assert crossings == len(plan.mus)
+    assert calls["eigs"] == 0
+    assert n_curve < calls["assemble_pair"] <= n_curve + 6 * crossings + crossings
+
+
+def test_boundstate_eigen_failed_lu_gives_no_record(wider_b0_track, monkeypatch):
+    """One NaN in T_A at one kappa is a failure there, never a crossing:
+    poisoning the curve point above a crossing, or the converged
+    crossing itself (its Newton steps and its validation), drops that
+    record and only that one."""
+    plan, rec_e, _, _ = wider_b0_track
+    kmin, kmax = plan.kappa_range
+    kappas = np.geomspace(kmin, kmax, max(16, plan.n_kappa // 10))
+    target = rec_e[0]
+    above = float(kappas[np.searchsorted(kappas, target.kappa)])
+    assemble_pair = probes.assemble_pair
+    for bad in (above, target.kappa):
+        seen = []
+
+        def poisoned(A, B, k):
+            TA, TB = assemble_pair(A, B, k)
+            if abs(k.imag - bad) <= 1e-9 * bad:
+                TA[3, 5] = np.nan
+                seen.append(k.imag)
+            return TA, TB
+
+        monkeypatch.setattr(probes, "assemble_pair", poisoned)
+        got = boundstate_track(replace(plan, mus=(target.mu, rec_e[1].mu)))
+        assert seen
+        assert [r.mu for r in got] == [rec_e[1].mu]
+        # a hole in the curve changes the seeds of the next blocks, so
+        # the other crossing moves by round-off only
+        assert got[0].kappa == pytest.approx(rec_e[1].kappa, rel=1e-12)
 
 
 def test_boundstate_gating_and_record_validation(crit_res, b0):

@@ -102,9 +102,10 @@ def test_assembly_linear_in_potential_entrywise():
 
 
 def test_pair_assembly_spans_chunks_and_matches_assemble_T(monkeypatch):
-    """With a budget of 2000 pairs the 99 support nodes at n = 7 span
-    five target chunks; each matrix of the pair equals the one-chunk
-    assemble_T of its potential bit for bit, at zero, real and imaginary k."""
+    """With a budget of 2000 pairs, shared by the two potentials, the 99
+    support nodes at n = 7 span ten target chunks; each matrix of the
+    pair equals the one-chunk assemble_T of its potential bit for bit, at
+    zero, real and imaginary k."""
     grid = make_grid(7)
     A = build_potential(grid, "spherical-well", 1.3, R)
     B = build_potential(grid, "spherical-well", 0.7, R, components=(1.0, 0.2, 0.0, -0.1))
@@ -123,7 +124,7 @@ def test_pair_assembly_spans_chunks_and_matches_assemble_T(monkeypatch):
     for k, (want_a, want_b) in zip(ks, want):
         calls.clear()
         TA, TB = solver.assemble_pair(A, B, k)
-        assert len(calls) == 5 and sum(calls) == len(A.support_indices())
+        assert len(calls) == 10 and sum(calls) == len(A.support_indices())
         assert np.array_equal(TA, want_a) and np.array_equal(TB, want_b)
         assert np.array_equal(TA, assemble_T(A, k))
 
