@@ -52,7 +52,6 @@ __all__ = [
     "write_boundstates_csv",
     "write_derivatives_csv",
     "write_inverse_csv",
-    "write_oracle_compare_csv",
     "write_forms_csv",
     "write_dat",
 ]
@@ -280,10 +279,6 @@ def write_inverse_csv(path: str, reports) -> None:
         for rep in reports
     ]
     _write_lines(path, _table_lines(INVERSE_COLUMNS, rows))
-
-
-def write_oracle_compare_csv(path: str, rows) -> None:
-    _write_lines(path, _table_lines(("level", "g_star_3d", "v0_star_oracle", "gap"), rows))
 
 
 def _matrix_block(name: str, M: np.ndarray) -> list:

@@ -41,7 +41,6 @@ CONVENTIONS
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +51,9 @@ from .potentials import FourPotential, Grid3, SpinorField, pseudo_inner
 from .solver import (
     apply_kernel_rows,
     assemble_T,
+    factor,
     smallest_singular_value,
+    system_matrix,
     _fold_rows,
     _shift_invert_eigs,
 )
@@ -112,9 +113,8 @@ def _pairing(left: list, B: FourPotential, right: list) -> np.ndarray:
 
 def sigma_min_at(that: np.ndarray, g: float) -> tuple[float, float]:
     """(sigma_min, 1-norm scale) of 1 - g T-hat for a preassembled T-hat."""
-    m = np.eye(that.shape[0], dtype=np.complex128) - g * that
-    scale = float(np.linalg.norm(m, 1))
-    return smallest_singular_value(m), scale
+    m = system_matrix(g * that)
+    return smallest_singular_value(m), float(np.linalg.norm(m, 1))
 
 
 def critical_couplings(that: np.ndarray, bracket: tuple) -> list:
@@ -184,7 +184,7 @@ def find_critical_coupling(
         raise ValueError("not critical in range")
     g_star, _, sigma = min(certified, key=lambda r: abs(r[0]))
 
-    m = np.eye(that.shape[0], dtype=np.complex128) - g_star * that
+    m = system_matrix(g_star * that)
     scale = float(np.linalg.norm(m, 1))
     basis_vecs = _null_basis(m, _SUBSPACE_FACTOR * _CRITICAL_REL * scale)
 
@@ -229,12 +229,13 @@ def _null_basis(m: np.ndarray, cut: float) -> np.ndarray:
     then the block doubles. The returned basis is the QR orthonormalization
     of the projections of the first start columns onto that space, so it
     depends on the space only and not on how round-off rotated the
-    singular vectors inside it (a Kramers pair is degenerate).
+    singular vectors inside it (a Kramers pair is degenerate). Raises
+    RuntimeError when the LU of m fails.
     """
     n = m.shape[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu = sla.lu_factor(m)
+    lu = factor(m).lu
+    if lu is None:
+        raise RuntimeError("null-basis factorization of 1 - g T-hat failed")
     b = min(_BLOCK, n)
     while True:
         start = np.cos(np.outer(np.arange(n), np.arange(1, b + 1))).astype(np.complex128)

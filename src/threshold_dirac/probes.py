@@ -32,7 +32,6 @@ UNITS
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +50,7 @@ from .solver import (
     free_solution,
     free_spinor,
     smallest_singular_value,
+    system_matrix,
     _fold_rows,
 )
 
@@ -245,6 +245,7 @@ def _sweep_column(crit, proj, V: FourPotential, k: float, kvec, systems, js, eva
             u = fac.solve(chi.values_at(pts).reshape(-1)).reshape(-1, 4)
             cells.append((mu, j, fac.at_resonance, chi, u))
             folded.append(_fold_rows(vmu_rows, u))
+        del M, fac  # this coupling's matrix and LU go before the next is built
     exts = apply_kernel_rows(k, eval_points, unit, np.stack(folded), grid.spacing)
     out = []
     for (mu, j, flagged, chi, u), tail in zip(cells, exts.transpose(1, 0, 2)):
@@ -292,8 +293,7 @@ def resonance_sweep(plan: SweepPlan) -> SweepResult:
 
     def run_k(k: float) -> list:
         TA, TB = assemble_pair(A, plan.B0, k)
-        eye = np.eye(TA.shape[0], dtype=np.complex128)
-        systems = ((mu, eye - TA - mu * TB, va + mu * vb) for mu in plan.mus)
+        systems = ((mu, system_matrix(TA, TB, mu), va + mu * vb) for mu in plan.mus)
         kvec = k * khat / np.linalg.norm(khat)
         cells = _sweep_column(crit, proj, V, k, kvec, systems, plan.js, eval_grid.points)
         return [replace(r, predicted_bound=resonance_prediction(r.mu, k, gammas)) for r in cells]
@@ -350,11 +350,10 @@ def mu_peak(
     khat = np.asarray(khat, dtype=np.float64)
     kvec = float(k) * khat / np.linalg.norm(khat)
     TA, TB = assemble_pair(A, B0, float(k))
-    eye = np.eye(TA.shape[0], dtype=np.complex128)
     chi_rhs = free_solution(j, kvec).values_at(pts).reshape(-1)
 
     def sup_at(mu: float) -> float:
-        u = factor(eye - TA - mu * TB).solve(chi_rhs).reshape(-1, 4)
+        u = factor(system_matrix(TA, TB, mu)).solve(chi_rhs).reshape(-1, 4)
         return float(np.max(np.linalg.norm(u, axis=1)))
 
     mu_lo, mu_hi = float(bracket[0]), float(bracket[1])
@@ -468,24 +467,16 @@ def _branch(A: FourPotential, B0: FourPotential, kappa: float, shift: float, X, 
     basis, of -i (Y^H T_B X)^-1 Y^H T'_{A + mu B0} X (the eigenvalues of
     that matrix when the block is one degenerate branch), where T' =
     dT/dk is one order-1 kernel-row pass.  Returns (mus, dmus, X) with X
-    the Ritz block, dmus None without derivative; None when the LU is
-    not finite or an iteration does not settle.
+    the Ritz block, dmus None without derivative; None when factor fails
+    or an iteration does not settle.
     """
     V = combine_potentials(A, B0)
     union = V.support_indices()
     M, TB = assemble_pair(A, B0, 1j * kappa)  # M holds T_A until turned into M
-    M *= -1.0
-    M -= shift * TB
-    M.flat[:: len(M) + 1] += 1.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            # LAPACK factors a C-ordered matrix in a copy; M goes after
-            lu = sla.lu_factor(M)
-        except ValueError:  # non-finite entries
-            return None
-    del M
-    if not np.all(np.isfinite(lu[0])):
+    M += shift * TB  # T-hat of A + shift B0 first: the crossings' kappa bits depend on this order
+    lu = factor(system_matrix(M, out=M)).lu
+    del M  # LAPACK factored a copy: only the LU stays
+    if lu is None:
         return None
     right = _block_iteration(lambda Q: sla.lu_solve(lu, TB @ Q), X, shift)
     if right is None:
@@ -607,17 +598,12 @@ def _track_sigma_scan(plan: SweepPlan) -> list:
 
     def sigma_of(kappa: float, mu: float) -> float:
         TA, TB = assemble_pair(A, plan.B0, 1j * kappa)
-        M = np.eye(TA.shape[0], dtype=np.complex128) - TA - mu * TB
-        return smallest_singular_value(M)
+        return smallest_singular_value(system_matrix(TA, TB, mu, out=TA))
 
     def scan_col(kappa: float) -> list:
         TA, TB = assemble_pair(A, plan.B0, 1j * kappa)
-        eye = np.eye(TA.shape[0], dtype=np.complex128)
-        col = []
-        for mu in plan.mus:
-            M = eye - TA - mu * TB
-            col.append((smallest_singular_value(M), float(np.linalg.norm(M, 1))))
-        return col
+        systems = (system_matrix(TA, TB, mu) for mu in plan.mus)
+        return [(smallest_singular_value(M), float(np.linalg.norm(M, 1))) for M in systems]
 
     grid_vals = [scan_col(kappa) for kappa in kappas]
 
@@ -691,7 +677,7 @@ def inverse_bound_probe(
     grid = A.grid
     k = float(np.linalg.norm(np.asarray(kvec, dtype=np.float64)))
     TV = assemble_T(V, k)
-    fac = factor(np.eye(TV.shape[0], dtype=np.complex128) - TV)
+    fac = factor(system_matrix(TV, out=TV))
 
     rhs1 = _fold_rows(A.values[union], phi.values[union]).reshape(-1)
     rhs2 = m_perp.values[union].reshape(-1)
@@ -802,7 +788,7 @@ def derivative_recursion(
     h = V.grid.spacing
     eval_grid = eval_grid or default_eval_grid(V.grid)
     TV = assemble_T(V, k)
-    fac = factor(np.eye(TV.shape[0], dtype=np.complex128) - TV)
+    fac = factor(system_matrix(TV, out=TV))
 
     chis_sup = _free_derivatives(j, k, khat, m, pts)
     phis = [fac.solve(chis_sup[0].reshape(-1)).reshape(-1, 4)]
@@ -902,7 +888,7 @@ def lambda1_probe(
     for k in ks:
         k = float(k)
         TV = assemble_T(V, k)
-        system = (0.0, np.eye(TV.shape[0], dtype=np.complex128) - TV, vrows)
+        system = (0.0, system_matrix(TV, out=TV), vrows)
         (r,) = _sweep_column(crit, proj, V, k, k * khat, [system], (j,), eval_grid.points)
         out.append(
             {

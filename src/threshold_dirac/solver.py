@@ -39,15 +39,19 @@ QUADRATURE
 
 SOLVES
     One path: assemble_T (assemble_pair for a coupling scan), then
-    factor: dense LU with partial pivoting and a reciprocal condition
-    estimate. Systems whose estimate falls below 1e-10 are flagged
-    "at-resonance" and solved in the least-squares sense instead (sweeps
-    cross resonances on purpose).
+    system_matrix (1 - T_A - mu T_B), then factor: dense LU with partial
+    pivoting, the package's only LU, and a reciprocal condition estimate.
+    Systems whose estimate falls below 1e-10 are flagged "at-resonance"
+    and solved in the least-squares sense instead (sweeps cross
+    resonances on purpose). A failed LU (LAPACK raised, or the LU is not
+    finite) has lu None and rcond NaN; then solve and sigma_min give NaN
+    and the eigen and null-space routines raise RuntimeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import warnings
 
 import numpy as np
@@ -70,6 +74,7 @@ __all__ = [
     "apply_kernel_rows",
     "Factorization",
     "factor",
+    "system_matrix",
     "solve_generalized",
     "symmetry_probe",
     "combine_potentials",
@@ -380,22 +385,16 @@ def default_eval_grid(support_grid: Grid3) -> Grid3:
 def smallest_singular_value(matrix: np.ndarray) -> float:
     """Estimate sigma_min by inverse power iteration on (M M^H)^{-1}.
 
-    Deterministic start vector, at most _SIGMA_ITERS steps. Returns 0.0 when a finite factorization has an exactly zero pivot
-    (the matrix is singular as stored) and NaN when the factorization
-    fails, is not finite or the iteration breaks down: a failure is not
-    a certificate of singularity, and NaN fails every ``sigma < bound``
-    test.
+    Deterministic start vector, at most _SIGMA_ITERS steps on the LU from
+    factor. Returns 0.0 when that LU has an exactly zero pivot, NaN when
+    factor fails or the iteration breaks down: a failure is not a
+    certificate of singularity, and NaN fails every ``sigma < bound`` test.
     """
     m = matrix.shape[0]
     if m == 0:
         return 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            lu = sla.lu_factor(matrix)
-        except Exception:
-            return np.nan
-    if not np.all(np.isfinite(lu[0])):
+    lu = factor(matrix).lu
+    if lu is None:
         return np.nan
     if np.any(np.diagonal(lu[0]) == 0.0):
         return 0.0
@@ -404,31 +403,29 @@ def smallest_singular_value(matrix: np.ndarray) -> float:
     sigma = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_SIGMA_ITERS):
-            try:
-                u = sla.lu_solve(lu, v, trans=2)
-                w = sla.lu_solve(lu, u, trans=0)
-            except Exception:
-                return np.nan
+            u = sla.lu_solve(lu, v, trans=2, check_finite=False)
+            w = sla.lu_solve(lu, u, trans=0, check_finite=False)
             nw = np.linalg.norm(w)
             if not np.isfinite(nw) or nw == 0.0:
                 return np.nan
-            new_sigma = 1.0 / np.sqrt(nw)
+            old, sigma = sigma, 1.0 / np.sqrt(nw)
             v = w / nw
-            if abs(new_sigma - sigma) <= 1e-4 * new_sigma:
-                sigma = new_sigma
+            if abs(sigma - old) <= 1e-4 * sigma:
                 break
-            sigma = new_sigma
     return float(sigma)
 
 
 def _shift_invert_eigs(T: np.ndarray, shift: float, k: int) -> np.ndarray:
     """The k eigenvalues of T nearest ``shift``, by shift-invert ARPACK.
 
-    One LU of T - shift I; ARPACK's start vector is fixed (all ones), so
-    repeated calls give the same eigenvalues bit for bit.
+    One LU of T - shift I from factor; ARPACK's start vector is fixed
+    (all ones), so repeated calls give the same eigenvalues bit for bit.
+    Raises RuntimeError when the factorization fails.
     """
     n = T.shape[0]
-    lu = sla.lu_factor(T - shift * np.eye(n, dtype=np.complex128))
+    lu = factor(T - shift * np.eye(n, dtype=np.complex128)).lu
+    if lu is None:
+        raise RuntimeError(f"shift-invert factorization of T - {shift} I failed")
     op = spla.LinearOperator(
         (n, n), matvec=lambda x: sla.lu_solve(lu, x), dtype=np.complex128
     )
@@ -470,7 +467,7 @@ def solve_generalized(
     chi_sup = float(np.max(np.linalg.norm(rhs.reshape(-1, 4), axis=1)))
 
     TV = assemble_T(V, k)
-    fac = factor(np.eye(TV.shape[0], dtype=np.complex128) - TV)
+    fac = factor(system_matrix(TV, out=TV))
     diagnostics.update(rcond=fac.rcond, at_resonance=fac.at_resonance)
     sol = fac.solve(rhs)
     residual = fac.matrix @ sol - rhs
@@ -504,14 +501,22 @@ def _rcond_from_lu(M: np.ndarray, lu, anorm: float) -> float:
 class Factorization:
     """Dense LU of a system matrix, its 1-norm rcond and resonance flag.
 
-    A failed factorization (a non-finite matrix included) has lu None and
-    rcond NaN: it is flagged, but it is not read as exactly singular.
+    A failed factorization (see factor) has lu None and rcond NaN: it is
+    flagged, not read as exactly singular. rcond is computed on first use.
     """
 
     matrix: np.ndarray
     lu: tuple | None
-    rcond: float
-    at_resonance: bool
+
+    @cached_property
+    def rcond(self) -> float:
+        if self.lu is None:
+            return np.nan
+        return _rcond_from_lu(self.matrix, self.lu, float(np.linalg.norm(self.matrix, 1)))
+
+    @property
+    def at_resonance(self) -> bool:
+        return not self.rcond >= _RESONANCE_RCOND
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """LU solve, least squares when flagged, NaN when the LU failed.
@@ -528,15 +533,26 @@ class Factorization:
 
 
 def factor(M: np.ndarray) -> Factorization:
-    """LU of a dense system matrix, its rcond and its at-resonance flag."""
+    """The package's only LU. It fails (lu None) when LAPACK raises (M
+    not finite) or the LU is not finite."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
             lu = sla.lu_factor(M)
         except (ValueError, np.linalg.LinAlgError):
-            return Factorization(M, None, np.nan, True)
-        rcond = _rcond_from_lu(M, lu, float(np.linalg.norm(M, 1)))
-    return Factorization(M, lu, rcond, not rcond >= _RESONANCE_RCOND)
+            return Factorization(M, None)
+    return Factorization(M, lu if np.all(np.isfinite(lu[0])) else None)
+
+
+def system_matrix(TA: np.ndarray, TB=None, mu: float = 0.0, out=None) -> np.ndarray:
+    """1 - TA - mu TB, into out if given (out may be TA). Bit for bit
+    np.eye(n) - TA - mu * TB: 0 - TA keeps TA's exact zeros +0, where
+    negation would flip them and with them the LU's bits."""
+    out = np.subtract(0.0, TA, out=out)
+    out.flat[:: len(out) + 1] += 1.0
+    if TB is not None:
+        out -= mu * TB
+    return out
 
 
 def symmetry_probe(

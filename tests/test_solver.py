@@ -1,12 +1,15 @@
 """Lippmann-Schwinger solver: assembly, defect identity, solves, symmetry."""
 
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from threshold_dirac.algebra import beta, free_dirac_symbol
 from threshold_dirac import solver
 from threshold_dirac.kernel import energy, green, green_dk, self_cell_integral
-from threshold_dirac.potentials import Grid3, SpinorField, build_potential
+from threshold_dirac.potentials import FourPotential, Grid3, SpinorField, build_potential
 from threshold_dirac.solver import (
     apply_kernel_rows,
     assemble_T,
@@ -17,6 +20,14 @@ from threshold_dirac.solver import (
     solve_generalized,
     symmetry_probe,
 )
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover
+    HAVE_HYPOTHESIS = False
 
 R = 1.0
 
@@ -127,6 +138,58 @@ def test_pair_assembly_spans_chunks_and_matches_assemble_T(monkeypatch):
         assert len(calls) == 10 and sum(calls) == len(A.support_indices())
         assert np.array_equal(TA, want_a) and np.array_equal(TB, want_b)
         assert np.array_equal(TA, assemble_T(A, k))
+
+
+if HAVE_HYPOTHESIS:
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_mirror_parity_commutes_with_T(seed):
+        """For a scalar potential with a0(-x) = a0(x) on a mirror-symmetric
+        support, parity (Pf)_i = beta f_m(i) commutes with T-hat, since
+        beta G(-z) beta = G(z) and the near-cell rules are mirror
+        symmetric. Supports stay inside r < 0.95, measured from integer
+        lattice offsets, so no node sits on the support sphere."""
+        grid = make_grid(7)
+        n = grid.nodes_per_axis
+        offsets = np.indices((n, n, n)).reshape(3, -1).T - (n - 1) // 2
+        inside = grid.spacing * np.sqrt(np.sum(offsets**2, axis=1)) < 0.95
+        rng = np.random.default_rng(seed)
+        # the flat index of the mirror image of node i is N - 1 - i
+        keep = inside & (rng.random(grid.n_nodes) < 0.6)
+        keep |= keep[::-1]
+        keep[grid.n_nodes // 2] = True
+        a0 = rng.uniform(-2.0, 2.0, grid.n_nodes)
+        values = np.zeros((grid.n_nodes, 4))
+        values[keep, 0] = (a0 + a0[::-1])[keep]
+        A = FourPotential(grid, "random-mirror", 1.0, 0.95, values)
+        ns = len(A.support_indices())
+        # sorted support: the mirror image of the s-th node is the (ns-1-s)-th
+        P = np.kron(np.eye(ns)[::-1], beta())
+        for k in (0.0, 0.2, 0.1j):
+            T = assemble_T(A, k)
+            assert np.linalg.norm(P @ T @ P - T) <= 1e-13 * np.linalg.norm(T)
+
+
+def test_system_matrix_bits_match_identity_minus_T():
+    """system_matrix gives the bits of np.eye(n) - TA - mu * TB, also in
+    place over TA and over g T-hat, so routing every system through it
+    changes no LU."""
+    grid = make_grid(7)
+    A = build_potential(grid, "spherical-well", 1.3, R)
+    B = build_potential(grid, "spherical-well", 0.7, 0.8)
+    for k in (0.0, 0.2, 0.1j):
+        TA, TB = solver.assemble_pair(A, B, k)
+        eye = np.eye(len(TA), dtype=np.complex128)
+        for mu in (0.0, -0.0125, 0.03):
+            want = eye - TA - mu * TB
+            assert solver.system_matrix(TA, TB, mu).tobytes() == want.tobytes()
+        for g in (0.7, -2.4):
+            m = g * TA
+            assert solver.system_matrix(m, out=m) is m
+            assert m.tobytes() == (eye - g * TA).tobytes()
+        want = eye - TA - 0.03 * TB
+        assert solver.system_matrix(TA, TB, 0.03, out=TA).tobytes() == want.tobytes()
 
 
 def test_application_linear_in_potential():
@@ -490,3 +553,54 @@ def test_failed_factorization_is_flagged_with_nan_rcond(monkeypatch):
     assert np.isnan(diag["rcond"])
     assert diag["at_resonance"]
     assert np.isnan(diag["sup_norm"])
+
+
+def test_non_finite_lu_is_a_failed_factorization():
+    """[[1, 1e308], [1, -1e308]] is finite, but its U_22 overflows to
+    -inf. factor's one failure rule reads that as failed, and so does
+    every consumer: a NaN solve (not a least-squares answer), a NaN
+    sigma_min (not 0.0) and a RuntimeError from the null basis (not an
+    empty coupling list)."""
+    from threshold_dirac import critical
+
+    m = np.array([[1.0, 1e308], [1.0, -1e308]])
+    fac = solver.factor(m)
+    assert fac.lu is None and np.isnan(fac.rcond) and fac.at_resonance
+    assert np.all(np.isnan(fac.solve(np.ones(2))))
+    assert np.isnan(smallest_singular_value(m))
+    with pytest.raises(RuntimeError, match="factorization"):
+        critical._null_basis(m, 1e-8)
+
+    broken = assemble_T(build_potential(make_grid(5), "spherical-well", 1.0, R), 0.0)
+    broken[0, 1] = np.nan
+    with pytest.raises(RuntimeError, match="factorization"):
+        critical.critical_couplings(broken, (-2.2, -0.4))
+
+
+def test_every_lu_goes_through_factor(monkeypatch):
+    """solver.factor is the package's only LU, so its failure rule is the
+    only one: the coupling search (shift-invert, sigma_min certificates,
+    null basis), the bound-state branch and sigma_min_at all factor
+    through it."""
+    from threshold_dirac import critical, probes
+
+    callers = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def spy(*args, **kwargs):
+        caller = sys._getframe(1)
+        callers.append((caller.f_globals["__name__"], caller.f_code.co_name))
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
+    grid = make_grid(7)
+    shape = build_potential(grid, "spherical-well", 1.0, R)
+    crit = critical.find_critical_coupling(shape, (5.0, 9.0))
+    A = crit.critical_potential()
+    B0 = build_potential(grid, "spherical-well", 1.0, 0.7)
+    union = combine_potentials(A, B0).support_indices()
+    X = np.stack([f.values[union].reshape(-1) for f in crit.basis], axis=1)
+    assert probes._branch(A, B0, 0.05, 0.0, X) is not None
+    critical.sigma_min_at(assemble_T(shape, 0.0), 0.5 * crit.g_star)
+    assert len(callers) >= 5
+    assert set(callers) == {("threshold_dirac.solver", "factor")}
