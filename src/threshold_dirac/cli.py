@@ -148,7 +148,7 @@ def _cmd_find_critical(args) -> int:
             shape_pot = build_potential(grid, args.shape, 1.0, shape_pot.radius)
     else:
         grid = Grid3(1.0, 9)
-        shape_pot = build_potential(grid, args.shape, 1.0, 1.0)
+        shape_pot = build_potential(grid, args.shape or "spherical-well", 1.0, 1.0)
     lo, hi = (float(t) for t in args.bracket.replace(",", " ").split())
     crit = find_critical_coupling(shape_pot, (lo, hi))
     lines = [
@@ -199,11 +199,7 @@ def _cmd_sweep(args) -> int:
     result = resonance_sweep(plan)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "records.csv")
-    cio.write_records_csv(csv_path, result.records)
-    rows = [
-        (r.mu, r.k, r.j, r.sup_norm, r.n_part_norm, r.residual_part, r.predicted_bound, r.at_resonance)
-        for r in result.records
-    ]
+    rows = cio.write_records_csv(csv_path, result.records)
     cio.write_dat(os.path.join(args.out, "records.dat"), cio.RECORD_COLUMNS, rows)
     print(
         f"{len(result.records)} records -> {csv_path}; fitted C = {result.fit_constant:.6g} "
@@ -219,8 +215,7 @@ def _cmd_boundstates(args) -> int:
     records = boundstate_track(plan)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "boundstates.csv")
-    cio.write_boundstates_csv(csv_path, records)
-    rows = [(r.mu, r.kappa, r.kappa_sq, r.E, r.sigma_min) for r in records]
+    rows = cio.write_boundstates_csv(csv_path, records)
     cio.write_dat(os.path.join(args.out, "boundstates.dat"), cio.BOUNDSTATE_COLUMNS, rows)
     print(f"{len(records)} crossings -> {csv_path}")
     return 0
@@ -241,11 +236,7 @@ def _cmd_derivatives(args) -> int:
             )
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "derivatives.csv")
-    cio.write_derivatives_csv(csv_path, bounds)
-    rows = [
-        (b.mu, b.k, b.alpha, b.weighted_sup.get(1, 0.0), b.weighted_sup.get(2, 0.0))
-        for b in bounds
-    ]
+    rows = cio.write_derivatives_csv(csv_path, bounds)
     cio.write_dat(os.path.join(args.out, "derivatives.dat"), cio.DERIVATIVE_COLUMNS, rows)
     print(f"{len(bounds)} derivative cells -> {csv_path}")
     return 0
@@ -268,8 +259,7 @@ def _cmd_inverse_probe(args) -> int:
             reports.append(rep)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "inverse.csv")
-    cio.write_inverse_csv(csv_path, reports)
-    rows = [tuple(rep[c] for c in cio.INVERSE_COLUMNS) for rep in reports]
+    rows = cio.write_inverse_csv(csv_path, reports)
     cio.write_dat(os.path.join(args.out, "inverse.dat"), cio.INVERSE_COLUMNS, rows)
     print(f"{len(reports)} probe cells -> {csv_path}")
     return 0
@@ -335,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kernel_check)
 
     p = sub.add_parser("find-critical", help="critical coupling inside a bracket")
-    p.add_argument("--shape", default="spherical-well")
+    p.add_argument("--shape", help="shape to search (default: the config's, else spherical-well)")
     p.add_argument("--bracket", required=True, help="lo,hi")
     p.add_argument("--config", help="optional grid/potential config")
     p.add_argument("--out")

@@ -95,13 +95,31 @@ def _cell(x) -> str:
     return fmt_float(x)
 
 
+def _floats(text: str) -> tuple:
+    return tuple(float(t) for t in text.replace(",", " ").split())
+
+
+def _ints(text: str) -> tuple:
+    return tuple(int(t) for t in text.replace(",", " ").split())
+
+
+# [sweep] key -> parser of its value (the SweepPlan keyword of the same name)
+_SWEEP_KEYS = {
+    "ks": _floats,
+    "js": _ints,
+    "khat": _floats,
+    "band": float,
+    "n_kappa": int,
+    "kappa_range": _floats,
+    "bound_mode": str,
+}
 _POTENTIAL_KEYS = {"shape", "g", "r", "w", "components", "cell_average", "subsamples", "table"}
 _KNOWN_KEYS = {
     "grid": {"l", "n"},
     "eval": {"l", "n"},
     "potential": _POTENTIAL_KEYS | {"bracket"},
     "perturbation": _POTENTIAL_KEYS | {"mus"},
-    "sweep": {"ks", "js", "khat", "band", "n_kappa", "kappa_range", "bound_mode"},
+    "sweep": set(_SWEEP_KEYS),
 }
 
 
@@ -120,22 +138,12 @@ def load_config(path: str) -> configparser.ConfigParser:
     return cfg
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(t) for t in text.replace(",", " ").split())
-
-
-def _ints(text: str) -> tuple:
-    return tuple(int(t) for t in text.replace(",", " ").split())
-
-
 def grid_from_config(cfg, section: str = "grid") -> Grid3:
     return Grid3(cfg.getfloat(section, "L"), cfg.getint(section, "n"))
 
 
 def eval_grid_from_config(cfg) -> Grid3 | None:
-    if not cfg.has_section("eval"):
-        return None
-    return Grid3(cfg.getfloat("eval", "L"), cfg.getint("eval", "n"))
+    return grid_from_config(cfg, "eval") if cfg.has_section("eval") else None
 
 
 def potential_from_config(
@@ -179,24 +187,10 @@ def mus_from_config(cfg) -> tuple:
 
 def sweep_kwargs_from_config(cfg) -> dict:
     """SweepPlan keyword arguments from the [sweep] section."""
-    out: dict = {}
     if not cfg.has_section("sweep"):
-        return out
-    if cfg.has_option("sweep", "ks"):
-        out["ks"] = _floats(cfg.get("sweep", "ks"))
-    if cfg.has_option("sweep", "js"):
-        out["js"] = _ints(cfg.get("sweep", "js"))
-    if cfg.has_option("sweep", "khat"):
-        out["khat"] = _floats(cfg.get("sweep", "khat"))
-    if cfg.has_option("sweep", "band"):
-        out["band"] = cfg.getfloat("sweep", "band")
-    if cfg.has_option("sweep", "n_kappa"):
-        out["n_kappa"] = cfg.getint("sweep", "n_kappa")
-    if cfg.has_option("sweep", "kappa_range"):
-        out["kappa_range"] = _floats(cfg.get("sweep", "kappa_range"))
-    if cfg.has_option("sweep", "bound_mode"):
-        out["bound_mode"] = cfg.get("sweep", "bound_mode")
-    return out
+        return {}
+    keys = [key for key in _SWEEP_KEYS if cfg.has_option("sweep", key)]
+    return {key: _SWEEP_KEYS[key](cfg.get("sweep", key)) for key in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -251,34 +245,39 @@ def _table_lines(header, rows) -> list:
     return lines
 
 
-def write_records_csv(path: str, records) -> None:
-    """Sweep records in declared field order (n_part_l2 stays off-disk)."""
+def write_records_csv(path: str, records) -> list:
+    """Sweep records in declared field order (n_part_l2 stays off-disk);
+    like every table writer, returns its rows for write_dat."""
     rows = [
         (r.mu, r.k, r.j, r.sup_norm, r.n_part_norm, r.residual_part, r.predicted_bound, r.at_resonance)
         for r in records
     ]
     _write_lines(path, _table_lines(RECORD_COLUMNS, rows))
+    return rows
 
 
-def write_boundstates_csv(path: str, records) -> None:
+def write_boundstates_csv(path: str, records) -> list:
     rows = [(r.mu, r.kappa, r.kappa_sq, r.E, r.sigma_min) for r in records]
     _write_lines(path, _table_lines(BOUNDSTATE_COLUMNS, rows))
+    return rows
 
 
-def write_derivatives_csv(path: str, bounds) -> None:
+def write_derivatives_csv(path: str, bounds) -> list:
     rows = [
         (b.mu, b.k, b.alpha, b.weighted_sup.get(1, 0.0), b.weighted_sup.get(2, 0.0))
         for b in bounds
     ]
     _write_lines(path, _table_lines(DERIVATIVE_COLUMNS, rows))
+    return rows
 
 
-def write_inverse_csv(path: str, reports) -> None:
+def write_inverse_csv(path: str, reports) -> list:
     rows = [
         tuple(rep[c] if c != "mu" else rep.get("mu", 0.0) for c in INVERSE_COLUMNS)
         for rep in reports
     ]
     _write_lines(path, _table_lines(INVERSE_COLUMNS, rows))
+    return rows
 
 
 def _matrix_block(name: str, M: np.ndarray) -> list:

@@ -25,11 +25,12 @@ CONVENTIONS
     sensitive than its singular values, and the object of interest is
     the null space, not the eigenvalue: so a candidate is accepted only
     when sigma_min(1 - g T-hat) < 1e-8 |1 - g T-hat|_1, and a failed
-    factorization (NaN) never passes. The null space is spanned by the
-    right singular vectors below ten times that threshold, taken from
-    block inverse iteration on one LU plus a Rayleigh-Ritz step, without
-    a dense SVD. The operator is assembled once at unit coupling. Matrix
-    norms in thresholds are 1-norms.
+    factorization (NaN) never passes. One LU and one
+    solver.subspace_iteration per candidate give the certificate (the
+    smallest Ritz value, an upper bound on sigma_min) and the null space
+    (right Ritz vectors below ten times the threshold), without a dense
+    SVD. The operator is assembled once at unit coupling. Matrix norms
+    in thresholds are 1-norms.
 
     gram_n[p, q] = <Phi_p, A, Phi_q>, gram_m[p, q] = <Phi_p, A, A Phi_q>;
     with Hermitian A these are the Gram matrices of N and of the span
@@ -47,14 +48,15 @@ import numpy as np
 import scipy.linalg as sla
 
 from .algebra import one_plus_beta
-from .potentials import FourPotential, Grid3, SpinorField, pseudo_inner
+from .potentials import FourPotential, Grid3, SpinorField, norms, pseudo_inner
 from .solver import (
     apply_kernel_rows,
     assemble_T,
+    cosine_block,
     factor,
     smallest_singular_value,
+    subspace_iteration,
     system_matrix,
-    _fold_rows,
     _shift_invert_eigs,
 )
 
@@ -76,7 +78,6 @@ _SUBSPACE_FACTOR = 10.0
 _REAL_REL = 1e-8  # |Im mu| <= this * |mu|: a real eigenvalue
 _KRAMERS_REL = 1e-8  # eigenvalues closer than this (relative) are one coupling
 _BLOCK = 4
-_BLOCK_STEPS = 30
 _COLLAPSE_REL = 1e-6  # tail-moment tolerance of classify_lambda_bar
 
 
@@ -120,12 +121,13 @@ def sigma_min_at(that: np.ndarray, g: float) -> tuple[float, float]:
 def critical_couplings(that: np.ndarray, bracket: tuple) -> list:
     """Every real g in the open bracket with 1/g an eigenvalue of T-hat.
 
-    Shift-invert Arnoldi at the midpoint s0 of the bracket's image in
-    1/g (clipped at +-|T-hat|_1, which bounds every eigenvalue). k starts
-    at 6 and doubles until the farthest returned eigenvalue lies farther
-    from s0 than both ends of the image, which proves that none in the
-    image was missed. Eigenvalues with |Im mu| <= 1e-8 |mu| count as real;
-    a Kramers double eigenvalue gives one coupling. Ascending order.
+    Shift-invert Arnoldi on one LU of T-hat - s0 I, s0 the midpoint of
+    the bracket's image in 1/g (clipped at +-|T-hat|_1, which bounds
+    every eigenvalue). k starts at 6 and doubles until the farthest
+    returned eigenvalue lies farther from s0 than both ends of the image,
+    which proves that none in the image was missed. Eigenvalues with
+    |Im mu| <= 1e-8 |mu| count as real; a Kramers double eigenvalue gives
+    one coupling. Ascending order.
     """
     g_lo, g_hi = float(bracket[0]), float(bracket[1])
     if not g_lo < g_hi:
@@ -139,12 +141,13 @@ def critical_couplings(that: np.ndarray, bracket: tuple) -> list:
     shift, radius = 0.5 * (ends[0] + ends[1]), 0.5 * abs(ends[0] - ends[1])
     if radius == 0.0:
         return []
+    fac = factor(that - shift * np.eye(n, dtype=np.complex128))
     k = 6
     while True:
         if k >= n - 1:  # ARPACK needs k < n - 1; take the whole spectrum
             mus = sla.eigvals(that)
             break
-        mus = _shift_invert_eigs(that, shift, k)
+        mus = _shift_invert_eigs(fac, shift, k)
         if np.max(np.abs(mus - shift)) > radius:
             break
         k *= 2
@@ -165,44 +168,45 @@ def find_critical_coupling(
 ) -> CriticalStructure:
     """Locate the coupling in the bracket where 1 - T^{gA}_1 is singular.
 
-    Candidates come from critical_couplings; each is certified by
-    sigma_min(1 - g T-hat) (all are kept in sigma_records) and the
-    certified coupling of smallest |g| wins. The certificates of genuine
-    couplings are all round-off, so ranking by them would make the pick
-    depend on round-off when a bracket holds several. The null space is
-    extracted from one LU at g*. Raises ValueError("not critical in
-    range") when the bracket holds no real eigenvalue or no candidate is
-    certified.
+    Candidates come from critical_couplings, in order of |g|. Each gets
+    one LU of 1 - g T-hat; its certificate (all are kept in
+    sigma_records) is the smallest Ritz value of the null-basis run up
+    to the first certified one, which wins with that run's basis, and
+    of a one-column run after it. The certificates of genuine couplings
+    are all round-off, so ranking by them would make the pick depend on
+    round-off when a bracket holds several. Raises ValueError("not
+    critical in range") when no candidate is certified.
     """
     that = assemble_T(shape, 0.0)
-    records = []
-    for g in critical_couplings(that, bracket):
-        s, scale = sigma_min_at(that, g)
-        records.append((g, s / scale, s))
-    certified = [r for r in records if r[1] < _CRITICAL_REL]  # NaN never passes
-    if not certified:
+    records, winner = [], None
+    for g in sorted(critical_couplings(that, bracket), key=abs):
+        m = system_matrix(g * that)
+        scale = float(np.linalg.norm(m, 1))
+        fac = factor(m)
+        if winner is None:
+            sigma, vecs = _null_basis(fac, _SUBSPACE_FACTOR * _CRITICAL_REL * scale)
+            if sigma < _CRITICAL_REL * scale:  # NaN never passes
+                winner = (g, sigma, scale, vecs)
+        else:  # past the winner only the certificate counts: one column
+            sigma = smallest_singular_value(fac)
+        del m, fac  # one LU at a time
+        records.append((g, sigma / scale))
+    if winner is None:
         raise ValueError("not critical in range")
-    g_star, _, sigma = min(certified, key=lambda r: abs(r[0]))
-
-    m = system_matrix(g_star * that)
-    scale = float(np.linalg.norm(m, 1))
-    basis_vecs = _null_basis(m, _SUBSPACE_FACTOR * _CRITICAL_REL * scale)
+    g_star, sigma, scale, basis_vecs = winner
 
     grid = shape.grid
     sup = shape.support_indices()
     basis = []
     for vec in basis_vecs:
-        rows = vec.reshape(-1, 4)
-        full = np.zeros((grid.n_nodes, 4), dtype=np.complex128)
-        full[sup] = rows
-        f = SpinorField(grid, full)
-        phase = full.reshape(-1)[np.argmax(np.abs(full))]
+        f = SpinorField.on_nodes(grid, sup, vec.reshape(-1, 4))
+        phase = f.values.reshape(-1)[np.argmax(np.abs(f.values))]
         basis.append(f.scaled(abs(phase) / (phase * f.sup_norm())))
 
     A = shape.rescaled(g_star)
     lam = [lambda_of(f, A) for f in basis]
     gram_n = _pairing(basis, A, basis)
-    gram_m = _pairing(basis, A, [_apply_pot(A, f) for f in basis])
+    gram_m = _pairing(basis, A, [SpinorField(grid, A.apply(f.values)) for f in basis])
     crit = CriticalStructure(
         shape=shape,
         g_star=float(g_star),
@@ -211,7 +215,7 @@ def find_critical_coupling(
         lambda_bar=0,
         gram_n=gram_n,
         gram_m=gram_m,
-        sigma_records=sorted(r[:2] for r in records),
+        sigma_records=sorted(records),
         sigma_min=sigma,
         matrix_scale=scale,
     )
@@ -219,56 +223,41 @@ def find_critical_coupling(
     return crit
 
 
-def _null_basis(m: np.ndarray, cut: float) -> np.ndarray:
-    """Orthonormal basis of the right singular space of m below cut, as rows.
+def _null_basis(fac, cut: float) -> tuple:
+    """(smallest Ritz value, orthonormal rows spanning the right singular
+    space below cut) of a factorization's matrix; (NaN, None) on failure.
 
-    Block inverse iteration on (M^H M)^{-1} from a fixed start, reusing
-    one LU of m, then a Rayleigh-Ritz step: the SVD of the n x b block
-    M Q. Ritz values never undercut the true singular values, so only a
-    block filled entirely below the cut can hide more of the null space;
-    then the block doubles. The returned basis is the QR orthonormalization
-    of the projections of the first start columns onto that space, so it
-    depends on the space only and not on how round-off rotated the
-    singular vectors inside it (a Kramers pair is degenerate). Raises
-    RuntimeError when the LU of m fails.
+    subspace_iteration with a block of 4. Ritz values never undercut the
+    true singular values, so only a block filled entirely below the cut
+    can hide more of the null space; then the block doubles. The basis
+    is the QR orthonormalization of the projections of the first start
+    columns onto that space, so it depends on the space only and not on
+    how round-off rotated the singular vectors inside it (a Kramers pair
+    is degenerate).
     """
-    n = m.shape[0]
-    lu = factor(m).lu
-    if lu is None:
-        raise RuntimeError("null-basis factorization of 1 - g T-hat failed")
+    n = fac.matrix.shape[0]
     b = min(_BLOCK, n)
     while True:
-        start = np.cos(np.outer(np.arange(n), np.arange(1, b + 1))).astype(np.complex128)
-        q = start
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(_BLOCK_STEPS):
-                y = sla.lu_solve(lu, sla.lu_solve(lu, q, trans=2))
-                if not np.all(np.isfinite(y)):
-                    raise RuntimeError("null-space iteration broke down")
-                q = np.linalg.qr(y)[0]
-        _, svals, wh = np.linalg.svd(m @ q, full_matrices=False)
+        got = subspace_iteration(fac, b)
+        if got is None:
+            return np.nan, None
+        q, svals, wh = got
         n_dim = int(np.sum(svals < cut))
         if n_dim < b or b == n:
             # svd orders descending: the last rows of Wh are the smallest
             null = q @ wh[b - n_dim :].conj().T
             # pin the gauge: round-off picks the rotation within a
             # degenerate null space, its projector does not
-            pinned = null @ (null.conj().T @ start[:, :n_dim])
-            return np.linalg.qr(pinned)[0].T
+            pinned = null @ (null.conj().T @ cosine_block(n, b)[:, :n_dim])
+            return float(svals[-1]), np.linalg.qr(pinned)[0].T
         b = min(2 * b, n)
-
-
-def _apply_pot(A: FourPotential, f: SpinorField) -> SpinorField:
-    return SpinorField(f.grid, _fold_rows(A.values, f.values))
 
 
 def lambda_of(phi: SpinorField, A: FourPotential) -> np.ndarray:
     """Tail moment int (1+beta) A(y) Phi(y) d^3y; lower components exact 0."""
     if not phi.grid.same_layout(A.grid):
         raise ValueError("Phi must live on the potential's grid")
-    af = _fold_rows(A.values, phi.values)
-    moment = A.grid.weights @ af
-    return one_plus_beta() @ moment
+    return one_plus_beta() @ (A.grid.weights @ A.apply(phi.values))
 
 
 def classify_lambda_bar(crit: CriticalStructure, tol_rel: float = _COLLAPSE_REL) -> int:
@@ -278,8 +267,6 @@ def classify_lambda_bar(crit: CriticalStructure, tol_rel: float = _COLLAPSE_REL)
     tol_rel * |A|_L1 * sup|Phi|; a mixed verdict is an error, matching
     the dichotomy assumed throughout (all tails or none).
     """
-    from .potentials import norms
-
     A = crit.critical_potential()
     l1 = norms(A)["l1"]
     small, large = [], []
@@ -375,18 +362,13 @@ class Projectors:
 
     def project(self, which: str, f: SpinorField) -> SpinorField:
         """which in {"M_par", "M_perp", "N_par", "N_perp"}."""
-        if which.startswith("M"):
-            gamma = self._coeffs(self.gram_m, f)
-            par = np.zeros_like(f.values)
-            for c, phi in zip(gamma, self.basis):
-                par += c * _fold_rows(self.A.values, phi.values)
-        elif which.startswith("N"):
-            gamma = self._coeffs(self.gram_n, f)
-            par = np.zeros_like(f.values)
-            for c, phi in zip(gamma, self.basis):
-                par += c * phi.values
-        else:
+        if which[:1] not in ("M", "N"):
             raise ValueError("unknown projector")
+        m_split = which.startswith("M")
+        gamma = self._coeffs(self.gram_m if m_split else self.gram_n, f)
+        par = np.zeros_like(f.values)
+        for c, phi in zip(gamma, self.basis):
+            par += c * (self.A.apply(phi.values) if m_split else phi.values)
         if which.endswith("par"):
             return SpinorField(f.grid, par)
         if which.endswith("perp"):
@@ -395,12 +377,10 @@ class Projectors:
 
 
 def make_projectors(crit: CriticalStructure) -> Projectors:
-    sv = np.linalg.svd(crit.gram_n, compute_uv=False)
-    if sv[-1] < 1e-12 * sv[0]:
-        raise ValueError("singular gram matrix: class-C condition (c) violated")
-    sv = np.linalg.svd(crit.gram_m, compute_uv=False)
-    if sv[-1] < 1e-12 * sv[0]:
-        raise ValueError("singular gram matrix: class-C condition (c) violated")
+    for gram in (crit.gram_n, crit.gram_m):
+        sv = np.linalg.svd(gram, compute_uv=False)
+        if sv[-1] < 1e-12 * sv[0]:
+            raise ValueError("singular gram matrix: class-C condition (c) violated")
     return Projectors(
         crit.critical_potential(), crit.basis, crit.gram_n, crit.gram_m
     )

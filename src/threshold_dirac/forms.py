@@ -55,8 +55,8 @@ import numpy as np
 
 from .algebra import alpha, one_plus_beta
 from .critical import CriticalStructure, lambda_of
-from .potentials import FourPotential, SpinorField, norms
-from .solver import _fold_rows, apply_kernel_rows
+from .potentials import FourPotential, SpinorField, fold_rows, norms
+from .solver import apply_kernel_rows
 
 __all__ = [
     "SSplit",
@@ -94,7 +94,7 @@ def _pair_matrix(A: FourPotential, crit: CriticalStructure, k: complex, order: i
     sup, pts, w, pot = _support_data(A)
     fields = np.stack([phi.values[sup] for phi in crit.basis])
     timg = apply_kernel_rows(k, pts, A, fields, A.grid.spacing, order=order)
-    folded = [_fold_rows(pot, f) for f in fields]
+    folded = [fold_rows(pot, f) for f in fields]
     n = crit.dim
     out = np.empty((n, n), dtype=np.complex128)
     for q in range(n):
@@ -198,7 +198,7 @@ def s_split(A: FourPotential, phi: SpinorField, tol_rel: float = 1e-6) -> SSplit
             "lambda-free class"
         )
     sup, pts, w, pot = _support_data(A)
-    u = _fold_rows(pot, phi.values[sup]) * w[:, None]  # weighted (A phi) rows
+    u = fold_rows(pot, phi.values[sup]) * w[:, None]  # weighted (A phi) rows
     n = len(u)
     P = one_plus_beta()
     uP = u.conj() @ P

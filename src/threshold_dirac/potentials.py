@@ -42,6 +42,7 @@ __all__ = [
     "Grid3",
     "SpinorField",
     "FourPotential",
+    "fold_rows",
     "build_potential",
     "norms",
     "pseudo_inner",
@@ -118,6 +119,13 @@ class SpinorField:
     def scaled(self, c) -> "SpinorField":
         return SpinorField(self.grid, c * self.values)
 
+    @classmethod
+    def on_nodes(cls, grid: Grid3, nodes: np.ndarray, rows: np.ndarray) -> "SpinorField":
+        """rows at the given nodes, zero elsewhere."""
+        dense = np.zeros((grid.n_nodes, 4), dtype=np.complex128)
+        dense[nodes] = rows
+        return cls(grid, dense)
+
 
 def smoothstep_profile(r, inner: float, outer: float):
     """1 for r <= inner, cubic smoothstep down to 0 at r = outer (C^1)."""
@@ -138,6 +146,14 @@ def _shape_profile(kind: str, g: float, R: float, w: float):
             r, cut_in, R
         )
     raise ValueError(f"unknown builtin shape {kind!r}")
+
+
+def fold_rows(pot_rows: np.ndarray, f_rows: np.ndarray) -> np.ndarray:
+    """Pointwise A f = a0 f + sum_l a_l alpha_l f, row by row."""
+    af = pot_rows[:, 0, None] * f_rows
+    if np.any(pot_rows[:, 1:]):
+        af = af + np.einsum("sl,lij,sj->si", pot_rows[:, 1:], _ALPHA, f_rows)
+    return af
 
 
 @dataclass
@@ -175,12 +191,7 @@ class FourPotential:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """(A f) per node for spinor samples f of shape (n_nodes, 4)."""
-        out = self.values[:, 0, None] * values
-        if np.any(self.values[:, 1:]):
-            # sum_l a_l (alpha_l f)
-            af = np.einsum("lij,nj->nli", _ALPHA, values)
-            out = out + np.einsum("nl,nli->ni", self.values[:, 1:], af)
-        return out
+        return fold_rows(self.values, values)
 
     def rescaled(self, c: float) -> "FourPotential":
         return FourPotential(

@@ -37,9 +37,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .critical import CriticalStructure, make_projectors, sigma_min_at
+from .critical import CriticalStructure, make_projectors
 from .forms import gamma_spectrum, taylor_form
-from .potentials import FourPotential, Grid3, SpinorField, norms
+from .potentials import FourPotential, Grid3, SpinorField, fold_rows, norms
 from .solver import (
     apply_kernel_rows,
     assemble_pair,
@@ -51,7 +51,6 @@ from .solver import (
     free_spinor,
     smallest_singular_value,
     system_matrix,
-    _fold_rows,
 )
 
 __all__ = [
@@ -213,12 +212,6 @@ def _unit_potential(V: FourPotential) -> FourPotential:
     return FourPotential(V.grid, "unit", 1.0, V.radius, values)
 
 
-def _embed(grid: Grid3, sup: np.ndarray, vals: np.ndarray) -> SpinorField:
-    dense = np.zeros((grid.n_nodes, 4), dtype=np.complex128)
-    dense[sup] = vals
-    return SpinorField(grid, dense)
-
-
 # ---------------------------------------------------------------------------
 # resonance sweep
 
@@ -244,13 +237,13 @@ def _sweep_column(crit, proj, V: FourPotential, k: float, kvec, systems, js, eva
             chi = free_solution(j, kvec)
             u = fac.solve(chi.values_at(pts).reshape(-1)).reshape(-1, 4)
             cells.append((mu, j, fac.at_resonance, chi, u))
-            folded.append(_fold_rows(vmu_rows, u))
+            folded.append(fold_rows(vmu_rows, u))
         del M, fac  # this coupling's matrix and LU go before the next is built
     exts = apply_kernel_rows(k, eval_points, unit, np.stack(folded), grid.spacing)
     out = []
     for (mu, j, flagged, chi, u), tail in zip(cells, exts.transpose(1, 0, 2)):
         ext = chi.values_at(eval_points) + tail
-        phi = _embed(grid, union, u)
+        phi = SpinorField.on_nodes(grid, union, u)
         npar = proj.project("N_par", phi)
         coeffs = proj._coeffs(crit.gram_n, phi)
         resid = phi.values[union] - npar.values[union] - chi.values_at(pts)
@@ -494,7 +487,7 @@ def _branch(A: FourPotential, B0: FourPotential, kappa: float, shift: float, X, 
         return None
     Y = left[0]
     va, vb = A.values[union], B0.values[union]
-    fields = np.stack([_fold_rows(va + m * vb, x.reshape(-1, 4)) for m, x in zip(mus, X.T)])
+    fields = np.stack([fold_rows(va + m * vb, x.reshape(-1, 4)) for m, x in zip(mus, X.T)])
     dT = apply_kernel_rows(
         1j * kappa, A.grid.points[union], _unit_potential(V), fields, A.grid.spacing, order=1
     )
@@ -536,6 +529,17 @@ def _newton_crossing(A, B0, mu: float, lo: float, hi: float, f_lo: float, f_hi: 
     return None
 
 
+def _sigma_at(A: FourPotential, B0: FourPotential, kappa: float, mu: float) -> tuple:
+    """(sigma_min, 1-norm) of 1 - T_A - mu T_B at k = i kappa, built in
+    place over T_A in _branch's order (T-hat of A + mu B0 first)."""
+    TA, TB = assemble_pair(A, B0, 1j * kappa)
+    TB *= mu
+    TA += TB
+    del TB
+    M = system_matrix(TA, out=TA)
+    return smallest_singular_value(M), float(np.linalg.norm(M, 1))
+
+
 def _track_eigen(plan: SweepPlan) -> list:
     crit = plan.crit
     A, B0 = crit.critical_potential(), plan.B0
@@ -555,12 +559,6 @@ def _track_eigen(plan: SweepPlan) -> list:
         if got is not None:
             mus, _, X = got
             shift = float(np.mean(mus))
-
-    def sigma_at(kappa: float, mu: float):
-        TA, TB = assemble_pair(A, B0, 1j * kappa)
-        TA += mu * TB
-        del TB
-        return sigma_min_at(TA, 1.0)
 
     def nearest(got, mu: float) -> float:
         if got is None:
@@ -584,7 +582,7 @@ def _track_eigen(plan: SweepPlan) -> list:
                     if kap is not None and all(abs(kap - f) > 1e-6 * kap for f in found):
                         found.append(kap)
         for kap in found:
-            sig, scale = sigma_at(kap, mu)
+            sig, scale = _sigma_at(A, B0, kap, mu)
             if sig < _CROSSING_REL * scale:
                 records.append(_bound_record(mu, kap, sig))
     return records
@@ -595,10 +593,6 @@ def _track_sigma_scan(plan: SweepPlan) -> list:
     A = crit.critical_potential()
     kmin, kmax = plan.kappa_range
     kappas = np.geomspace(kmin, kmax, plan.n_kappa)
-
-    def sigma_of(kappa: float, mu: float) -> float:
-        TA, TB = assemble_pair(A, plan.B0, 1j * kappa)
-        return smallest_singular_value(system_matrix(TA, TB, mu, out=TA))
 
     def scan_col(kappa: float) -> list:
         TA, TB = assemble_pair(A, plan.B0, 1j * kappa)
@@ -625,7 +619,7 @@ def _track_sigma_scan(plan: SweepPlan) -> list:
                 kap, val = kappas[0], sig[0]
             else:
                 kap, val = _golden_min(
-                    lambda x: sigma_of(x, mu),
+                    lambda x: _sigma_at(A, plan.B0, x, mu)[0],
                     kappas[i - 1],
                     kappas[i + 1],
                     1e-7 * kappas[i],
@@ -679,7 +673,7 @@ def inverse_bound_probe(
     TV = assemble_T(V, k)
     fac = factor(system_matrix(TV, out=TV))
 
-    rhs1 = _fold_rows(A.values[union], phi.values[union]).reshape(-1)
+    rhs1 = fold_rows(A.values[union], phi.values[union]).reshape(-1)
     rhs2 = m_perp.values[union].reshape(-1)
     u = fac.solve(rhs1).reshape(-1, 4)
     v = fac.solve(rhs2).reshape(-1, 4)
@@ -696,7 +690,7 @@ def inverse_bound_probe(
         "b_linf": bn["linf"],
     }
     for name, sol in (("aphi", u), ("mperp", v)):
-        f = _embed(grid, union, sol)
+        f = SpinorField.on_nodes(grid, union, sol)
         npar = proj.project("N_par", f)
         nperp = f.values[union] - npar.values[union]
         report[f"n_par_{name}"] = npar.sup_norm()

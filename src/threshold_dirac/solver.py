@@ -43,9 +43,10 @@ SOLVES
     pivoting, the package's only LU, and a reciprocal condition estimate.
     Systems whose estimate falls below 1e-10 are flagged "at-resonance"
     and solved in the least-squares sense instead (sweeps cross
-    resonances on purpose). A failed LU (LAPACK raised, or the LU is not
-    finite) has lu None and rcond NaN; then solve and sigma_min give NaN
-    and the eigen and null-space routines raise RuntimeError.
+    resonances on purpose). sigma_min and null spaces come from one
+    subspace_iteration on an LU from factor. A failed LU (LAPACK raised,
+    or the LU is not finite) has lu None and rcond NaN; then solve and
+    sigma_min give NaN, subspace_iteration None, shift-invert raises.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import scipy.sparse.linalg as spla
 from .algebra import alpha_stack, identity4
 from .kernel import CLIFFORD_BASIS, expand, self_cell_coefficients
 from .kernel import coefficients as kernel_coefficients
-from .potentials import FourPotential, Grid3, SpinorField
+from .potentials import FourPotential, Grid3, SpinorField, fold_rows
 
 __all__ = [
     "FreeSolution",
@@ -78,6 +79,8 @@ __all__ = [
     "solve_generalized",
     "symmetry_probe",
     "combine_potentials",
+    "subspace_iteration",
+    "cosine_block",
     "smallest_singular_value",
     "default_eval_grid",
 ]
@@ -90,7 +93,8 @@ _NEAR_CELLS = 2  # Chebyshev distance, in cells
 _RESONANCE_RCOND = 1e-10
 _RESIDUAL_REL = 1e-8
 _PAIR_BUDGET = 100_000  # target-source pairs per kernel chunk
-_SIGMA_ITERS = 40  # inverse power steps of smallest_singular_value
+_ITER_STEPS = 30  # subspace_iteration steps at or below the round-off floor
+_ITER_REL = 1e-4  # relative change of the sigma_min estimate that stops it
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +255,6 @@ def assemble_kernel_blocks(
     return expand(chunks[0] if len(chunks) == 1 else np.concatenate(chunks))
 
 
-def _fold_rows(pot_rows: np.ndarray, f_rows: np.ndarray) -> np.ndarray:
-    """Pointwise (A f) for matching (n, 4) potential rows and spinor rows."""
-    af = pot_rows[:, 0, None] * f_rows
-    if np.any(pot_rows[:, 1:]):
-        af = af + np.einsum("sl,lij,sj->si", pot_rows[:, 1:], _ALPHA, f_rows)
-    return af
-
-
 def contract_potential(
     blocks: np.ndarray, pot_values: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -350,7 +346,7 @@ def apply_kernel_rows(
     spts = A.grid.points[sup]
     f = np.asarray(f_support)
     stack = f if f.ndim == 3 else f[None]
-    af = np.stack([_fold_rows(A.values[sup], g) for g in stack])
+    af = np.stack([fold_rows(A.values[sup], g) for g in stack])
     y = np.einsum("cij,msj->scmi", CLIFFORD_BASIS, af).reshape(5 * len(spts), 4 * len(stack))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     out = np.empty((len(targets), y.shape[1]), dtype=np.complex128)
@@ -382,52 +378,33 @@ def default_eval_grid(support_grid: Grid3) -> Grid3:
     return Grid3(2.0 * support_grid.half_width, 21)
 
 
-def smallest_singular_value(matrix: np.ndarray) -> float:
-    """Estimate sigma_min by inverse power iteration on (M M^H)^{-1}.
-
-    Deterministic start vector, at most _SIGMA_ITERS steps on the LU from
-    factor. Returns 0.0 when that LU has an exactly zero pivot, NaN when
-    factor fails or the iteration breaks down: a failure is not a
-    certificate of singularity, and NaN fails every ``sigma < bound`` test.
-    """
-    m = matrix.shape[0]
-    if m == 0:
+def smallest_singular_value(matrix) -> float:
+    """sigma_min of a square matrix, or of the matrix of a Factorization
+    already made: the Ritz value of the one-column subspace_iteration.
+    0.0 for an exactly zero pivot; NaN when the LU fails or the iteration
+    breaks down, so a failure never passes a ``sigma < bound`` test."""
+    if not isinstance(matrix, Factorization):
+        if matrix.shape[0] == 0:
+            return 0.0
+        matrix = factor(matrix)
+    if matrix.lu is not None and np.any(np.diagonal(matrix.lu[0]) == 0.0):
         return 0.0
-    lu = factor(matrix).lu
-    if lu is None:
-        return np.nan
-    if np.any(np.diagonal(lu[0]) == 0.0):
-        return 0.0
-    v = np.ones(m, dtype=np.complex128) + 0.1 * np.sin(np.arange(m))
-    v /= np.linalg.norm(v)
-    sigma = np.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_SIGMA_ITERS):
-            u = sla.lu_solve(lu, v, trans=2, check_finite=False)
-            w = sla.lu_solve(lu, u, trans=0, check_finite=False)
-            nw = np.linalg.norm(w)
-            if not np.isfinite(nw) or nw == 0.0:
-                return np.nan
-            old, sigma = sigma, 1.0 / np.sqrt(nw)
-            v = w / nw
-            if abs(sigma - old) <= 1e-4 * sigma:
-                break
-    return float(sigma)
+    got = subspace_iteration(matrix, 1)
+    return np.nan if got is None else float(got[1][-1])
 
 
-def _shift_invert_eigs(T: np.ndarray, shift: float, k: int) -> np.ndarray:
+def _shift_invert_eigs(fac: Factorization, shift: float, k: int) -> np.ndarray:
     """The k eigenvalues of T nearest ``shift``, by shift-invert ARPACK.
 
-    One LU of T - shift I from factor; ARPACK's start vector is fixed
-    (all ones), so repeated calls give the same eigenvalues bit for bit.
-    Raises RuntimeError when the factorization fails.
+    fac = factor(T - shift I) serves every call; ARPACK's start vector is
+    fixed (all ones), so repeated calls give the same eigenvalues bit for
+    bit. Raises RuntimeError when the factorization failed.
     """
-    n = T.shape[0]
-    lu = factor(T - shift * np.eye(n, dtype=np.complex128)).lu
-    if lu is None:
+    if fac.lu is None:
         raise RuntimeError(f"shift-invert factorization of T - {shift} I failed")
+    n = fac.matrix.shape[0]
     op = spla.LinearOperator(
-        (n, n), matvec=lambda x: sla.lu_solve(lu, x), dtype=np.complex128
+        (n, n), matvec=lambda x: sla.lu_solve(fac.lu, x), dtype=np.complex128
     )
     v0 = np.ones(n, dtype=np.complex128)
     w = spla.eigs(op, k=k, which="LM", return_eigenvectors=False, v0=v0)
@@ -544,6 +521,51 @@ def factor(M: np.ndarray) -> Factorization:
     return Factorization(M, lu if np.all(np.isfinite(lu[0])) else None)
 
 
+def cosine_block(n: int, b: int) -> np.ndarray:
+    """The fixed start block cos(i j), 0 <= i < n, 1 <= j <= b, complex."""
+    return np.cos(np.outer(np.arange(n), np.arange(1, b + 1))).astype(np.complex128)
+
+
+def subspace_iteration(fac: Factorization, b: int):
+    """Block inverse iteration on (M^H M)^-1 from cosine_block(n, b), a
+    QR per step, then the Rayleigh-Ritz SVD M Q = U diag(s) Wh.
+
+    The sigma_min estimate 1/sqrt(largest Ritz value of Y = (M^H M)^-1 Q
+    against Q) stops it once steady to _ITER_REL while above the
+    round-off floor n eps |M|_F; at or below the floor it runs all
+    _ITER_STEPS, so a singular matrix never stops on noise. Returns
+    (Q, s, Wh), s descending, s[-1] >= sigma_min(M) by interlacing; None
+    when the LU failed or the iteration broke down.
+    """
+    if fac.lu is None:
+        return None
+    m, lu = fac.matrix, fac.lu
+    n = m.shape[0]
+    # |M|_F in one BLAS pass: no matrix-sized |M| beside the LU
+    flat = m.ravel()
+    floor = n * np.finfo(float).eps * np.sqrt(sla.blas.zdotc(flat, flat).real)
+    q = cosine_block(n, b)
+    sigma = None
+    with np.errstate(all="ignore"):
+        for step in range(_ITER_STEPS):
+            x = sla.lu_solve(lu, q, trans=2, check_finite=False)
+            y = sla.lu_solve(lu, x, check_finite=False)
+            if not np.all(np.isfinite(y)):
+                return None
+            # Q^H Q = I but at the cosine start: the generalized problem
+            qh = q.conj().T
+            lam = np.linalg.eigvals(np.linalg.solve(qh @ q, qh @ y)).real.max()
+            old, sigma = sigma, 1.0 / np.sqrt(lam)
+            q = np.linalg.qr(y)[0]
+            if step and sigma > floor and abs(sigma - old) <= _ITER_REL * sigma:
+                break
+    # M Q by the LU's BLAS (bit for bit m @ q for b > 1): numpy's own
+    # OpenBLAS threads would wake and spin beside the next LU (15% slower)
+    mq = sla.blas.zgemm(1.0, q.T, m.T).T
+    _, s, wh = np.linalg.svd(mq, full_matrices=False)
+    return q, s, wh
+
+
 def system_matrix(TA: np.ndarray, TB=None, mu: float = 0.0, out=None) -> np.ndarray:
     """1 - TA - mu TB, into out if given (out may be TA). Bit for bit
     np.eye(n) - TA - mu * TB: 0 - TA keeps TA's exact zeros +0, where
@@ -575,11 +597,11 @@ def symmetry_probe(
 
     # side 1: <h, A, T^B g>, needing T^B g only where A is nonzero
     tbg = apply_kernel_rows(k, grid.points[supA], B, g.values[supB], grid.spacing)
-    a_tbg = _fold_rows(A.values[supA], tbg)
+    a_tbg = fold_rows(A.values[supA], tbg)
     side1 = complex(np.sum(w[supA] * np.einsum("ni,ni->n", h.values[supA].conj(), a_tbg)))
 
     # side 2: <T^A h, B, g>
     tah = apply_kernel_rows(k, grid.points[supB], A, h.values[supA], grid.spacing)
-    bg = _fold_rows(B.values[supB], g.values[supB])
+    bg = fold_rows(B.values[supB], g.values[supB])
     side2 = complex(np.sum(w[supB] * np.einsum("ni,ni->n", tah.conj(), bg)))
     return side1, side2

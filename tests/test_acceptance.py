@@ -33,7 +33,7 @@ from threshold_dirac.critical import (
 )
 from threshold_dirac.forms import gamma_spectrum, s_split, taylor_form, taylor_form_fd
 from threshold_dirac.kernel import fd_reference, green_dk
-from threshold_dirac.potentials import Grid3, SpinorField, build_potential
+from threshold_dirac.potentials import Grid3, SpinorField, build_potential, fold_rows
 from threshold_dirac.probes import (
     SweepPlan,
     boundstate_track,
@@ -45,7 +45,6 @@ from threshold_dirac.probes import (
     resonance_sweep,
 )
 from threshold_dirac.solver import (
-    _fold_rows,
     free_solution,
     solve_generalized,
     symmetry_probe,
@@ -383,7 +382,7 @@ def test_zero_detuning_growth_rate(crit_bound, divergence_campaign):
     w = A.grid.weights[sup]
     d = 0.02
     for phi in crit_bound.basis:
-        aphi = _fold_rows(A.values[sup], phi.values[sup])
+        aphi = fold_rows(A.values[sup], phi.values[sup])
         scale = float(np.sum(w * np.linalg.norm(aphi, axis=1)))
         for j in (1, 2):
 

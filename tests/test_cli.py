@@ -63,3 +63,33 @@ def test_readme_classify_reference_config(tmp_path):
     assert np.all(np.isfinite(exponents))
     assert np.all(np.abs(exponents + 2.0) <= 0.15)
     assert np.all(rows[:, 4] == 0)
+
+
+BUMP_CONFIG = """
+[grid]
+L = 1
+n = 7
+
+[potential]
+shape = gaussian-bump
+R = 1
+w = 0.5
+"""
+
+
+def test_find_critical_config_shape_is_used(tmp_path):
+    """Without --shape, find-critical searches the config's shape with
+    its width, not a spherical well of the same radius."""
+    cfg_path = tmp_path / "bump.ini"
+    cfg_path.write_text(BUMP_CONFIG)
+
+    def g_star(*extra):
+        out = str(tmp_path / "fc.csv")
+        argv = ["find-critical", "--config", str(cfg_path), "--bracket=-40,-0.5", "--out", out]
+        assert main(argv + list(extra)) == 0
+        return float(open(out).read().splitlines()[1].split(",")[0])
+
+    bump = g_star()
+    assert bump == g_star("--shape", "gaussian-bump")
+    assert abs(bump - (-4.740388463580667)) <= 1e-10 * 4.75
+    assert abs(g_star("--shape", "spherical-well") - (-2.3756240169762934)) <= 1e-10 * 2.38

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from threshold_dirac.potentials import (
     Grid3,
@@ -27,7 +28,7 @@ from threshold_dirac.critical import (
     sigma_min_at,
 )
 from threshold_dirac.radial import RadialWell, critical_coupling, tail_ratio
-from threshold_dirac.solver import assemble_T
+from threshold_dirac.solver import assemble_T, factor
 
 R = 1.0
 
@@ -121,9 +122,9 @@ def test_critical_couplings_completeness_loop(that9, monkeypatch):
     ks = []
     shift_invert = critical._shift_invert_eigs
 
-    def spy(T, shift, k):
+    def spy(fac, shift, k):
         ks.append(k)
-        return shift_invert(T, shift, k)
+        return shift_invert(fac, shift, k)
 
     monkeypatch.setattr(critical, "_shift_invert_eigs", spy)
     gs = critical_couplings(that9, (-6.0, -1.5))
@@ -191,9 +192,57 @@ def test_fourfold_null_space_widens_block():
 def test_failed_certificate_never_certifies(monkeypatch):
     grid = Grid3(R, 9)
     shape = build_potential(grid, "spherical-well", 1.0, R)
-    monkeypatch.setattr(critical, "sigma_min_at", lambda that, g: (np.nan, 1.0))
+    # a failed certificate iteration (failed LU or breakdown) gives NaN
+    monkeypatch.setattr(critical, "subspace_iteration", lambda fac, b: None)
     with pytest.raises(ValueError, match="not critical in range"):
         find_critical_coupling(shape, (-2.2, -0.4))
+
+
+def _count_lu_factor(monkeypatch) -> list:
+    calls = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
+    return calls
+
+
+def test_one_lu_per_candidate(monkeypatch):
+    """A one-candidate search makes two LUs: T-hat - s0 I for the
+    eigenvalues, and 1 - g T-hat, whose one subspace iteration gives
+    both the certificate and the null basis."""
+    grid = Grid3(R, 7)
+    shape = build_potential(grid, "spherical-well", 1.0, R)
+    calls = _count_lu_factor(monkeypatch)
+    crit = find_critical_coupling(shape, (5.0, 9.0))
+    assert len(crit.sigma_records) == 1 and crit.dim == 2
+    assert len(calls) == 2
+
+
+def test_arpack_restarts_share_one_lu(that9, monkeypatch):
+    # (-6, -1.5) makes k grow past 6 (see the completeness loop test)
+    calls = _count_lu_factor(monkeypatch)
+    assert len(critical_couplings(that9, (-6.0, -1.5))) == 3
+    assert len(calls) == 1
+
+
+def test_certificate_bounds_sigma_min_from_above(crit9_bound):
+    """The certificate is the smallest Ritz value of the null-basis run,
+    an upper bound on sigma_min (interlacing), so it never certifies what
+    the dense SVD would reject. At g* it is round-off and the run gives
+    the Kramers pair; at 0.9 g* it matches the dense SVD from above."""
+    that = assemble_T(crit9_bound.shape, 0.0)
+    for g, dim in ((crit9_bound.g_star, 2), (0.9 * crit9_bound.g_star, 0)):
+        m = np.eye(that.shape[0], dtype=np.complex128) - g * that
+        scale = np.linalg.norm(m, 1)
+        sigma, basis = critical._null_basis(factor(m), 1e-7 * scale)
+        assert len(basis) == dim
+        assert (sigma < 1e-8 * scale) == (dim > 0)
+    true = np.linalg.svd(m, compute_uv=False)[-1]
+    assert (1.0 - 1e-10) * true <= sigma <= (1.0 + 1e-4) * true
 
 
 _THREAD_PROBE = """
@@ -366,9 +415,9 @@ def test_projector_reproduces_span(crit9):
     proj = make_projectors(crit9)
     A = crit9.critical_potential()
     grid = crit9.shape.grid
-    from threshold_dirac.solver import _fold_rows
+    from threshold_dirac.potentials import fold_rows
 
-    aphi = SpinorField(grid, _fold_rows(A.values, crit9.basis[0].values))
+    aphi = SpinorField(grid, fold_rows(A.values, crit9.basis[0].values))
     par = proj.project("M_par", aphi)
     assert np.max(np.abs(par.values - aphi.values)) < 1e-10 * aphi.sup_norm()
     nphi = crit9.basis[1]
@@ -422,8 +471,8 @@ def test_null_basis_gauge_pinned_against_roundoff(crit9_bound):
     rng = np.random.default_rng(11)
     e = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
     e *= 1e-14 * np.linalg.norm(m) / np.linalg.norm(e)
-    base = critical._null_basis(m, cut)
-    moved = critical._null_basis(m + e, cut)
+    _, base = critical._null_basis(factor(m), cut)
+    _, moved = critical._null_basis(factor(m + e), cut)
     assert base.shape == moved.shape == (2, m.shape[0])
     assert np.allclose(base.conj() @ base.T, np.eye(2), atol=1e-13)
     assert np.max(np.linalg.norm(m @ base.T, axis=0)) < cut

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from threshold_dirac.algebra import alpha_stack
-from threshold_dirac.potentials import Grid3, SpinorField, build_potential, pseudo_inner
+from threshold_dirac.potentials import Grid3, SpinorField, build_potential, fold_rows, pseudo_inner
 from threshold_dirac.critical import find_critical_coupling
 from threshold_dirac.forms import (
     compute_forms,
@@ -17,7 +17,6 @@ from threshold_dirac.forms import (
     taylor_form,
     taylor_form_fd,
 )
-from threshold_dirac.solver import _fold_rows
 
 R = 1.0
 
@@ -144,7 +143,7 @@ def test_s2_matches_closed_form(crit9_bound):
     alphas = alpha_stack()
     for phi in crit9_bound.basis:
         sp = s_split(A, phi)
-        m = A.grid.weights @ _fold_rows(A.values, phi.values)
+        m = A.grid.weights @ fold_rows(A.values, phi.values)
         closed = sum(
             sp.xi[l].conj() @ alphas[l] @ m - m.conj() @ alphas[l] @ sp.xi[l]
             for l in range(3)

@@ -1,6 +1,7 @@
 """Lippmann-Schwinger solver: assembly, defect identity, solves, symmetry."""
 
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -559,8 +560,9 @@ def test_non_finite_lu_is_a_failed_factorization():
     """[[1, 1e308], [1, -1e308]] is finite, but its U_22 overflows to
     -inf. factor's one failure rule reads that as failed, and so does
     every consumer: a NaN solve (not a least-squares answer), a NaN
-    sigma_min (not 0.0) and a RuntimeError from the null basis (not an
-    empty coupling list)."""
+    sigma_min (not 0.0), no iteration, a NaN certificate and no basis
+    from the null basis, and a RuntimeError from the coupling search's
+    eigenvalues (not an empty coupling list)."""
     from threshold_dirac import critical
 
     m = np.array([[1.0, 1e308], [1.0, -1e308]])
@@ -568,8 +570,9 @@ def test_non_finite_lu_is_a_failed_factorization():
     assert fac.lu is None and np.isnan(fac.rcond) and fac.at_resonance
     assert np.all(np.isnan(fac.solve(np.ones(2))))
     assert np.isnan(smallest_singular_value(m))
-    with pytest.raises(RuntimeError, match="factorization"):
-        critical._null_basis(m, 1e-8)
+    assert solver.subspace_iteration(fac, 1) is None
+    sigma, basis = critical._null_basis(fac, 1e-8)
+    assert np.isnan(sigma) and basis is None
 
     broken = assemble_T(build_potential(make_grid(5), "spherical-well", 1.0, R), 0.0)
     broken[0, 1] = np.nan
@@ -579,17 +582,19 @@ def test_non_finite_lu_is_a_failed_factorization():
 
 def test_every_lu_goes_through_factor(monkeypatch):
     """solver.factor is the package's only LU, so its failure rule is the
-    only one: the coupling search (shift-invert, sigma_min certificates,
-    null basis), the bound-state branch and sigma_min_at all factor
-    through it."""
+    only one. Each caller factors each distinct matrix once: the coupling
+    search T-hat - s0 I once and 1 - g T-hat once per candidate (one here),
+    the bound-state branch once, sigma_min_at once."""
     from threshold_dirac import critical, probes
 
-    callers = []
+    callers, users = [], Counter()
     lu_factor = scipy.linalg.lu_factor
 
     def spy(*args, **kwargs):
         caller = sys._getframe(1)
         callers.append((caller.f_globals["__name__"], caller.f_code.co_name))
+        user = caller.f_back
+        users[(user.f_globals["__name__"], user.f_code.co_name)] += 1
         return lu_factor(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
@@ -602,5 +607,45 @@ def test_every_lu_goes_through_factor(monkeypatch):
     X = np.stack([f.values[union].reshape(-1) for f in crit.basis], axis=1)
     assert probes._branch(A, B0, 0.05, 0.0, X) is not None
     critical.sigma_min_at(assemble_T(shape, 0.0), 0.5 * crit.g_star)
-    assert len(callers) >= 5
+    assert users == {
+        ("threshold_dirac.critical", "critical_couplings"): 1,
+        ("threshold_dirac.critical", "find_critical_coupling"): 1,
+        ("threshold_dirac.probes", "_branch"): 1,
+        ("threshold_dirac.solver", "smallest_singular_value"): 1,
+    }
     assert set(callers) == {("threshold_dirac.solver", "factor")}
+
+
+def test_sigma_probe_at_a_crossing_takes_fixed_steps(monkeypatch):
+    """At a round-off crossing the sigma_min estimate sits below the
+    floor n eps |M|_F, so the iteration runs its fixed number of steps:
+    a 1e-14 relative perturbation of M cannot change the work done. Off
+    a crossing it stops early, on the steady estimate."""
+    from threshold_dirac import critical
+
+    shape = build_potential(make_grid(7), "spherical-well", 1.0, R)
+    crit = critical.find_critical_coupling(shape, (5.0, 9.0))
+    that = assemble_T(shape, 0.0)
+    m = solver.system_matrix(crit.g_star * that)
+    rng = np.random.default_rng(3)
+    e = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+    e *= 1e-14 * np.linalg.norm(m) / np.linalg.norm(e)
+
+    solves = []
+    lu_solve = scipy.linalg.lu_solve
+
+    def spy(*args, **kwargs):
+        solves.append(1)
+        return lu_solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_solve", spy)
+    counts, sigmas = [], []
+    for mat in (m, m + e, solver.system_matrix(0.5 * crit.g_star * that)):
+        solves.clear()
+        sigmas.append(smallest_singular_value(mat))
+        counts.append(len(solves))
+    assert counts[0] == counts[1] == 2 * solver._ITER_STEPS
+    assert max(sigmas[:2]) < 1e-8 * np.linalg.norm(m, 1)
+    assert counts[2] < 2 * solver._ITER_STEPS
+    true = np.linalg.svd(solver.system_matrix(0.5 * crit.g_star * that), compute_uv=False)[-1]
+    assert (1.0 - 1e-10) * true <= sigmas[2] <= (1.0 + 1e-4) * true
