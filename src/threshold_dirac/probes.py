@@ -40,15 +40,18 @@ import scipy.linalg as sla
 from .critical import CriticalStructure, make_projectors
 from .forms import gamma_spectrum, taylor_form
 from .potentials import FourPotential, Grid3, SpinorField, fold_rows, norms
+from .kernel import blas_matmul
 from .solver import (
     apply_kernel_rows,
     assemble_pair,
+    assemble_sector,
     assemble_T,
     combine_potentials,
     default_eval_grid,
     factor,
     free_solution,
     free_spinor,
+    parity_sectors,
     smallest_singular_value,
     system_matrix,
 )
@@ -80,6 +83,7 @@ _BRANCH_REL = 1e-12  # block iteration: pencil values steady to this, relative
 _BRANCH_STEPS = 40  # block iteration steps before a kappa counts as failed
 _NEWTON_REL = 1e-12  # crossing Newton: |d kappa| <= this * kappa ends the run
 _NEWTON_STEPS = 30  # crossing Newton: steps before the run counts as not converged
+_SECTOR_REL = 1e-8  # a parity sector holds the threshold basis above this weight
 _PEAK_COARSE = 12  # coarse mu samples of mu_peak
 _PEAK_TOL_REL = 1e-5  # golden-section tolerance of mu_peak, relative
 
@@ -449,54 +453,74 @@ def _block_iteration(apply, X: np.ndarray, shift: float):
     return None
 
 
-def _branch(A: FourPotential, B0: FourPotential, kappa: float, shift: float, X, derivative=False):
+def _branch_seeds(A: FourPotential, B0: FourPotential, basis: list) -> list:
+    """(sector, block) for each parity sector of A + B0 that holds the
+    threshold basis: the basis's part there, in sector coordinates.  A
+    part whose norm is at most _SECTOR_REL of the basis's is round-off;
+    a potential that is not parity-even gives one seed, the whole
+    support."""
+    union = combine_potentials(A, B0).support_indices()
+    X = np.stack([f.values[union].reshape(-1) for f in basis], axis=1)
+    cut = _SECTOR_REL * np.linalg.norm(X)
+    parts = [(sector, sector.project(X)) for sector in parity_sectors(A, B0)]
+    return [(sector, part) for sector, part in parts if np.linalg.norm(part) > cut]
+
+
+def _branch(A: FourPotential, B0: FourPotential, kappa: float, shift: float, seeds, derivative=False):
     """Pencil values mu of 1 - T^{A + mu B0} at k = i kappa nearest shift.
 
-    X seeds a block of vectors on the support of A + B0; the block size
-    is the number of values returned.  One assembly and one LU of
-    M = 1 - T_A - shift T_B, built in place over T_A, serve the right
-    block inverse iteration X <- M^-1 T_B X and, with derivative, the
-    left one on M^H.  Then dmu/dkappa is the diagonal, in the Ritz
-    basis, of -i (Y^H T_B X)^-1 Y^H T'_{A + mu B0} X (the eigenvalues of
-    that matrix when the block is one degenerate branch), where T' =
-    dT/dk is one order-1 kernel-row pass.  Returns (mus, dmus, X) with X
-    the Ritz block, dmus None without derivative; None when factor fails
-    or an iteration does not settle.
+    seeds holds (sector, block) pairs (see _branch_seeds); each block's
+    size is the number of values its parity sector returns.  Per sector,
+    one assembly and one LU of M = 1 - T_A - shift T_B, built in place
+    over T_A, serve the right block inverse iteration X <- M^-1 T_B X
+    and, with derivative, the left one on M^H.  Then dmu/dkappa is the
+    diagonal, in the Ritz basis, of -i (Y^H T_B X)^-1 Y^H T'_{A + mu B0} X
+    (the eigenvalues of that matrix when the block is one degenerate
+    branch), where T' = dT/dk is one order-1 kernel-row pass on the
+    sector's targets.  Returns (mus, dmus, seeds) with the Ritz blocks
+    as the new seeds, dmus None without derivative; None when factor
+    fails or an iteration does not settle.
     """
-    V = combine_potentials(A, B0)
-    union = V.support_indices()
-    M, TB = assemble_pair(A, B0, 1j * kappa)  # M holds T_A until turned into M
-    M += shift * TB  # T-hat of A + shift B0 first: the crossings' kappa bits depend on this order
-    lu = factor(system_matrix(M, out=M)).lu
-    del M  # LAPACK factored a copy: only the LU stays
-    if lu is None:
-        return None
-    right = _block_iteration(lambda Q: sla.lu_solve(lu, TB @ Q), X, shift)
-    if right is None:
-        return None
-    Q, H = right
-    theta, S = np.linalg.eig(H)
-    X = Q @ S
-    mus = (shift + 1.0 / theta).real
-    if not derivative:
-        return mus, None, X
-    left = _block_iteration(
-        lambda P: sla.lu_solve(lu, (P.conj().T @ TB).conj().T, trans=2), X, shift
-    )
-    if left is None:
-        return None
-    Y = left[0]
-    va, vb = A.values[union], B0.values[union]
-    fields = np.stack([fold_rows(va + m * vb, x.reshape(-1, 4)) for m, x in zip(mus, X.T)])
-    dT = apply_kernel_rows(
-        1j * kappa, A.grid.points[union], _unit_potential(V), fields, A.grid.spacing, order=1
-    )
-    dTX = dT.transpose(1, 0, 2).reshape(len(mus), -1).T
-    D = -1j * np.linalg.solve(Y.conj().T @ (TB @ X), Y.conj().T @ dTX)
-    return mus, np.diagonal(D).real, X
+    unit = _unit_potential(combine_potentials(A, B0))
+    all_mus, all_dmus, blocks = [], [], []
+    for sector, X in seeds:
+        M, TB = assemble_sector(sector, A, B0, 1j * kappa)  # M holds T_A until turned into M
+        M += shift * TB  # T-hat of A + shift B0 first: the crossings' kappa bits depend on this order
+        lu = factor(system_matrix(M, out=M)).lu
+        del M  # LAPACK factored a copy: only the LU stays
+        if lu is None:
+            return None
+        right = _block_iteration(lambda Q: sla.lu_solve(lu, blas_matmul(TB, Q)), X, shift)
+        if right is None:
+            return None
+        Q, H = right
+        theta, S = np.linalg.eig(H)
+        X = Q @ S
+        mus = (shift + 1.0 / theta).real
+        all_mus.append(mus)
+        blocks.append((sector, X))
+        if not derivative:
+            continue
+        left = _block_iteration(
+            lambda P: sla.lu_solve(lu, blas_matmul(P.conj().T, TB).conj().T, trans=2), X, shift
+        )
+        if left is None:
+            return None
+        Y = left[0]
+        va, vb = A.values[sector.nodes], B0.values[sector.nodes]
+        full = sector.extend(X)
+        fields = np.stack([fold_rows(va + m * vb, x.reshape(-1, 4)) for m, x in zip(mus, full.T)])
+        dT = apply_kernel_rows(
+            1j * kappa, A.grid.points[sector.targets], unit, fields, A.grid.spacing, order=1
+        )
+        dTX = sector.restrict(dT.transpose(1, 0, 2).reshape(len(mus), -1).T)
+        D = -1j * np.linalg.solve(Y.conj().T @ blas_matmul(TB, X), Y.conj().T @ dTX)
+        all_dmus.append(np.diagonal(D).real)
+    dmus = np.concatenate(all_dmus) if derivative else None
+    return np.concatenate(all_mus), dmus, blocks
 
 
-def _newton_crossing(A, B0, mu: float, lo: float, hi: float, f_lo: float, f_hi: float, X):
+def _newton_crossing(A, B0, mu: float, lo: float, hi: float, f_lo: float, f_hi: float, seeds):
     """The kappa in (lo, hi) where the branch value nearest mu equals mu.
 
     f_lo and f_hi are those values minus mu at the ends, of opposite
@@ -508,10 +532,10 @@ def _newton_crossing(A, B0, mu: float, lo: float, hi: float, f_lo: float, f_hi: 
     """
     kap = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     for _ in range(_NEWTON_STEPS):
-        got = _branch(A, B0, kap, mu, X, derivative=True)
+        got = _branch(A, B0, kap, mu, seeds, derivative=True)
         if got is None:
             return None
-        mus, dmus, X = got
+        mus, dmus, seeds = got
         j = int(np.argmin(np.abs(mus - mu)))
         f = mus[j] - mu
         if f == 0.0:
@@ -543,21 +567,21 @@ def _sigma_at(A: FourPotential, B0: FourPotential, kappa: float, mu: float) -> t
 def _track_eigen(plan: SweepPlan) -> list:
     crit = plan.crit
     A, B0 = crit.critical_potential(), plan.B0
-    union = combine_potentials(A, B0).support_indices()
     kmin, kmax = plan.kappa_range
     kappas = np.geomspace(kmin, kmax, max(16, plan.n_kappa // 10))
 
     # the branch leaves mu = 0 at kappa = 0 along the threshold basis
-    # (zero on nodes of B0's support outside A's); each kappa is shifted
-    # at the branch value of the one before
-    X = np.stack([f.values[union].reshape(-1) for f in crit.basis], axis=1)
+    # (zero on nodes of B0's support outside A's), in the parity sectors
+    # that hold it; each kappa is shifted at the branch value of the one
+    # before
+    seeds = _branch_seeds(A, B0, crit.basis)
     shift = 0.0
     curve = []
     for kp in kappas:
-        got = _branch(A, B0, kp, shift, X)
+        got = _branch(A, B0, kp, shift, seeds)
         curve.append(got)
         if got is not None:
-            mus, _, X = got
+            mus, _, seeds = got
             shift = float(np.mean(mus))
 
     def nearest(got, mu: float) -> float:

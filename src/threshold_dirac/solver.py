@@ -47,6 +47,20 @@ SOLVES
     subspace_iteration on an LU from factor. A failed LU (LAPACK raised,
     or the LU is not finite) has lu None and rcond NaN; then solve and
     sigma_min give NaN, subspace_iteration None, shift-invert raises.
+
+    Parity sectors: when every potential is parity-even on the lattice
+    (a0 equal and each a_l opposite at the mirror node, bit for bit),
+    parity (P f)_s = beta f_{S-1-s} commutes with T-hat and the operators
+    split into an even and an odd block of half the size.
+    parity_sectors finds them, or the whole support as one sector;
+    assemble_sector builds a pair's block from the kernel rows of the
+    representative half of the support plus the centre node, folding
+    the mirrored columns, and ParitySector maps vectors to and from its
+    coordinates. The bound-state branch runs on the sectors that hold
+    the threshold basis: one LU of half the size per kappa.
+
+    Matrix-sized products go through kernel.blas_matmul, scipy's BLAS,
+    so numpy's separate OpenBLAS thread pool never spins beside an LU.
 """
 
 from __future__ import annotations
@@ -60,7 +74,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .algebra import alpha_stack, identity4
-from .kernel import CLIFFORD_BASIS, expand, self_cell_coefficients
+from .kernel import CLIFFORD_BASIS, blas_matmul, expand, self_cell_coefficients
 from .kernel import coefficients as kernel_coefficients
 from .potentials import FourPotential, Grid3, SpinorField, fold_rows
 
@@ -70,6 +84,9 @@ __all__ = [
     "free_solution",
     "assemble_T",
     "assemble_pair",
+    "ParitySector",
+    "parity_sectors",
+    "assemble_sector",
     "assemble_kernel_blocks",
     "contract_potential",
     "apply_kernel_rows",
@@ -283,8 +300,9 @@ def contract_potential(
     return out
 
 
-def _assembled(k, grid: Grid3, nodes: np.ndarray, *pot_values: np.ndarray) -> list:
-    """Dense T-hat of each (n_nodes, 4) potential array on one node set.
+def _assembled(k, grid: Grid3, nodes: np.ndarray, *pot_values: np.ndarray, rows=None) -> list:
+    """Dense T-hat of each (n_nodes, 4) potential array on one node set,
+    or its rows of the first ``rows`` nodes only.
 
     Each chunk of targets gets its 4x4 blocks from one
     assemble_kernel_blocks call and is contracted once per potential
@@ -294,14 +312,15 @@ def _assembled(k, grid: Grid3, nodes: np.ndarray, *pot_values: np.ndarray) -> li
     matrix-sized temporary is made.
     """
     pts = grid.points[nodes]
-    rows = [vals[nodes] for vals in pot_values]
+    vals = [v[nodes] for v in pot_values]
     n = len(pts)
-    mats = [np.empty((4 * n, 4 * n), dtype=np.complex128) for _ in rows]
-    step = _chunk_rows(n * len(rows))
-    for s in range(0, n, step):
-        blocks = assemble_kernel_blocks(k, pts[s : s + step], pts, grid.spacing)
-        for mat, vals in zip(mats, rows):
-            contract_potential(blocks, vals, out=mat[4 * s : 4 * (s + step)])
+    rows = n if rows is None else rows
+    mats = [np.empty((4 * rows, 4 * n), dtype=np.complex128) for _ in vals]
+    step = _chunk_rows(n * len(vals))
+    for s in range(0, rows, step):
+        blocks = assemble_kernel_blocks(k, pts[s : min(s + step, rows)], pts, grid.spacing)
+        for mat, v in zip(mats, vals):
+            contract_potential(blocks, v, out=mat[4 * s : 4 * (s + step)])
     return mats
 
 
@@ -323,6 +342,114 @@ def assemble_pair(A: FourPotential, B: FourPotential, k) -> tuple:
     """
     union = combine_potentials(A, B).support_indices()
     return tuple(_assembled(k, A.grid, union, A.values, B.values))
+
+
+# ---------------------------------------------------------------------------
+# parity sectors
+
+_BETA_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+@dataclass(frozen=True)
+class ParitySector:
+    """One parity sector of the operators on a support.
+
+    nodes is the sorted support (grid node indices).  The grid mirror
+    x -> -x maps flat node i to N - 1 - i, so on a mirror-symmetric
+    support it maps the s-th support node to the (S - 1 - s)-th.  With
+    sign +1 or -1 the sector holds the vectors with f_{S-1-s} = sign
+    beta f_s, the eigenvectors of parity (P f)_s = beta f_{S-1-s};
+    their coordinates are the components on the representative half
+    s < S // 2 and, when S is odd, the centre node's beta = sign
+    components.  Sign 0 is the whole support, one sector, in the full
+    coordinates.
+    """
+
+    nodes: np.ndarray
+    sign: int = 0
+
+    @property
+    def targets(self) -> np.ndarray:
+        """The nodes whose rows the sector uses: half plus centre."""
+        return self.nodes[: (len(self.nodes) + 1) // 2] if self.sign else self.nodes
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """Positions of the sector coordinates among the targets' components."""
+        if not self.sign:
+            return np.arange(4 * len(self.nodes))
+        half = len(self.nodes) // 2
+        centre = 4 * half + (np.arange(2) if self.sign > 0 else np.arange(2, 4))
+        return np.concatenate([np.arange(4 * half), centre[: 2 * (len(self.nodes) % 2)]])
+
+    def restrict(self, f: np.ndarray) -> np.ndarray:
+        """Sector coordinates of a sector vector (or block), given on the
+        support or on the targets only."""
+        return f[self.index] if self.sign else f
+
+    def extend(self, x: np.ndarray) -> np.ndarray:
+        """The sector vector (or block) on the whole support."""
+        if not self.sign:
+            return x
+        n, half = len(self.nodes), len(self.nodes) // 2
+        full = np.zeros((4 * n,) + x.shape[1:], dtype=np.complex128)
+        full[self.index] = x
+        by_node = full.reshape((n, 4) + x.shape[1:])
+        beta = _BETA_DIAG.reshape((4,) + (1,) * (x.ndim - 1))
+        by_node[n - half :] = (self.sign * beta) * by_node[:half][::-1]
+        return full
+
+    def project(self, f: np.ndarray) -> np.ndarray:
+        """Sector coordinates of the sector part (f + sign P f) / 2."""
+        if not self.sign:
+            return f
+        by_node = f.reshape((len(self.nodes), 4) + f.shape[1:])
+        beta = _BETA_DIAG.reshape((4,) + (1,) * (f.ndim - 1))
+        pf = (beta * by_node[::-1]).reshape(f.shape)
+        return self.restrict(0.5 * (f + self.sign * pf))
+
+    def fold(self, rows: np.ndarray) -> np.ndarray:
+        """The sector block of an operator that commutes with parity, from
+        its rows on the targets: (T_sign)_ij = T_ij + sign T_{i,m(j)} beta,
+        the mirrored columns folded in place, then the sector's rows and
+        columns."""
+        if not self.sign:
+            return rows
+        n, half = len(self.nodes), len(self.nodes) // 2
+        cols = rows.reshape(len(rows), n, 4)
+        cols[:, :half] += (self.sign * _BETA_DIAG) * cols[:, n - half :][:, ::-1]
+        return rows[np.ix_(self.index, self.index)]
+
+
+def _parity_even(A: FourPotential) -> bool:
+    """a0 at the mirror node equals a0, each a_l is its negative, bit for bit."""
+    mirrored = A.values[::-1]
+    return np.array_equal(mirrored[:, 0], A.values[:, 0]) and np.array_equal(
+        mirrored[:, 1:], -A.values[:, 1:]
+    )
+
+
+def parity_sectors(A: FourPotential, B: FourPotential | None = None) -> tuple:
+    """The parity sectors of the support of A + B: (even, odd) when both
+    are parity-even on the lattice, else the whole support as one.
+
+    Parity commutes with T-hat for such potentials, since beta G(-z)
+    beta = G(z) and the near-cell rules are mirror symmetric, so the
+    operators are block diagonal over the sectors.
+    """
+    nodes = combine_potentials(A, B).support_indices()
+    if all(_parity_even(P) for P in (A, B) if P is not None):
+        return ParitySector(nodes, 1), ParitySector(nodes, -1)
+    return (ParitySector(nodes),)
+
+
+def assemble_sector(sector: ParitySector, A: FourPotential, B: FourPotential, k) -> tuple:
+    """(T-hat of A, T-hat of B) on one parity sector of the support of
+    A + B (parity_sectors(A, B)), from the kernel rows of its targets
+    only: about half of assemble_pair's kernel pass for a parity sector,
+    all of it for the whole support, where the pair is assemble_pair's."""
+    pair = _assembled(k, A.grid, sector.nodes, A.values, B.values, rows=len(sector.targets))
+    return tuple(sector.fold(m) for m in pair)
 
 
 def apply_kernel_rows(
@@ -351,7 +478,7 @@ def apply_kernel_rows(
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     out = np.empty((len(targets), y.shape[1]), dtype=np.complex128)
     for s, coeffs in _coefficient_chunks(k, targets, spts, h, order):
-        out[s : s + len(coeffs)] = coeffs.reshape(len(coeffs), y.shape[0]) @ y
+        out[s : s + len(coeffs)] = blas_matmul(coeffs.reshape(len(coeffs), y.shape[0]), y)
     return out.reshape((len(targets),) + f.shape[:-2] + (4,))
 
 
@@ -447,7 +574,7 @@ def solve_generalized(
     fac = factor(system_matrix(TV, out=TV))
     diagnostics.update(rcond=fac.rcond, at_resonance=fac.at_resonance)
     sol = fac.solve(rhs)
-    residual = fac.matrix @ sol - rhs
+    residual = blas_matmul(fac.matrix, sol) - rhs
     res_sup = float(np.max(np.linalg.norm(residual.reshape(-1, 4), axis=1)))
     diagnostics["residual"] = res_sup
     if not diagnostics["at_resonance"] and res_sup > _RESIDUAL_REL * max(chi_sup, 1e-300):
@@ -559,10 +686,7 @@ def subspace_iteration(fac: Factorization, b: int):
             q = np.linalg.qr(y)[0]
             if step and sigma > floor and abs(sigma - old) <= _ITER_REL * sigma:
                 break
-    # M Q by the LU's BLAS (bit for bit m @ q for b > 1): numpy's own
-    # OpenBLAS threads would wake and spin beside the next LU (15% slower)
-    mq = sla.blas.zgemm(1.0, q.T, m.T).T
-    _, s, wh = np.linalg.svd(mq, full_matrices=False)
+    _, s, wh = np.linalg.svd(blas_matmul(m, q), full_matrices=False)
     return q, s, wh
 
 

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from threshold_dirac.algebra import alpha, alpha_stack, beta, identity4, one_plus_beta
 from threshold_dirac.kernel import (
     CLIFFORD_BASIS,
+    blas_matmul,
     coefficients,
     energy,
     expand,
@@ -190,3 +191,58 @@ def test_self_cell_coefficients_expand_to_integral(order):
     assert np.all(c[2:] == 0)
     m = self_cell_integral(0.3 + 0.1j, 0.25, order)
     assert np.array_equal(m, expand(c))
+
+
+def _complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def test_blas_matmul_bits_equal_numpy_matmul():
+    """scipy's BLAS with numpy's call gives numpy's bits for a 1028 x 1028
+    matrix times b = 1, 2 and 16 columns, a vector, a single row, and
+    the Clifford expansion's (rows, 5) @ (5, 16)."""
+    rng = np.random.default_rng(11)
+    a = _complex(rng, 1028, 1028)
+    for b in (1, 2, 16):
+        q = _complex(rng, 1028, b)
+        assert blas_matmul(a, q).tobytes() == (a @ q).tobytes()
+    v = _complex(rng, 1028)
+    assert blas_matmul(a, v).tobytes() == (a @ v).tobytes()
+    row = _complex(rng, 1, 1028)
+    assert blas_matmul(row, a).tobytes() == (row @ a).tobytes()
+    coeffs = _complex(rng, 5000, 5)
+    basis = CLIFFORD_BASIS.reshape(5, 16)
+    assert blas_matmul(coeffs, basis).tobytes() == (coeffs @ basis).tobytes()
+    assert expand(coeffs).tobytes() == np.tensordot(coeffs, CLIFFORD_BASIS, axes=1).tobytes()
+
+
+_MATRIX_SIZED_PROBE = """
+import numpy as np
+from threshold_dirac.kernel import blas_matmul
+rng = np.random.default_rng(12)
+a = rng.normal(size=(1028, 1028)) + 1j * rng.normal(size=(1028, 1028))
+for left in (rng.normal(size=(1028, 1028)) + 1j * rng.normal(size=(1028, 1028)),
+             (rng.normal(size=(1028, 2)) + 1j * rng.normal(size=(1028, 2))).conj().T):
+    print(blas_matmul(left, a).tobytes() == (left @ a).tobytes())
+"""
+
+
+def test_blas_matmul_matrix_sized_right_operand_bits_at_one_thread():
+    """A matrix-sized right operand, with a square and with a conjugate-
+    transposed 2 x 1028 left one: numpy's bits at one BLAS thread. At
+    two, numpy's OpenBLAS 0.3.31 and scipy's 0.3.30 split such
+    mid-size products differently (n x n for n from 396 to 1028 differ
+    in the last bit of about 0.4% of the entries), so this runs in a
+    one-thread child."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _MATRIX_SIZED_PROBE],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert proc.stdout.split() == ["True", "True"]

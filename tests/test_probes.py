@@ -10,7 +10,7 @@ from threshold_dirac import probes
 from threshold_dirac.potentials import Grid3, SpinorField, build_potential
 from threshold_dirac.critical import find_critical_coupling, make_projectors
 from threshold_dirac.forms import gamma_spectrum, taylor_form
-from threshold_dirac.solver import combine_potentials, free_spinor, solve_generalized
+from threshold_dirac.solver import free_spinor, solve_generalized
 from threshold_dirac.probes import (
     BoundStateRecord,
     DerivativeBound,
@@ -183,8 +183,7 @@ def test_branch_derivative_matches_difference_of_branch_values(crit_free, b0):
     blocks) against a central difference of converged branch values,
     which never touch the order-1 rows."""
     A = crit_free.critical_potential()
-    union = combine_potentials(A, b0).support_indices()
-    seed = np.stack([f.values[union].reshape(-1) for f in crit_free.basis], axis=1)
+    seed = probes._branch_seeds(A, b0, crit_free.basis)
     kappa, shift, d = 0.08, -0.007, 1e-5
     mus, dmus, X = probes._branch(A, b0, kappa, shift, seed, derivative=True)
     up = probes._branch(A, b0, kappa + d, shift, X)[0]
@@ -199,7 +198,7 @@ def wider_b0_track():
     """Eigen and sigma-scan tracks for a B0 that is not proportional to
     the shape: a unit well of radius 1 against a critical well of radius
     0.8, so B0 also lives on nodes outside A's support.  7^3 grid, short
-    kappa range.  The eigen track runs with assemble_pair and ARPACK
+    kappa range.  The eigen track runs with assemble_sector and ARPACK
     counted."""
     grid = Grid3(R, 7)
     crit = find_critical_coupling(build_potential(grid, "spherical-well", 1.0, 0.8), (8.0, 14.0))
@@ -214,7 +213,7 @@ def wider_b0_track():
         n_kappa=20,
         kappa_range=(0.04, 0.15),
     )
-    calls = {"assemble_pair": 0, "eigs": 0}
+    calls = {"assemble_sector": 0, "eigs": 0}
 
     def counted(name, fn):
         def spy(*args, **kwargs):
@@ -224,7 +223,7 @@ def wider_b0_track():
         return spy
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(probes, "assemble_pair", counted("assemble_pair", probes.assemble_pair))
+        mp.setattr(probes, "assemble_sector", counted("assemble_sector", probes.assemble_sector))
         mp.setattr(scipy.sparse.linalg, "eigs", counted("eigs", scipy.sparse.linalg.eigs))
         rec_e = boundstate_track(plan)
     rec_s = boundstate_track(replace(plan, bound_mode="sigma-scan"))
@@ -249,7 +248,7 @@ def test_boundstate_eigen_track_counts(wider_b0_track):
     crossings = len(rec_e)
     assert crossings == len(plan.mus)
     assert calls["eigs"] == 0
-    assert n_curve < calls["assemble_pair"] <= n_curve + 6 * crossings + crossings
+    assert n_curve < calls["assemble_sector"] <= n_curve + 6 * crossings + crossings
 
 
 def test_boundstate_eigen_failed_lu_gives_no_record(wider_b0_track, monkeypatch):
@@ -262,18 +261,18 @@ def test_boundstate_eigen_failed_lu_gives_no_record(wider_b0_track, monkeypatch)
     kappas = np.geomspace(kmin, kmax, max(16, plan.n_kappa // 10))
     target = rec_e[0]
     above = float(kappas[np.searchsorted(kappas, target.kappa)])
-    assemble_pair = probes.assemble_pair
+    assemble_sector = probes.assemble_sector
     for bad in (above, target.kappa):
         seen = []
 
-        def poisoned(A, B, k):
-            TA, TB = assemble_pair(A, B, k)
+        def poisoned(sector, A, B, k):
+            TA, TB = assemble_sector(sector, A, B, k)
             if abs(k.imag - bad) <= 1e-9 * bad:
                 TA[3, 5] = np.nan
                 seen.append(k.imag)
             return TA, TB
 
-        monkeypatch.setattr(probes, "assemble_pair", poisoned)
+        monkeypatch.setattr(probes, "assemble_sector", poisoned)
         got = boundstate_track(replace(plan, mus=(target.mu, rec_e[1].mu)))
         assert seen
         assert [r.mu for r in got] == [rec_e[1].mu]

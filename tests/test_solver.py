@@ -10,7 +10,13 @@ import scipy.linalg
 from threshold_dirac.algebra import beta, free_dirac_symbol
 from threshold_dirac import solver
 from threshold_dirac.kernel import energy, green, green_dk, self_cell_integral
-from threshold_dirac.potentials import FourPotential, Grid3, SpinorField, build_potential
+from threshold_dirac.potentials import (
+    FourPotential,
+    Grid3,
+    SpinorField,
+    build_potential,
+    smoothstep_profile,
+)
 from threshold_dirac.solver import (
     apply_kernel_rows,
     assemble_T,
@@ -170,6 +176,127 @@ if HAVE_HYPOTHESIS:
         for k in (0.0, 0.2, 0.1j):
             T = assemble_T(A, k)
             assert np.linalg.norm(P @ T @ P - T) <= 1e-13 * np.linalg.norm(T)
+
+
+def lattice_well(grid, g, radius, components=(1.0, 0.0, 0.0, 0.0)):
+    """Spherical well sampled at lattice radii h sqrt(i^2 + j^2 + k^2),
+    mirror symmetric bit for bit; build_potential's linspace radii are
+    not at n = 7 (h = 1/3)."""
+    n = grid.nodes_per_axis
+    offsets = np.indices((n, n, n)).reshape(3, -1) - (n - 1) // 2
+    r = grid.spacing * np.sqrt(np.sum(offsets**2, axis=0))
+    prof = g * smoothstep_profile(r, radius - 2.0 * grid.spacing, radius)
+    return FourPotential(grid, "lattice-well", g, radius, prof[:, None] * np.asarray(components))
+
+
+def _matched_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest distance between two equally long spectra, paired as multisets."""
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def test_parity_sector_spectra_make_the_full_spectrum():
+    """For two parity-even spherical wells on 7^3, the even and odd sector
+    blocks of T_A and of T_B on the union support together carry the
+    full T-hat spectrum, at real and imaginary k; the sector blocks are
+    half the size."""
+    grid = make_grid(7)
+    A = lattice_well(grid, 1.3, R)
+    B = lattice_well(grid, 0.7, 0.7)
+    sectors = solver.parity_sectors(A, B)
+    assert [sec.sign for sec in sectors] == [1, -1]
+    for k in (0.2, 0.1j):
+        TA, TB = solver.assemble_pair(A, B, k)
+        blocks = [solver.assemble_sector(sec, A, B, k) for sec in sectors]
+        assert all(len(ta) == len(TA) // 2 for ta, _ in blocks)
+        for full, part in ((TA, [ta for ta, _ in blocks]), (TB, [tb for _, tb in blocks])):
+            want = np.linalg.eigvals(full)
+            got = np.concatenate([np.linalg.eigvals(m) for m in part])
+            assert _matched_gap(want, got) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_parity_sector_maps_round_trip():
+    """extend and restrict are inverse on sector coordinates, and project
+    keeps a sector vector and drops the other sector's part."""
+    grid = make_grid(7)
+    A = lattice_well(grid, 1.0, R)
+    even, odd = solver.parity_sectors(A)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(len(even.index), 3)) + 1j * rng.normal(size=(len(even.index), 3))
+    for sec, other in ((even, odd), (odd, even)):
+        f = sec.extend(x)
+        assert f.shape == (4 * len(A.support_indices()), 3)
+        assert np.array_equal(sec.restrict(f), x)
+        assert np.allclose(sec.project(f), x, rtol=0.0, atol=1e-15)
+        assert np.max(np.abs(other.project(f))) <= 1e-15
+
+
+def test_sector_branch_values_are_pencil_eigenvalues():
+    """The branch's values at one kappa, from the odd sector that holds
+    the threshold basis, are generalized eigenvalues of the full pencil
+    (1 - T_A, T_B) at k = i kappa (dense QZ on the union support)."""
+    from threshold_dirac import critical, probes
+
+    grid = make_grid(7)
+    crit = critical.find_critical_coupling(lattice_well(grid, 1.0, R), (5.0, 9.0))
+    A = crit.critical_potential()
+    B0 = lattice_well(grid, 1.0, 0.7)
+    seeds = probes._branch_seeds(A, B0, crit.basis)
+    assert [(sec.sign, x.shape[1]) for sec, x in seeds] == [(-1, 2)]
+    kappa = 0.05
+    mus, _, _ = probes._branch(A, B0, kappa, 0.0, seeds)
+    TA, TB = solver.assemble_pair(A, B0, 1j * kappa)
+    pencil = scipy.linalg.eigvals(solver.system_matrix(TA), TB)
+    pencil = pencil[np.isfinite(pencil)]
+    assert len(mus) == 2
+    for mu in mus:
+        assert np.min(np.abs(pencil - mu)) <= 1e-10 * abs(mu)
+
+
+@pytest.mark.parametrize("case", ["shifted", "vector"])
+def test_asymmetric_potentials_are_one_sector_and_track(case):
+    """A parity-even well shifted by one lattice cell, and a vector
+    potential whose a_1 is even (parity needs it odd), are not
+    parity-even: each is one sector, the whole support, and its
+    eigen-mode crossings still agree with the literal sigma-scan."""
+    from dataclasses import replace
+
+    from threshold_dirac import critical, probes
+    from threshold_dirac.forms import gamma_spectrum, taylor_form
+
+    grid = make_grid(7)
+    if case == "shifted":
+        well = lattice_well(grid, 1.0, 0.6)
+        assert len(solver.parity_sectors(well)) == 2
+        moved = np.roll(well.values.reshape(7, 7, 7, 4), 1, axis=0).reshape(-1, 4)
+        shape = FourPotential(grid, "shifted-well", 1.0, R, moved)
+        bracket = (20.0, 30.0)
+    else:
+        assert len(solver.parity_sectors(lattice_well(grid, 1.0, R))) == 2
+        shape = lattice_well(grid, 1.0, R, components=(1.0, 0.3, 0.0, 0.0))
+        bracket = (12.5, 13.3)
+    crit = critical.find_critical_coupling(shape, bracket)
+    assert crit.lambda_bar == 0
+    A = crit.critical_potential()
+    B0 = lattice_well(grid, 1.0, R)
+    sectors = solver.parity_sectors(A, B0)
+    assert len(sectors) == 1 and sectors[0].sign == 0
+    assert np.array_equal(sectors[0].nodes, combine_potentials(A, B0).support_indices())
+    g1 = float(gamma_spectrum(crit, B0, taylor_form(A, crit, 2)).gammas[0])
+    plan = probes.SweepPlan(
+        crit, B0, mus=tuple(g1 * k * k for k in (0.06, 0.1)), ks=(0.1,),
+        n_kappa=20, kappa_range=(0.04, 0.15),
+    )
+    rec_e = probes.boundstate_track(plan)
+    rec_s = probes.boundstate_track(replace(plan, bound_mode="sigma-scan"))
+    for mu in plan.mus:
+        kap_e = [r.kappa for r in rec_e if r.mu == mu]
+        kap_s = [r.kappa for r in rec_s if r.mu == mu]
+        assert len(kap_e) == 1 and kap_s
+        assert kap_e[0] == pytest.approx(min(kap_s), rel=1e-3)
 
 
 def test_system_matrix_bits_match_identity_minus_T():
@@ -603,8 +730,7 @@ def test_every_lu_goes_through_factor(monkeypatch):
     crit = critical.find_critical_coupling(shape, (5.0, 9.0))
     A = crit.critical_potential()
     B0 = build_potential(grid, "spherical-well", 1.0, 0.7)
-    union = combine_potentials(A, B0).support_indices()
-    X = np.stack([f.values[union].reshape(-1) for f in crit.basis], axis=1)
+    X = probes._branch_seeds(A, B0, crit.basis)
     assert probes._branch(A, B0, 0.05, 0.0, X) is not None
     critical.sigma_min_at(assemble_T(shape, 0.0), 0.5 * crit.g_star)
     assert users == {
