@@ -22,10 +22,18 @@ QUADRATURE
     2h are integrated by midpoint on a 4x4x4 subdivision. The subdivision
     grid is anchored to the source cell, so T f is a smooth function of
     the target point; classification (self / near / far) only depends on
-    the target-source displacement. For lattice-aligned target sets the
-    125 near-cell integrals are tabulated once per kernel call (one
-    target chunk of an assembly) and scattered, which makes repeated
-    assembly during coupling scans cheap.
+    the target-source displacement.
+
+    A target on the source lattice has its blocks depend only on the
+    integer offsets i_t - i_s. Per kernel call, the rule is evaluated
+    once at every offset of the box that the call's on-lattice targets
+    and the sources span (the 5^3 near cells are its centre block), and
+    each chunk of on-lattice targets gathers table[i_t - i_s]: the 33^3
+    classify grid at n = 9 has 9.2M pairs but 41^3 offsets. A call whose
+    box has more entries than its on-lattice pairs evaluates the offsets
+    pair by pair instead, with the same bits. So on the lattice T-hat is
+    exactly translation invariant, and where h is a power of two the
+    offset times h is x_t - y_s exactly. Off-lattice targets use x_t - y_s.
 
     Every quadrature block lies in the span of the Clifford basis
     (I, beta, alpha_1, alpha_2, alpha_3) (see the kernel module): the
@@ -107,6 +115,7 @@ _I4 = identity4()
 
 _SUBDIV = 4
 _NEAR_CELLS = 2  # Chebyshev distance, in cells
+_LATTICE_TOL = 1e-9  # in cells: a point this close to a lattice node is on it
 _RESONANCE_RCOND = 1e-10
 _RESIDUAL_REL = 1e-8
 _PAIR_BUDGET = 100_000  # target-source pairs per kernel chunk
@@ -199,32 +208,12 @@ def _subdivided_coefficients(k: complex, disp: np.ndarray, h: float, order: int)
     return out
 
 
-def _near_cell_table(k: complex, h: float, order: int) -> np.ndarray:
-    """Cell-integral coefficients of d^order G at the 5^3 lattice offsets
-    within 2h, as (125, 5).
-
-    Entry [key] with key = (dx+2)*25 + (dy+2)*5 + (dz+2) holds
-    int_cell(offset) G(z) dz; the centered entry is the analytic sphere
-    rule, the others 4x4x4 subdivided midpoint.
-    """
-    offsets = _cube(np.arange(-_NEAR_CELLS, _NEAR_CELLS + 1, dtype=float)) * h
-    centre = len(offsets) // 2
-    table = np.empty((len(offsets), 5), dtype=np.complex128)
-    table[centre] = self_cell_coefficients(k, h, order)
-    rest = np.arange(len(offsets)) != centre
-    table[rest] = _subdivided_coefficients(k, offsets[rest], h, order)
-    return table
-
-
-def _quadrature_coefficients(k, targets, sources, h, order, table) -> np.ndarray:
-    """Clifford coefficients (nt, ns, 5) of the quadrature blocks.
-
-    Far pairs are midpoint samples; near pairs on the source lattice come
-    from the near-cell table, the other near pairs from direct
-    subdivision.
-    """
-    disp = targets[:, None, :] - sources[None, :, :]
-    reach = _NEAR_CELLS * h + 1e-9 * h
+def _quadrature_coefficients(k, disp: np.ndarray, h: float, order: int) -> np.ndarray:
+    """Clifford coefficients (..., 5) of the quadrature block at each
+    target-source displacement (..., 3): the sphere rule at zero, 4x4x4
+    subdivided midpoint within Chebyshev distance 2h, one midpoint
+    sample beyond.  disp, a float array, is overwritten."""
+    reach = (_NEAR_CELLS + _LATTICE_TOL) * h
     near = np.abs(disp[..., 0]) <= reach
     for l in (1, 2):
         near &= np.abs(disp[..., l]) <= reach
@@ -234,24 +223,65 @@ def _quadrature_coefficients(k, targets, sources, h, order, table) -> np.ndarray
     out *= h**3
     if len(dnear):
         vals = np.empty((len(dnear), 5), dtype=np.complex128)
-        idx = np.rint(dnear / h).astype(int)
-        on_lattice = np.max(np.abs(dnear - idx * h), axis=1) <= 1e-9 * h
-        vals[on_lattice] = table[(idx[on_lattice] + _NEAR_CELLS) @ np.array([25, 5, 1])]
-        if not on_lattice.all():
-            vals[~on_lattice] = _subdivided_coefficients(k, dnear[~on_lattice], h, order)
+        centre = np.max(np.abs(dnear), axis=1) <= _LATTICE_TOL * h
+        vals[centre] = self_cell_coefficients(k, h, order)
+        vals[~centre] = _subdivided_coefficients(k, dnear[~centre], h, order)
         out[near] = vals
     return out
 
 
+def _lattice_rule(k, lt: np.ndarray, ls: np.ndarray, h: float, order: int):
+    """rows -> coefficients (t, ns, 5) of the targets with integer lattice
+    indices lt[rows] against the sources with indices ls.
+
+    They depend on the offsets lt - ls only.  When the box of offsets
+    has no more entries than the targets have pairs, they are gathered
+    from one table of the box, built in chunks of _PAIR_BUDGET offsets,
+    else evaluated at the offsets pair by pair; both give the same bits.
+    """
+    lo = lt.min(axis=0) - ls.max(axis=0)
+    dims = lt.max(axis=0) - ls.min(axis=0) - lo + 1
+    if np.prod(dims) > len(lt) * len(ls):
+        return lambda rows: _quadrature_coefficients(k, (lt[rows, None] - ls) * h, h, order)
+    offsets = lo + np.indices(dims).reshape(3, -1).T  # row-major over the box
+    table = np.empty((len(offsets), 5), dtype=np.complex128)
+    for s in range(0, len(offsets), _PAIR_BUDGET):
+        chunk = offsets[s : s + _PAIR_BUDGET] * h
+        table[s : s + _PAIR_BUDGET] = _quadrature_coefficients(k, chunk, h, order)
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    kt, ks = (lt - lo) @ strides, ls @ strides
+    return lambda rows: table[kt[rows, None] - ks]
+
+
 def _coefficient_chunks(k, targets, sources, h, order):
-    """(first row, coefficients) for each target chunk of the quadrature."""
+    """(target rows, coefficients) for each target chunk of the quadrature.
+
+    Sources are nodes of a lattice of spacing h.  A target within
+    _LATTICE_TOL h of one of its nodes is on the lattice, and its
+    coefficients come from the integer offsets i_t - i_s (_lattice_rule);
+    the other targets use their displacements x_t - y_s.  Off-lattice
+    chunks come first, so the offset table is not held while they are
+    computed; each chunk holds at most _chunk_rows(ns) targets in order.
+    """
     k = complex(k)
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     sources = np.atleast_2d(np.asarray(sources, dtype=np.float64))
-    table = _near_cell_table(k, h, order)
     step = _chunk_rows(len(sources))
-    for s in range(0, len(targets), step):
-        yield s, _quadrature_coefficients(k, targets[s : s + step], sources, h, order, table)
+    on = np.zeros(len(targets), dtype=bool)
+    if len(sources):
+        src = (sources - sources[0]) / h
+        tgt = (targets - sources[0]) / h
+        ls, lt = np.rint(src).astype(np.int64), np.rint(tgt).astype(np.int64)
+        if np.all(np.abs(src - ls) <= _LATTICE_TOL):
+            on = np.all(np.abs(tgt - lt) <= _LATTICE_TOL, axis=1)
+    rows_off, rows_on = np.flatnonzero(~on), np.flatnonzero(on)
+    for s in range(0, len(rows_off), step):
+        rows = rows_off[s : s + step]
+        yield rows, _quadrature_coefficients(k, targets[rows, None] - sources, h, order)
+    if len(rows_on):
+        lattice = _lattice_rule(k, lt[rows_on], ls, h, order)
+        for s in range(0, len(rows_on), step):
+            yield rows_on[s : s + step], lattice(slice(s, s + step))
 
 
 def assemble_kernel_blocks(
@@ -263,13 +293,19 @@ def assemble_kernel_blocks(
 ) -> np.ndarray:
     """Quadrature blocks int_cell(y_j) d^order G(x_i - y) dy as (nt, ns, 4, 4).
 
-    Near displacements on the source lattice use the tabulated near-cell
-    integrals, off-lattice ones direct subdivision, so mixed target sets
+    Targets on the source lattice take their blocks from integer
+    offsets, the others from their displacements, so mixed target sets
     are fine.  Only dense assembly needs the 4x4 blocks; apply_kernel_rows
     works on the coefficients.
     """
-    chunks = [c for _, c in _coefficient_chunks(k, targets, sources, h, order)]
-    return expand(chunks[0] if len(chunks) == 1 else np.concatenate(chunks))
+    chunks = list(_coefficient_chunks(k, targets, sources, h, order))
+    if len(chunks) == 1:  # one chunk holds every target, in order
+        return expand(chunks[0][1])
+    nt, ns = len(np.atleast_2d(targets)), len(np.atleast_2d(sources))
+    coeffs = np.empty((nt, ns, 5), dtype=np.complex128)
+    for rows, c in chunks:
+        coeffs[rows] = c
+    return expand(coeffs)
 
 
 def contract_potential(
@@ -477,8 +513,8 @@ def apply_kernel_rows(
     y = np.einsum("cij,msj->scmi", CLIFFORD_BASIS, af).reshape(5 * len(spts), 4 * len(stack))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     out = np.empty((len(targets), y.shape[1]), dtype=np.complex128)
-    for s, coeffs in _coefficient_chunks(k, targets, spts, h, order):
-        out[s : s + len(coeffs)] = blas_matmul(coeffs.reshape(len(coeffs), y.shape[0]), y)
+    for rows, coeffs in _coefficient_chunks(k, targets, spts, h, order):
+        out[rows] = blas_matmul(coeffs.reshape(len(rows), y.shape[0]), y)
     return out.reshape((len(targets),) + f.shape[:-2] + (4,))
 
 

@@ -2,6 +2,7 @@
 
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import scipy.linalg
 
 from threshold_dirac.algebra import beta, free_dirac_symbol
 from threshold_dirac import solver
-from threshold_dirac.kernel import energy, green, green_dk, self_cell_integral
+from threshold_dirac.critical import extend_to_grid
+from threshold_dirac.kernel import CLIFFORD_BASIS, energy, green, green_dk, self_cell_integral
 from threshold_dirac.potentials import (
     FourPotential,
     Grid3,
@@ -19,6 +21,7 @@ from threshold_dirac.potentials import (
 )
 from threshold_dirac.solver import (
     apply_kernel_rows,
+    assemble_kernel_blocks,
     assemble_T,
     combine_potentials,
     free_solution,
@@ -402,6 +405,134 @@ def test_stacked_rows_equal_single_calls():
     zero = build_potential(grid, "spherical-well", 0.0, R)
     empty = apply_kernel_rows(0.2, targets, zero, fields[:, :0], grid.spacing)
     assert empty.shape == (len(targets), 3, 4) and not np.any(empty)
+
+
+# ---------------------------------------------------------------------------
+# lattice offset table
+
+
+def _table_against_displacements(k, targets, sources, h, order):
+    """The offset-table coefficients of one call against the direct rule
+    at the float displacements x_t - y_s: the largest coefficient
+    difference, and the largest difference and size of the two sums
+    sum_s C_ts B_c g_s for a smooth field g."""
+    g = np.exp(-np.sum(sources**2, axis=1))[:, None] * np.array([1.0, 0.5 - 0.2j, 0.3j, -0.25])
+    y = np.einsum("cij,sj->sci", CLIFFORD_BASIS, g).reshape(5 * len(sources), 4)
+    worst, rows_seen = 0.0, 0
+    got_rows = np.empty((len(targets), 4), dtype=complex)
+    want_rows = np.empty((len(targets), 4), dtype=complex)
+    for rows, got in solver._coefficient_chunks(k, targets, sources, h, order):
+        want = solver._quadrature_coefficients(k, targets[rows, None] - sources, h, order)
+        worst = max(worst, float(np.max(np.abs(got - want))))
+        got_rows[rows] = got.reshape(len(rows), -1) @ y
+        want_rows[rows] = want.reshape(len(rows), -1) @ y
+        rows_seen += len(rows)
+    assert rows_seen == len(targets)
+    return worst, np.max(np.abs(got_rows - want_rows)), np.max(np.abs(want_rows))
+
+
+def test_offset_table_is_the_direct_rule_bit_for_bit_at_dyadic_h():
+    """At n = 9, h = 1/4, x_t - y_s is the lattice offset times h exactly,
+    so the table gives the direct rule's bits on the classify grid."""
+    grid = make_grid(9)
+    sources = grid.points[build_potential(grid, "spherical-well", 1.0, R).support_indices()]
+    targets = Grid3(4.0 * R, 33).points[::13]
+    for k in (0.0, 0.2, 0.1j):
+        for order in range(4):
+            worst, _, _ = _table_against_displacements(k, targets, sources, grid.spacing, order)
+            assert worst == 0.0, (k, order)
+
+
+@pytest.mark.parametrize("n, targets", [(7, Grid3(2.0, 13)), (11, Grid3(2.0, 21))])
+def test_offset_table_moves_the_direct_rule_at_round_off(n, targets):
+    """At h = 1/3 and 1/5 the displacements x_t - y_s differ from the
+    offsets times h by round-off. Kernel rows of a smooth field move by
+    at most 1e-15 of their largest value (measured 5.4e-16); single
+    coefficients by a few ulps of the largest one (2.2e-15, in a near
+    cell)."""
+    grid = make_grid(n)
+    sources = grid.points[build_potential(grid, "spherical-well", 1.0, R).support_indices()]
+    for k in (0.0, 0.2, 0.1j):
+        for order in range(4):
+            _, moved, size = _table_against_displacements(k, targets.points[::7], sources, grid.spacing, order)
+            assert moved <= 1e-15 * size, (k, order, moved / size)
+
+
+def _count_kernel_rows(monkeypatch):
+    """Spy on solver.kernel_coefficients; the list collects the number of
+    displacements of each call."""
+    rows = []
+    kernel = solver.kernel_coefficients
+
+    def spy(k, disp, order=0):
+        rows.append(int(np.prod(np.shape(disp)[:-1])))
+        return kernel(k, disp, order)
+
+    monkeypatch.setattr(solver, "kernel_coefficients", spy)
+    return rows
+
+
+def test_sparse_on_lattice_targets_skip_the_table(monkeypatch):
+    """Two on-lattice targets 40 cells apart span an offset box far larger
+    than their 2 x 99 pairs, so the call evaluates the offsets pair by
+    pair, with the bits of the table rows."""
+    grid = make_grid(7)
+    h = grid.spacing
+    pts = grid.points[build_potential(grid, "spherical-well", 1.0, R).support_indices()]
+    far = np.array([40.0 * h, -h, 0.0])
+    cube = far + (np.indices((7, 7, 7)).reshape(3, -1).T - 3) * h  # centred on far
+    want_near = assemble_kernel_blocks(0.2, pts, pts, h)[5]
+    want_far = assemble_kernel_blocks(0.2, cube, pts, h)[len(cube) // 2]
+    rows = _count_kernel_rows(monkeypatch)
+    got = assemble_kernel_blocks(0.2, np.vstack([pts[5], far]), pts, h)
+    assert sum(rows) <= 2 * len(pts) + 124 * 64
+    assert np.array_equal(got[0], want_near) and np.array_equal(got[1], want_far)
+
+
+def test_classify_extension_evaluates_the_offset_table_once(monkeypatch):
+    """extend_to_grid onto the 33^3 classify grid at n = 9 (9.2M
+    target-source pairs) evaluates the kernel at the 41^3 lattice offsets
+    plus the 124 x 64 subcells of the near block, not pair by pair."""
+    grid = make_grid(9)
+    A = build_potential(grid, "spherical-well", 1.0, R)
+    phi = smooth_field(grid)
+    crit = SimpleNamespace(critical_potential=lambda: A)
+    eval_grid = Grid3(4.0 * R, 33)
+    rows = _count_kernel_rows(monkeypatch)
+    ext = extend_to_grid(crit, phi, eval_grid)
+    assert ext.values.shape == (eval_grid.n_nodes, 4) and np.all(np.isfinite(ext.values))
+    assert len(A.support_indices()) * eval_grid.n_nodes > 9_000_000
+    assert sum(rows) <= 41**3 + 124 * 64
+
+
+def test_lattice_shift_permutes_T_exactly():
+    """Rolling the well on Grid3(1, 13) (h = 1/6) by one node per axis
+    shifts its support, whose sorted order stays the same, so T-hat is
+    the same matrix bit for bit: every block depends on the integer
+    offset only."""
+    grid = Grid3(1.0, 13)
+    A = build_potential(grid, "spherical-well", 1.0, 0.7, components=(1.0, 0.2, -0.1, 0.3))
+    rolled = np.roll(A.values.reshape(13, 13, 13, 4), 1, axis=(0, 1, 2)).reshape(-1, 4)
+    shifted = FourPotential(grid, A.shape, A.coupling, R, rolled)
+    assert np.array_equal(shifted.support_indices(), A.support_indices() + 13**2 + 13 + 1)
+    for k in (0.0, 0.2, 0.1j):
+        assert np.array_equal(assemble_T(shifted, k), assemble_T(A, k)), k
+
+
+if HAVE_HYPOTHESIS:
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 80), st.floats(0.0, 1.0))
+    @settings(max_examples=20, deadline=None)
+    def test_kernel_blocks_are_adjoint_symmetric(seed, m, kappa):
+        """At k = i kappa (kappa >= 0) the kernel is real-phased, so
+        G(-z) = G(z)^H and the cell rules are mirror symmetric: on a
+        random support, K_ij = K_ji^H. Sparse supports take the pair by
+        pair offsets, dense ones the table."""
+        grid = make_grid(7)
+        pts = grid.points[np.random.default_rng(seed).choice(grid.n_nodes, m, replace=False)]
+        K = assemble_kernel_blocks(1j * kappa, pts, pts, grid.spacing)
+        adjoint = K.transpose(1, 0, 3, 2).conj()
+        assert np.max(np.abs(K - adjoint)) <= 1e-14 * np.max(np.abs(K))
 
 
 def defect_residual(n, k=0.4):
