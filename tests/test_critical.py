@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from threshold_dirac.potentials import (
     Grid3,
@@ -28,7 +29,7 @@ from threshold_dirac.critical import (
     sigma_min_at,
 )
 from threshold_dirac.radial import RadialWell, critical_coupling, tail_ratio
-from threshold_dirac.solver import assemble_T, factor
+from threshold_dirac.solver import assemble_T, factor, system_matrix
 
 R = 1.0
 
@@ -211,15 +212,90 @@ def _count_lu_factor(monkeypatch) -> list:
 
 
 def test_one_lu_per_candidate(monkeypatch):
-    """A one-candidate search makes two LUs: T-hat - s0 I for the
-    eigenvalues, and 1 - g T-hat, whose one subspace iteration gives
-    both the certificate and the null basis."""
+    """A one-candidate search at n = 7 makes exactly two LUs: T-hat - s0 I
+    for the eigenvalues, and 1 - g T-hat, whose one subspace iteration
+    gives both the certificate and the null basis. Its lu_solves are
+    ARPACK's matvecs plus 4: that iteration stops after two steps at the
+    round-off floor. Counts do not drift with machine load, so running
+    all _ITER_STEPS there fails here."""
     grid = Grid3(R, 7)
     shape = build_potential(grid, "spherical-well", 1.0, R)
     calls = _count_lu_factor(monkeypatch)
+    solves, matvecs = [], []
+    lu_solve, eigs = scipy.linalg.lu_solve, scipy.sparse.linalg.eigs
+
+    def solve_spy(*args, **kwargs):
+        solves.append(1)
+        return lu_solve(*args, **kwargs)
+
+    def eigs_spy(op, **kwargs):
+        def matvec(x):
+            matvecs.append(1)
+            return op.matvec(x)
+
+        counted = scipy.sparse.linalg.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
+        return eigs(counted, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_solve", solve_spy)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", eigs_spy)
     crit = find_critical_coupling(shape, (5.0, 9.0))
     assert len(crit.sigma_records) == 1 and crit.dim == 2
     assert len(calls) == 2
+    assert len(matvecs) > 0 and len(solves) == len(matvecs) + 4
+
+
+def test_null_basis_matches_dense_svd_projector():
+    """At n = 7 the projector onto span(basis) at g* is the projector
+    onto the right singular vectors of 1 - g* T-hat below the search's
+    cut (numpy's dense SVD, no subspace iteration) to 1e-12, dim 2."""
+    grid = Grid3(R, 7)
+    shape = build_potential(grid, "spherical-well", 1.0, R)
+    crit = find_critical_coupling(shape, (5.0, 9.0))
+    m = system_matrix(crit.g_star * assemble_T(shape, 0.0))
+    cut = critical._SUBSPACE_FACTOR * critical._CRITICAL_REL * np.linalg.norm(m, 1)
+    _, svals, vh = np.linalg.svd(m)
+    null = vh[svals < cut].conj().T
+    assert null.shape[1] == crit.dim == 2
+    sup = shape.support_indices()
+    q = np.linalg.qr(np.stack([phi.values[sup].reshape(-1) for phi in crit.basis], axis=1))[0]
+    assert np.max(np.abs(q @ q.conj().T - null @ null.conj().T)) <= 1e-12
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize(
+    "lead, dim, blocks",
+    [((0.0, 0.0, 10.0), 2, [4]), ((0.0, 0.0, 1e-3), 3, [4]), ((0.0,) * 4, 4, [4, 8])],
+)
+def test_early_stop_cannot_undercount_null_space(monkeypatch, lead, dim, blocks):
+    """M = U diag(s) V^H, n = 200, seeded random unitary U and V, s the
+    leading values (in units of the cut) followed by ones. The iteration
+    stops after two steps at the round-off floor, yet every singular
+    value below the cut is found: a third one 1e-3 cut is kept, one at
+    10 cut is not, and four zeros fill the first block, which doubles.
+    Each basis spans the dense SVD null space to 1e-10."""
+    n, cut = 200, 1e-6
+    rng = np.random.default_rng(5)
+    s = np.ones(n)
+    s[: len(lead)] = np.array(lead) * cut
+    m = (_unitary(rng, n) * s) @ _unitary(rng, n).conj().T
+    widths = []
+    iterate = critical.subspace_iteration
+
+    def spy(fac, b):
+        widths.append(b)
+        return iterate(fac, b)
+
+    monkeypatch.setattr(critical, "subspace_iteration", spy)
+    _, basis = critical._null_basis(factor(m), cut)
+    _, svals, vh = np.linalg.svd(m)
+    null = vh[svals < cut].conj().T
+    assert len(basis) == null.shape[1] == dim
+    assert widths == blocks
+    assert np.max(np.abs(basis.T @ basis.conj() - null @ null.conj().T)) <= 1e-10
 
 
 def test_arpack_restarts_share_one_lu(that9, monkeypatch):

@@ -505,6 +505,31 @@ def test_classify_extension_evaluates_the_offset_table_once(monkeypatch):
     assert sum(rows) <= 41**3 + 124 * 64
 
 
+def test_off_lattice_extension_subdivides_each_near_displacement_once(monkeypatch):
+    """The 21^3 sweep grid at n = 9 is off the source lattice and has
+    36,816 near target-source pairs, but only 16,351 distinct
+    displacements by exact bits. One kernel call subdivides each of
+    them once (at most 16,352 rows), and its coefficients equal those
+    of subdividing chunk by chunk, bit for bit."""
+    A = build_potential(make_grid(9), "spherical-well", 1.0, R)
+    spts = A.grid.points[A.support_indices()]
+    h, targets = A.grid.spacing, solver.default_eval_grid(A.grid).points
+    rows = []
+    subdivide = solver._subdivided_coefficients
+
+    def spy(k, disp, h, order):
+        rows.append(len(disp))
+        return subdivide(k, disp, h, order)
+
+    monkeypatch.setattr(solver, "_subdivided_coefficients", spy)
+    chunks = list(solver._coefficient_chunks(0.2, targets, spts, h, 0))
+    assert sum(rows) <= 16_352
+    monkeypatch.setattr(solver, "_subdivided_coefficients", subdivide)
+    for got_rows, got in chunks:
+        want = solver._quadrature_coefficients(0.2, targets[got_rows, None] - spts, h, 0)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
 def test_lattice_shift_permutes_T_exactly():
     """Rolling the well on Grid3(1, 13) (h = 1/6) by one node per axis
     shifts its support, whose sorted order stays the same, so T-hat is
@@ -875,9 +900,10 @@ def test_every_lu_goes_through_factor(monkeypatch):
 
 def test_sigma_probe_at_a_crossing_takes_fixed_steps(monkeypatch):
     """At a round-off crossing the sigma_min estimate sits below the
-    floor n eps |M|_F, so the iteration runs its fixed number of steps:
-    a 1e-14 relative perturbation of M cannot change the work done. Off
-    a crossing it stops early, on the steady estimate."""
+    floor n eps |M|_F from the first step, so the iteration stops after
+    two steps, four solves: a 1e-14 relative perturbation of M cannot
+    change the work done. Off a crossing it stops on the steady
+    estimate, within the step cap."""
     from threshold_dirac import critical
 
     shape = build_potential(make_grid(7), "spherical-well", 1.0, R)
@@ -901,7 +927,7 @@ def test_sigma_probe_at_a_crossing_takes_fixed_steps(monkeypatch):
         solves.clear()
         sigmas.append(smallest_singular_value(mat))
         counts.append(len(solves))
-    assert counts[0] == counts[1] == 2 * solver._ITER_STEPS
+    assert counts[0] == counts[1] == 4
     assert max(sigmas[:2]) < 1e-8 * np.linalg.norm(m, 1)
     assert counts[2] < 2 * solver._ITER_STEPS
     true = np.linalg.svd(solver.system_matrix(0.5 * crit.g_star * that), compute_uv=False)[-1]
