@@ -14,7 +14,7 @@ import numpy as np
 from threshold_dirac import configio as cio
 from threshold_dirac.forms import gamma_spectrum, taylor_form
 from threshold_dirac.probes import boundstate_track
-from threshold_dirac.cli import _plan_from_config
+from threshold_dirac.cli import plan_from_config
 
 CONFIG = os.path.join(os.path.dirname(__file__), "configs", "boundstates.ini")
 
@@ -26,7 +26,7 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg = cio.load_config(args.plan)
-    plan = _plan_from_config(cfg)
+    plan = plan_from_config(cfg)
     A = plan.crit.critical_potential()
     g1 = float(
         gamma_spectrum(plan.crit, plan.B0, taylor_form(A, plan.crit, 2)).gammas[0]

@@ -16,7 +16,7 @@ from threshold_dirac import configio as cio
 from threshold_dirac.potentials import Grid3
 from threshold_dirac.probes import derivative_bound, derivative_recursion
 from threshold_dirac.solver import solve_generalized
-from threshold_dirac.cli import _plan_from_config
+from threshold_dirac.cli import plan_from_config
 
 CONFIG = os.path.join(os.path.dirname(__file__), "configs", "reference.ini")
 
@@ -35,14 +35,14 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg = cio.load_config(args.plan)
-    plan = _plan_from_config(cfg)
+    plan = plan_from_config(cfg)
     crit, B0 = plan.crit, plan.B0
     ks = tuple(float(t) for t in args.ks.split(","))
     eval_grid = Grid3(1.5, 11)
 
     bounds = []
     for k in ks:
-        b = derivative_bound(crit, B0, args.mu, (0.0, 0.0, k), m=2, eval_grid=eval_grid)
+        b = derivative_bound(crit, B0, args.mu, (0.0, 0.0, k), eval_grid=eval_grid)
         bounds.append(b)
         print(
             f"k={k:5.3f}: alpha={b.alpha:8.3f}  w1={b.weighted_sup[1]:.4e}  "

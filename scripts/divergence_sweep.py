@@ -14,7 +14,7 @@ import numpy as np
 from threshold_dirac import configio as cio
 from threshold_dirac.forms import gamma_spectrum, taylor_form
 from threshold_dirac.probes import SweepPlan, mu_peak, resonance_sweep
-from threshold_dirac.cli import _plan_from_config
+from threshold_dirac.cli import plan_from_config
 
 CONFIG = os.path.join(os.path.dirname(__file__), "configs", "reference.ini")
 
@@ -27,7 +27,7 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg = cio.load_config(args.plan)
-    base = _plan_from_config(cfg)
+    base = plan_from_config(cfg)
     crit, B0 = base.crit, base.B0
     ks = tuple(float(t) for t in args.ks.split(","))
 

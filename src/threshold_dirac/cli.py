@@ -45,7 +45,7 @@ from .probes import (
 from .radial import RadialWell, critical_coupling
 from . import configio as cio
 
-__all__ = ["main", "oracle_convergence", "DEFAULT_LEVELS"]
+__all__ = ["main", "oracle_convergence", "plan_from_config", "DEFAULT_LEVELS"]
 
 # refinement schedule for oracle-compare: (nodes per axis, edge width,
 # cell-average subsamples); the edge shrinks with the spacing so the
@@ -56,8 +56,8 @@ DEFAULT_LEVELS = ((9, 0.12, 5), (11, 0.06, 7), (13, 0.0, 15))
 _SHARP_BRACKET = (-1.6, -1.0)
 
 
-def _add_config_flag(p, required: bool = True):
-    p.add_argument("--config", required=required, help="key=value INI config file")
+def _add_config_flag(p):
+    p.add_argument("--config", required=True, help="key=value INI config file")
 
 
 def _crit_from_config(cfg):
@@ -69,7 +69,8 @@ def _crit_from_config(cfg):
     return find_critical_coupling(shape, bracket)
 
 
-def _plan_from_config(cfg):
+def plan_from_config(cfg):
+    """The SweepPlan a plan config describes, after its critical search."""
     crit = _crit_from_config(cfg)
     grid = crit.shape.grid
     B0 = cio.potential_from_config(cfg, grid, section="perturbation", g=None)
@@ -195,7 +196,7 @@ def _cmd_forms(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = cio.load_config(args.plan)
-    plan = _plan_from_config(cfg)
+    plan = plan_from_config(cfg)
     result = resonance_sweep(plan)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "records.csv")
@@ -211,7 +212,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_boundstates(args) -> int:
     cfg = cio.load_config(args.plan)
-    plan = _plan_from_config(cfg)
+    plan = plan_from_config(cfg)
     records = boundstate_track(plan)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "boundstates.csv")
@@ -223,17 +224,13 @@ def _cmd_boundstates(args) -> int:
 
 def _cmd_derivatives(args) -> int:
     cfg = cio.load_config(args.plan)
-    plan = _plan_from_config(cfg)
-    khat = np.asarray(plan.khat, dtype=np.float64)
-    khat = khat / np.linalg.norm(khat)
-    bounds = []
-    for mu in plan.mus:
-        for k in plan.ks:
-            bounds.append(
-                derivative_bound(
-                    plan.crit, plan.B0, mu, k * khat, m=2, j=plan.js[0], eval_grid=plan.eval_grid
-                )
-            )
+    plan = plan_from_config(cfg)
+    khat = np.asarray(plan.khat)
+    bounds = [
+        derivative_bound(plan.crit, plan.B0, mu, k * khat, j=plan.js[0], eval_grid=plan.eval_grid)
+        for mu in plan.mus
+        for k in plan.ks
+    ]
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "derivatives.csv")
     rows = cio.write_derivatives_csv(csv_path, bounds)
@@ -244,9 +241,8 @@ def _cmd_derivatives(args) -> int:
 
 def _cmd_inverse_probe(args) -> int:
     cfg = cio.load_config(args.plan)
-    plan = _plan_from_config(cfg)
-    khat = np.asarray(plan.khat, dtype=np.float64)
-    khat = khat / np.linalg.norm(khat)
+    plan = plan_from_config(cfg)
+    khat = np.asarray(plan.khat)
     m_perp = default_probe_field(plan.crit)
     phi = plan.crit.basis[0]
     reports = []
@@ -265,21 +261,21 @@ def _cmd_inverse_probe(args) -> int:
     return 0
 
 
-def oracle_convergence(levels=DEFAULT_LEVELS, bracket=_SHARP_BRACKET):
+def oracle_convergence(levels=DEFAULT_LEVELS):
     """(level, 3D coupling, oracle root, relative gap) per refinement level.
 
     The 3D solve uses a cell-averaged spherical well whose edge width
     shrinks with the grid; the target is the sharp-well root from the
     radial oracle, computed live.
     """
-    v0 = critical_coupling(RadialWell(1.0, 1.0, -1, 0.0), bracket)
+    v0 = critical_coupling(RadialWell(1.0, 1.0, -1, 0.0), _SHARP_BRACKET)
     rows = []
     for level, (n, w, sub) in enumerate(levels, start=1):
         grid = Grid3(1.0, n)
         shape = build_potential(
             grid, "spherical-well", 1.0, 1.0, w=w, cell_average=True, subsamples=sub
         )
-        crit = find_critical_coupling(shape, bracket)
+        crit = find_critical_coupling(shape, _SHARP_BRACKET)
         gap = abs(crit.g_star - v0) / abs(v0)
         rows.append((level, crit.g_star, v0, gap))
     return rows

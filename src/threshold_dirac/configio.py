@@ -174,10 +174,10 @@ def potential_from_config(
     )
 
 
-def bracket_from_config(cfg, section: str = "potential") -> tuple | None:
-    if not cfg.has_option(section, "bracket"):
+def bracket_from_config(cfg) -> tuple | None:
+    if not cfg.has_option("potential", "bracket"):
         return None
-    lo, hi = _floats(cfg.get(section, "bracket"))
+    lo, hi = _floats(cfg.get("potential", "bracket"))
     return (lo, hi)
 
 

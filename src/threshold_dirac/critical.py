@@ -66,6 +66,7 @@ __all__ = [
     "critical_couplings",
     "find_critical_coupling",
     "lambda_of",
+    "lambda_vanishes",
     "classify_lambda_bar",
     "decay_decomposition",
     "extend_to_grid",
@@ -78,7 +79,7 @@ _SUBSPACE_FACTOR = 10.0
 _REAL_REL = 1e-8  # |Im mu| <= this * |mu|: a real eigenvalue
 _KRAMERS_REL = 1e-8  # eigenvalues closer than this (relative) are one coupling
 _BLOCK = 4
-_COLLAPSE_REL = 1e-6  # tail-moment tolerance of classify_lambda_bar
+_COLLAPSE_REL = 1e-6  # tail-moment tolerance of lambda_vanishes
 
 
 @dataclass
@@ -260,24 +261,23 @@ def lambda_of(phi: SpinorField, A: FourPotential) -> np.ndarray:
     return one_plus_beta() @ (A.grid.weights @ A.apply(phi.values))
 
 
-def classify_lambda_bar(crit: CriticalStructure, tol_rel: float = _COLLAPSE_REL) -> int:
-    """0 when every basis tail moment vanishes, 1 when none does.
+def lambda_vanishes(lam: np.ndarray, A: FourPotential, phi: SpinorField) -> bool:
+    """The lambda-free test |lambda| <= 1e-6 |A|_L1 sup|Phi|."""
+    return bool(np.linalg.norm(lam) <= _COLLAPSE_REL * norms(A)["l1"] * phi.sup_norm())
 
-    The threshold separating "vanishes" from "does not" is
-    tol_rel * |A|_L1 * sup|Phi|; a mixed verdict is an error, matching
-    the dichotomy assumed throughout (all tails or none).
+
+def classify_lambda_bar(crit: CriticalStructure) -> int:
+    """0 when every basis tail moment vanishes (lambda_vanishes), 1 when
+    none does; a mixed verdict is an error, matching the dichotomy
+    assumed throughout (all tails or none).
     """
     A = crit.critical_potential()
-    l1 = norms(A)["l1"]
-    small, large = [], []
-    for phi, lam in zip(crit.basis, crit.lambda_values):
-        scale = tol_rel * l1 * phi.sup_norm()
-        (small if np.linalg.norm(lam) <= scale else large).append(lam)
-    if small and large:
+    small = [lambda_vanishes(lam, A, phi) for phi, lam in zip(crit.basis, crit.lambda_values)]
+    if any(small) and not all(small):
         raise ValueError(
             "mixed tail moments: configuration outside the pure lambda-bar classes"
         )
-    return 0 if small else 1
+    return 0 if any(small) else 1
 
 
 def extend_to_grid(crit: CriticalStructure, phi: SpinorField, eval_grid: Grid3) -> SpinorField:
@@ -290,28 +290,21 @@ def extend_to_grid(crit: CriticalStructure, phi: SpinorField, eval_grid: Grid3) 
     return SpinorField(eval_grid, vals)
 
 
-def decay_decomposition(
-    phi_ext: SpinorField,
-    A: FourPotential,
-    lam: np.ndarray,
-    support_radius: float | None = None,
-    n_shells: int = 8,
-) -> dict:
+def decay_decomposition(phi_ext: SpinorField, A: FourPotential, lam: np.ndarray) -> dict:
     """Split Phi = Phi_1 + Phi_2 and fit radial decay exponents.
 
     Phi_2(x) = -(4 pi |x|)^{-1} lambda(Phi) carries the whole |x|^{-1}
     tail; Phi_1 = Phi - Phi_2 decays at least as |x|^{-2}. Exponents are
-    log-log fits of sup-over-shell beyond twice the support radius.
+    log-log fits of sup-over-shell on 8 shells from twice the support
+    radius A.radius out to the grid's half-width.
     """
-    R = support_radius if support_radius is not None else A.radius
+    R = A.radius
     grid = phi_ext.grid
     r = grid.radii()
     r_max = grid.half_width
     if r_max < 4.0 * R - 1e-12:
         raise ValueError("evaluation grid radius must reach 4x the support radius")
-    edges = np.linspace(2.0 * R, r_max, n_shells + 1)
-    if n_shells < 5:
-        raise ValueError("need at least 5 radial shells beyond 2R")
+    edges = np.linspace(2.0 * R, r_max, 9)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         phi2_vals = np.where(

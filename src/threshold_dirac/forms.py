@@ -54,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import alpha, one_plus_beta
-from .critical import CriticalStructure, lambda_of
-from .potentials import FourPotential, SpinorField, fold_rows, norms
+from .critical import CriticalStructure, lambda_of, lambda_vanishes
+from .potentials import FourPotential, SpinorField, fold_rows
 from .solver import apply_kernel_rows
 
 __all__ = [
@@ -182,7 +182,7 @@ class SSplit:
     xi: np.ndarray  # (3, 4) first-moment spinors of A Phi
 
 
-def s_split(A: FourPotential, phi: SpinorField, tol_rel: float = 1e-6) -> SSplit:
+def s_split(A: FourPotential, phi: SpinorField) -> SSplit:
     """Split s(Phi, Phi) into the squared-distance, drift and plain-moment terms.
 
     Nested quadrature of the three double integrals that make up the
@@ -190,9 +190,7 @@ def s_split(A: FourPotential, phi: SpinorField, tol_rel: float = 1e-6) -> SSplit
     vanishes (the squared-radius terms of the first integral are dropped
     against lambda = 0, which is what makes the xi reduction exact).
     """
-    lam = lambda_of(phi, A)
-    scale = norms(A)["l1"] * phi.sup_norm()
-    if np.linalg.norm(lam) > tol_rel * scale:
+    if not lambda_vanishes(lambda_of(phi, A), A, phi):
         raise ValueError(
             "tail moment lambda(phi) is not zero; the cubic split needs the "
             "lambda-free class"

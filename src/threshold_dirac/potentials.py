@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 _ALPHA = alpha_stack()
+_CLASS_C_REL = 1e-8  # a singular value or moment below this, relative, is zero
+_FAST_DECAY = -1.8  # decay exponents at or below this are |x|^-2 decay
 
 
 @dataclass
@@ -332,15 +334,16 @@ def check_admissible(B: FourPotential, K: float, basis: list[SpinorField]) -> di
     }
 
 
-def check_class_c(A: FourPotential, crit, decay_report: dict | None = None, tol: float = 1e-8) -> dict:
+def check_class_c(A: FourPotential, crit, decay_report: dict | None = None) -> dict:
     """Numeric verdicts for the regularity conditions of a critical pair.
 
     (a) is structural (builtin shapes are C^1 by construction; table input
     is only 'assumed'); (b) finiteness of the weighted norms; (c) the
     threshold basis pairs nondegenerately with itself under A (smallest
-    singular value of the pairing Gram matrix); (d) the tail classification
-    agrees with measured decay exponents when a decay report is supplied;
-    (e) at least one of int A Phi or (1 - i beta) int A Phi x is nonzero.
+    singular value of the pairing Gram matrix); (d) when a decay report
+    of critical.decay_decomposition is supplied, Phi_1 decays at least
+    like |x|^-1.8 and Phi does exactly when lambda-bar = 0; (e) at least
+    one of int A Phi or (1 - i beta) int A Phi x is nonzero.
     """
     if crit is None or not getattr(crit, "basis", None):
         raise ValueError("criticality structure with a nonempty basis is required")
@@ -353,9 +356,12 @@ def check_class_c(A: FourPotential, crit, decay_report: dict | None = None, tol:
     rep["b_norms"] = nb
     sv = np.linalg.svd(np.asarray(crit.gram_n), compute_uv=False)
     rep["c_gram_smin_rel"] = float(sv[-1] / sv[0])
-    rep["c_nondegenerate"] = bool(sv[-1] > tol * sv[0])
+    rep["c_nondegenerate"] = bool(sv[-1] > _CLASS_C_REL * sv[0])
     if decay_report is not None:
-        rep["d_decay_consistent"] = bool(decay_report.get("consistent", False))
+        fast = decay_report["exponent_phi"] <= _FAST_DECAY
+        rep["d_decay_consistent"] = bool(
+            decay_report["exponent_phi1"] <= _FAST_DECAY and fast == (crit.lambda_bar == 0)
+        )
     else:
         rep["d_decay_consistent"] = "not evaluated"
     scale = nb["l1"] * max(phi.sup_norm() for phi in crit.basis)
@@ -368,5 +374,5 @@ def check_class_c(A: FourPotential, crit, decay_report: dict | None = None, tol:
         m1 = np.linalg.norm(beta_i @ m1)
         best = max(best, m0, m1)
     rep["e_moment_norm"] = float(best)
-    rep["e_nonzero_moment"] = bool(best > tol * scale)
+    rep["e_nonzero_moment"] = bool(best > _CLASS_C_REL * scale)
     return rep

@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.optimize import minimize_scalar
 
 from .critical import CriticalStructure, make_projectors
 from .forms import gamma_spectrum, taylor_form
@@ -85,7 +86,7 @@ _NEWTON_REL = 1e-12  # crossing Newton: |d kappa| <= this * kappa ends the run
 _NEWTON_STEPS = 30  # crossing Newton: steps before the run counts as not converged
 _SECTOR_REL = 1e-8  # a parity sector holds the threshold basis above this weight
 _PEAK_COARSE = 12  # coarse mu samples of mu_peak
-_PEAK_TOL_REL = 1e-5  # golden-section tolerance of mu_peak, relative
+_PEAK_TOL_REL = 1e-5  # mu_peak's xatol is this * max(|mu_hi|, 1): absolute below 1
 
 
 @dataclass
@@ -108,6 +109,11 @@ class SweepPlan:
         self.mus = tuple(float(m) for m in self.mus)
         self.ks = tuple(float(k) for k in self.ks)
         self.js = tuple(int(j) for j in self.js)
+        khat = np.asarray(self.khat, dtype=np.float64)
+        norm = float(np.linalg.norm(khat))
+        if khat.shape != (3,) or not 0.0 < norm < np.inf:
+            raise ValueError("khat must be a finite, nonzero 3-vector")
+        self.khat = tuple((khat / norm).tolist())  # a unit vector from here on
         if not self.mus or not self.ks:
             raise ValueError("mu and k lists must be nonempty")
         if any(k <= 0 for k in self.ks):
@@ -286,12 +292,11 @@ def resonance_sweep(plan: SweepPlan) -> SweepResult:
     va, vb = A.values[union], plan.B0.values[union]
     eval_grid = plan.eval_grid or default_eval_grid(A.grid)
     proj = make_projectors(crit)
-    khat = np.asarray(plan.khat, dtype=np.float64)
 
     def run_k(k: float) -> list:
         TA, TB = assemble_pair(A, plan.B0, k)
         systems = ((mu, system_matrix(TA, TB, mu), va + mu * vb) for mu in plan.mus)
-        kvec = k * khat / np.linalg.norm(khat)
+        kvec = k * np.asarray(plan.khat)
         cells = _sweep_column(crit, proj, V, k, kvec, systems, plan.js, eval_grid.points)
         return [replace(r, predicted_bound=resonance_prediction(r.mu, k, gammas)) for r in cells]
 
@@ -326,15 +331,10 @@ def resonance_sweep(plan: SweepPlan) -> SweepResult:
     )
 
 
-def mu_peak(
-    crit: CriticalStructure,
-    B0: FourPotential,
-    k: float,
-    bracket: tuple,
-    j: int = 1,
-    khat=(0.0, 0.0, 1.0),
-) -> tuple:
-    """Locate the mu maximizing the response at fixed k (coarse + golden).
+def mu_peak(crit: CriticalStructure, B0: FourPotential, k: float, bracket: tuple) -> tuple:
+    """Locate the mu maximizing the response of chi(1, k e_z) at fixed k:
+    a coarse scan, then bounded Brent between the neighbours of its best
+    sample.
 
     The objective is the solution sup norm over the support nodes; the
     divergent span part lives there, so the peak location matches the
@@ -344,10 +344,8 @@ def mu_peak(
     A = crit.critical_potential()
     union = combine_potentials(A, B0).support_indices()
     pts = A.grid.points[union]
-    khat = np.asarray(khat, dtype=np.float64)
-    kvec = float(k) * khat / np.linalg.norm(khat)
     TA, TB = assemble_pair(A, B0, float(k))
-    chi_rhs = free_solution(j, kvec).values_at(pts).reshape(-1)
+    chi_rhs = free_solution(1, (0.0, 0.0, float(k))).values_at(pts).reshape(-1)
 
     def sup_at(mu: float) -> float:
         u = factor(system_matrix(TA, TB, mu)).solve(chi_rhs).reshape(-1, 4)
@@ -359,30 +357,15 @@ def mu_peak(
     i = int(np.argmax(vals))
     a = grid_mu[max(i - 1, 0)]
     b = grid_mu[min(i + 1, _PEAK_COARSE - 1)]
-    mu_best, neg = _golden_min(lambda m: -sup_at(m), a, b, _PEAK_TOL_REL * max(abs(mu_hi), 1.0))
-    return float(mu_best), float(-neg)
+    xatol = _PEAK_TOL_REL * max(abs(mu_hi), 1.0)
+    best = minimize_scalar(
+        lambda m: -sup_at(m), bounds=(a, b), method="bounded", options={"xatol": xatol}
+    )
+    return float(best.x), float(-best.fun)
 
 
 # ---------------------------------------------------------------------------
 # bound states in the gap
-
-
-def _golden_min(f, a: float, b: float, tol: float):
-    """Golden-section minimum of a scalar function on [a, b]."""
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - g * (b - a)
-    x2 = a + g * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - g * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + g * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
 def _bound_record(mu: float, kappa, sigma) -> BoundStateRecord:
@@ -412,8 +395,9 @@ def boundstate_track(plan: SweepPlan) -> list:
 
     "sigma-scan" (the literal cross-check): scan a log-spaced kappa grid
     (one kernel pass per kappa serves every mu), refine each candidate
-    local minimum of sigma_min by golden section, and accept when the
-    refined singular value collapses.
+    local minimum of sigma_min by bounded Brent (scipy's
+    minimize_scalar), and accept when the refined singular value
+    collapses.
 
     Either way, a mu of the wrong sign legitimately yields an empty
     list, and at mu = 0 the track sits at the kappa -> 0 boundary and is
@@ -642,12 +626,13 @@ def _track_sigma_scan(plan: SweepPlan) -> list:
             if i == 0:
                 kap, val = kappas[0], sig[0]
             else:
-                kap, val = _golden_min(
+                best = minimize_scalar(
                     lambda x: _sigma_at(A, plan.B0, x, mu)[0],
-                    kappas[i - 1],
-                    kappas[i + 1],
-                    1e-7 * kappas[i],
+                    bounds=(kappas[i - 1], kappas[i + 1]),
+                    method="bounded",
+                    options={"xatol": 1e-7 * kappas[i]},
                 )
+                kap, val = best.x, best.fun
             if val < accept:
                 records.append(_bound_record(mu, kap, val))
     return records
@@ -773,10 +758,13 @@ def derivative_recursion(
 
     Differentiating (1 - T) phi = chi in k gives
     (1 - T) phi^(m) = d^m chi + sum_{l=1..m} C(m,l) [d^l T] phi^(m-l),
-    solved with one LU shared across orders; the derivative kernels are
-    the closed forms the forms module uses, here at real k.  With no
-    potential at all, phi^(m) = d^m chi exactly.  Returns the field, the
-    weighted sup norms ||(1+|x|)^-l phi^(l)||_inf per order, and flags.
+    solved with one LU shared across orders, each solve held to the
+    residual contract of Factorization.checked_solve; the derivative
+    kernels are the closed forms the forms module uses, here at real k.
+    The extension to the evaluation grid makes one stacked kernel pass
+    per kernel order l.  With A None (no potential at all), phi^(m) =
+    d^m chi exactly.  Returns the field, the weighted sup norms
+    ||(1+|x|)^-l phi^(l)||_inf per order, and flags.
     """
     if m not in (1, 2):
         raise ValueError("derivative recursion implemented for m = 1, 2")
@@ -785,9 +773,7 @@ def derivative_recursion(
     if k <= 0:
         raise ValueError("need k > 0")
     khat = kvec / k
-    if A is None and B is not None:
-        A, B = B, None
-    V = combine_potentials(A, B) if (A is not None and B is not None) else A
+    V = None if A is None else combine_potentials(A, B)
 
     if V is None or len(V.support_indices()) == 0:
         grid = eval_grid or (V.grid if V is not None else Grid3(2.0, 21))
@@ -809,31 +795,31 @@ def derivative_recursion(
     fac = factor(system_matrix(TV, out=TV))
 
     chis_sup = _free_derivatives(j, k, khat, m, pts)
-    phis = [fac.solve(chis_sup[0].reshape(-1)).reshape(-1, 4)]
-    for order in range(1, m + 1):
+    phis = []
+    for order in range(m + 1):
         f = chis_sup[order].copy()
         for l in range(1, order + 1):
             dT = apply_kernel_rows(k, pts, V, phis[order - l], h, order=l)
             f += math.comb(order, l) * dT
-        phis.append(fac.solve(f.reshape(-1)).reshape(-1, 4))
+        phis.append(fac.checked_solve(f.reshape(-1))[0].reshape(-1, 4))
 
-    chis_eval = _free_derivatives(j, k, khat, m, eval_grid.points)
+    targets = eval_grid.points
+    # pass l applies [d^l T] to phi^(o - l) for every order o >= max(l, 1)
+    stacks = [np.stack([phis[o - l] for o in range(max(l, 1), m + 1)]) for l in range(m + 1)]
+    passes = [apply_kernel_rows(k, targets, V, f, h, order=l) for l, f in enumerate(stacks)]
+    chis_eval = _free_derivatives(j, k, khat, m, targets)
     orders = {}
-    phi_m_field = None
     for order in range(1, m + 1):
         ext = chis_eval[order].copy()
-        for l in range(0, order + 1):
-            dT = apply_kernel_rows(k, eval_grid.points, V, phis[order - l], h, order=l)
-            ext += math.comb(order, l) * dT
+        for l in range(order + 1):
+            ext += math.comb(order, l) * passes[l][:, order - max(l, 1)]
         orders[order] = max(
-            _weighted_sup(eval_grid.points, ext, order),
+            _weighted_sup(targets, ext, order),
             _weighted_sup(pts, phis[order], order),
         )
-        if order == m:
-            phi_m_field = SpinorField(eval_grid, ext)
 
     return {
-        "phi_m": phi_m_field,
+        "phi_m": SpinorField(eval_grid, ext),
         "weighted_sup": orders[m],
         "orders": orders,
         "rcond": fac.rcond,
@@ -857,15 +843,15 @@ def derivative_bound(
     B0: FourPotential,
     mu: float,
     kvec,
-    m: int = 2,
     j: int = 1,
     eval_grid: Grid3 | None = None,
 ) -> DerivativeBound:
-    """Measured weighted derivative norms plus the predicted growth factor."""
+    """Measured weighted norms of the first two k-derivatives plus the
+    predicted growth factor."""
     A = crit.critical_potential()
     B = B0.rescaled(mu)
     k = float(np.linalg.norm(np.asarray(kvec, dtype=np.float64)))
-    rec = derivative_recursion(A, B, j, kvec, m, eval_grid=eval_grid)
+    rec = derivative_recursion(A, B, j, kvec, 2, eval_grid=eval_grid)
     return DerivativeBound(
         mu=float(mu),
         k=k,
@@ -878,28 +864,20 @@ def derivative_bound(
 # resonance-class (lambda-bar = 1) probe
 
 
-def lambda1_probe(
-    crit: CriticalStructure,
-    B: FourPotential | None,
-    ks,
-    j: int = 1,
-    khat=(0.0, 0.0, 1.0),
-    eval_grid: Grid3 | None = None,
-) -> list:
+def lambda1_probe(crit: CriticalStructure, B: FourPotential | None, ks) -> list:
     """Records of the divergence law for the 1/r-tail class.
 
-    For each k: solve at A (+ B if given), project onto the span, and
-    record the sup norm, the span-part norms and the denominator
+    For each k: solve for chi(1, k e_z) at A (+ B if given), extend to
+    the default evaluation grid, project onto the span, and record the
+    sup norm, the span-part norms and the denominator
     inf |<Psi, B, Psi>| + k of the resonance-class bound.
     """
     if crit.lambda_bar != 1:
         raise ValueError("lambda1 probe needs a resonance-class structure")
     V = combine_potentials(crit.critical_potential(), B)
-    eval_grid = eval_grid or default_eval_grid(V.grid)
+    eval_grid = default_eval_grid(V.grid)
     proj = make_projectors(crit)
     pinf = pairing_inf(crit, B)
-    khat = np.asarray(khat, dtype=np.float64)
-    khat = khat / np.linalg.norm(khat)
     vrows = V.values[V.support_indices()]
 
     out = []
@@ -907,7 +885,7 @@ def lambda1_probe(
         k = float(k)
         TV = assemble_T(V, k)
         system = (0.0, system_matrix(TV, out=TV), vrows)
-        (r,) = _sweep_column(crit, proj, V, k, k * khat, [system], (j,), eval_grid.points)
+        (r,) = _sweep_column(crit, proj, V, k, (0.0, 0.0, k), [system], (1,), eval_grid.points)
         out.append(
             {
                 "k": k,

@@ -233,14 +233,14 @@ def bound_residual(well: RadialWell, g: float, ktilde: float) -> float:
     return (Fi * Ge - Gi * Fe) / scale
 
 
-def bound_energy(well: RadialWell, g: float, kt_max: float = 0.999) -> dict | None:
+def bound_energy(well: RadialWell, g: float) -> dict | None:
     """Bound state nearest threshold for coupling g, or None.
 
     Returns {'energy': E, 'ktilde': kt} with E in (0, 1). Scans a log
-    mesh in ktilde for a sign change of the matching residual, then
-    refines with brentq.
+    mesh in ktilde on [1e-6, 0.999] for a sign change of the matching
+    residual, then refines with brentq.
     """
-    kts = np.geomspace(1e-6, kt_max, 160)
+    kts = np.geomspace(1e-6, 0.999, 160)
     vals = np.array([bound_residual(well, g, kt) for kt in kts])
     for i in range(len(kts) - 1):
         if vals[i] == 0.0:

@@ -55,7 +55,8 @@ SOLVES
     pivoting, the package's only LU, and a reciprocal condition estimate.
     Systems whose estimate falls below 1e-10 are flagged "at-resonance"
     and solved in the least-squares sense instead (sweeps cross
-    resonances on purpose). sigma_min and null spaces come from one
+    resonances on purpose). Every solve read as physics also checks its
+    residual (checked_solve). sigma_min and null spaces come from one
     subspace_iteration on an LU from factor; at a critical coupling or a
     crossing its estimate is at the round-off floor from the first step,
     and it stops after two steps (four solves). A failed LU (LAPACK raised,
@@ -174,19 +175,10 @@ class FreeSolution:
         return phase[:, None] * self.spinor[None, :]
 
 
-def free_solution(
-    j: int, kvec, grid: Grid3 | None = None
-) -> FreeSolution | SpinorField:
-    """Plane wave chi(j, k, .) = u_j(k) e^{i k.x}, in one of two forms.
-
-    Without a grid, returns the FreeSolution itself, which evaluates at
-    arbitrary points through values_at.  With a grid, returns its samples
-    on the grid nodes as a SpinorField.
-    """
-    fs = FreeSolution(j, tuple(np.asarray(kvec, dtype=float)), free_spinor(j, kvec))
-    if grid is None:
-        return fs
-    return SpinorField(grid, fs.values_at(grid.points))
+def free_solution(j: int, kvec) -> FreeSolution:
+    """Plane wave chi(j, k, .) = u_j(k) e^{i k.x}; values_at evaluates it
+    at arbitrary points."""
+    return FreeSolution(j, tuple(np.asarray(kvec, dtype=float)), free_spinor(j, kvec))
 
 
 # ---------------------------------------------------------------------------
@@ -647,21 +639,10 @@ def solve_generalized(
         )
         return phi, diagnostics
 
-    rhs = chi.values_at(V.grid.points[sup]).reshape(-1)
-    chi_sup = float(np.max(np.linalg.norm(rhs.reshape(-1, 4), axis=1)))
-
     TV = assemble_T(V, k)
     fac = factor(system_matrix(TV, out=TV))
+    sol, diagnostics["residual"] = fac.checked_solve(chi.values_at(V.grid.points[sup]).reshape(-1))
     diagnostics.update(rcond=fac.rcond, at_resonance=fac.at_resonance)
-    sol = fac.solve(rhs)
-    residual = blas_matmul(fac.matrix, sol) - rhs
-    res_sup = float(np.max(np.linalg.norm(residual.reshape(-1, 4), axis=1)))
-    diagnostics["residual"] = res_sup
-    if not diagnostics["at_resonance"] and res_sup > _RESIDUAL_REL * max(chi_sup, 1e-300):
-        raise RuntimeError(
-            f"residual contract violated: {res_sup:.3e} > {_RESIDUAL_REL:.0e} * {chi_sup:.3e}"
-        )
-
     phi_sup = sol.reshape(-1, 4)
     diagnostics["support_sup"] = float(np.max(np.linalg.norm(phi_sup, axis=1)))
     ext = apply_kernel_rows(k, eval_grid.points, V, phi_sup, V.grid.spacing)
@@ -714,6 +695,18 @@ class Factorization:
             x, *_ = np.linalg.lstsq(self.matrix, rhs, rcond=None)
             return x
         return sla.lu_solve(self.lu, rhs)
+
+    def checked_solve(self, rhs: np.ndarray) -> tuple:
+        """(solve(rhs), node sup norm of M x - rhs); RuntimeError when an
+        unflagged solve misses residual <= _RESIDUAL_REL sup|rhs|."""
+        x = self.solve(rhs)
+        res, scale = (float(np.max(np.linalg.norm(v.reshape(-1, 4), axis=1)))
+                      for v in (blas_matmul(self.matrix, x) - rhs, rhs))
+        if not self.at_resonance and res > _RESIDUAL_REL * max(scale, 1e-300):
+            raise RuntimeError(
+                f"residual contract violated: {res:.3e} > {_RESIDUAL_REL:.0e} * {scale:.3e}"
+            )
+        return x, res
 
 
 def factor(M: np.ndarray) -> Factorization:

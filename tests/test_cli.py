@@ -1,8 +1,11 @@
 """CLI plumbing: determinism of dumps and the solve field round trip."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from threshold_dirac import configio as cio
 from threshold_dirac.cli import main
@@ -93,3 +96,19 @@ def test_find_critical_config_shape_is_used(tmp_path):
     assert bump == g_star("--shape", "gaussian-bump")
     assert abs(bump - (-4.740388463580667)) <= 1e-10 * 4.75
     assert abs(g_star("--shape", "spherical-well") - (-2.3756240169762934)) <= 1e-10 * 2.38
+
+
+@pytest.mark.parametrize(
+    "script", ["boundstate_lines.py", "derivative_growth.py", "divergence_sweep.py"]
+)
+def test_experiment_scripts_import_and_parse(script):
+    """Each experiment script imports what it uses from the package and
+    parses its arguments (--help exits 0 before any computation)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", script), "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -524,7 +524,7 @@ def test_mperp_invariance_under_threshold_T(crit9, rng):
 # class-C report wiring
 
 
-def test_class_c_report(crit9):
+def test_class_c_report(crit9, crit9_bound):
     egrid = eval_grid_4r()
     phi_ext = extend_to_grid(crit9, crit9.basis[0], egrid)
     decay = decay_decomposition(
@@ -534,6 +534,20 @@ def test_class_c_report(crit9):
     assert rep["b_weighted_finite"]
     assert rep["c_nondegenerate"]
     assert rep["e_nonzero_moment"]
+    # condition (d): each class agrees with its own decay report (phi
+    # -1.08 and phi_1 -2.09 for the resonance class, -2.09 for both in
+    # the bound class) and disagrees with the other class's
+    ext_b = extend_to_grid(crit9_bound, crit9_bound.basis[0], egrid)
+    A_b = crit9_bound.critical_potential()
+    decay_b = decay_decomposition(ext_b, A_b, crit9_bound.lambda_values[0])
+    assert rep["d_decay_consistent"] is True
+    assert check_class_c(A_b, crit9_bound, decay_report=decay_b)["d_decay_consistent"] is True
+    crossed = (
+        check_class_c(crit9.critical_potential(), crit9, decay_report=decay_b),
+        check_class_c(A_b, crit9_bound, decay_report=decay),
+    )
+    assert [r["d_decay_consistent"] for r in crossed] == [False, False]
+    assert check_class_c(A_b, crit9_bound)["d_decay_consistent"] == "not evaluated"
 
 
 def test_null_basis_gauge_pinned_against_roundoff(crit9_bound):

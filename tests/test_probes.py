@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from threshold_dirac import probes
+from threshold_dirac import probes, solver
 from threshold_dirac.potentials import Grid3, SpinorField, build_potential
 from threshold_dirac.critical import find_critical_coupling, make_projectors
 from threshold_dirac.forms import gamma_spectrum, taylor_form
@@ -78,6 +78,14 @@ def test_plan_validation(crit_free, b0):
     other = build_potential(Grid3(R, 11), "spherical-well", 1.0, R)
     with pytest.raises(ValueError):
         SweepPlan(crit_free, other, mus=(0.1,), ks=(0.1,))
+    # khat: a zero, non-finite or wrong-length direction would make every
+    # record NaN; a valid one is stored as a unit vector
+    for khat in ((0.0, 0.0, 0.0), (0.0, np.nan, 1.0), (np.inf, 0.0, 0.0), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="khat"):
+            SweepPlan(crit_free, b0, mus=(0.1,), ks=(0.1,), khat=khat)
+    plan = SweepPlan(crit_free, b0, mus=(0.1,), ks=(0.1,), khat=(0, 3, 4))
+    assert plan.khat == (0.0, 0.6, 0.8)
+    assert SweepPlan(crit_free, b0, mus=(0.1,), ks=(0.1,)).khat == (0.0, 0.0, 1.0)
 
 
 def test_prediction_peaks_on_the_resonance_curve():
@@ -363,7 +371,7 @@ def test_derivative_m1_matches_fd_of_solution(crit_free, b0):
 def test_derivative_orders_and_alpha(crit_free, b0):
     grid = Grid3(1.5, 9)
     bound = derivative_bound(
-        crit_free, b0, mu=0.05, kvec=(0.0, 0.0, 0.2), m=2, j=1, eval_grid=grid
+        crit_free, b0, mu=0.05, kvec=(0.0, 0.0, 0.2), j=1, eval_grid=grid
     )
     assert bound.alpha >= 1.0
     assert set(bound.weighted_sup) == {1, 2}
@@ -373,6 +381,48 @@ def test_derivative_orders_and_alpha(crit_free, b0):
         DerivativeBound(mu=0.0, k=0.1, alpha=0.5, weighted_sup={1: 1.0})
     with pytest.raises(ValueError):
         derivative_recursion(None, None, 1, (0.0, 0.0, 0.1), 3)
+
+
+def test_derivative_extension_one_kernel_pass_per_order(monkeypatch):
+    """At m = 2 the evaluation grid sees one stacked kernel-row pass per
+    kernel order l = 0, 1, 2: three passes, not one per (order, l) term.
+    Each stacked pass equals the passes of its fields one by one."""
+    A = build_potential(Grid3(R, 5), "spherical-well", -0.55, R)
+    grid = Grid3(1.5, 7)
+    real, calls = probes.apply_kernel_rows, []
+
+    def spy(k, targets, V, fields, h, order=0):
+        calls.append((len(targets), order))
+        out = real(k, targets, V, fields, h, order=order)
+        if fields.ndim == 3:
+            for i, f in enumerate(fields):
+                single = real(k, targets, V, f, h, order=order)
+                scale = np.max(np.abs(single))
+                np.testing.assert_allclose(out[:, i], single, rtol=0.0, atol=1e-13 * scale)
+        return out
+
+    monkeypatch.setattr(probes, "apply_kernel_rows", spy)
+    rec = derivative_recursion(A, None, 1, (0.0, 0.0, 0.2), 2, eval_grid=grid)
+    assert sorted(o for n, o in calls if n == grid.n_nodes) == [0, 1, 2]
+    assert set(rec["orders"]) == {1, 2}
+
+
+def test_unflagged_solves_hold_the_residual_contract(monkeypatch):
+    """A factorization that solves the wrong system (the LU of 2M) must
+    raise, in the solver and in each solve of the derivative recursion,
+    never pass as a solution."""
+    A = build_potential(Grid3(R, 5), "spherical-well", -0.55, R)
+    real = solver.factor
+
+    def wrong(M):
+        return solver.Factorization(M, real(2.0 * M).lu)
+
+    monkeypatch.setattr(solver, "factor", wrong)
+    monkeypatch.setattr(probes, "factor", wrong)
+    with pytest.raises(RuntimeError, match="residual"):
+        solve_generalized(A, None, 1, (0.0, 0.0, 0.2))
+    with pytest.raises(RuntimeError, match="residual"):
+        derivative_recursion(A, None, 1, (0.0, 0.0, 0.2), 2, eval_grid=Grid3(1.5, 7))
 
 
 def test_lambda1_probe_gating_and_decay(crit_free, crit_res):

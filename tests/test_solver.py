@@ -83,7 +83,7 @@ def test_free_spinor_rest_frame():
 def test_free_solution_plane_wave():
     grid = make_grid(5)
     kvec = [0.2, 0.1, -0.3]
-    chi = free_solution(1, kvec, grid)
+    chi = SpinorField(grid, free_solution(1, kvec).values_at(grid.points))
     # plane wave: unit pointwise norm everywhere
     norms = np.linalg.norm(chi.values, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-14
@@ -667,7 +667,7 @@ def test_extension_matches_support_solution():
     phi, diag = solve_generalized(A, None, 1, [0.1, 0.0, 0.0], eval_grid=grid)
     # on the solve grid, chi + T phi must reproduce phi at support nodes
     sup = A.support_indices()
-    chi = free_solution(1, [0.1, 0.0, 0.0], grid)
+    chi = SpinorField(grid, free_solution(1, [0.1, 0.0, 0.0]).values_at(grid.points))
     T = assemble_T(A, 0.1)
     lhs = phi.values[sup]
     direct = np.linalg.solve(
