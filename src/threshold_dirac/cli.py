@@ -60,13 +60,22 @@ def _add_config_flag(p):
     p.add_argument("--config", required=True, help="key=value INI config file")
 
 
+def _search(shape, bracket):
+    """find_critical_coupling; a search that fails (ValueError) ends the
+    command with a one-line message that names the bracket."""
+    try:
+        return find_critical_coupling(shape, bracket)
+    except ValueError as exc:
+        raise SystemExit(f"critical search in bracket {bracket[0]}, {bracket[1]}: {exc}")
+
+
 def _crit_from_config(cfg):
     grid = cio.grid_from_config(cfg)
     bracket = cio.bracket_from_config(cfg)
     if bracket is None:
         raise SystemExit("config section [potential] needs a bracket = lo, hi")
     shape = cio.potential_from_config(cfg, grid, g=1.0)
-    return find_critical_coupling(shape, bracket)
+    return _search(shape, bracket)
 
 
 def plan_from_config(cfg):
@@ -151,7 +160,7 @@ def _cmd_find_critical(args) -> int:
         grid = Grid3(1.0, 9)
         shape_pot = build_potential(grid, args.shape or "spherical-well", 1.0, 1.0)
     lo, hi = (float(t) for t in args.bracket.replace(",", " ").split())
-    crit = find_critical_coupling(shape_pot, (lo, hi))
+    crit = _search(shape_pot, (lo, hi))
     lines = [
         "g_star,sigma_min,dim,lambda_bar",
         f"{cio.fmt_float(crit.g_star)},{cio.fmt_float(crit.sigma_min)},{crit.dim},{crit.lambda_bar}",

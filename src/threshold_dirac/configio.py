@@ -15,7 +15,7 @@ interpolation).  The sections in use:
                   table, bracket          bracket present means "solve for
                                           the critical coupling first"
   [perturbation]  shape, g, R, w, components, mus
-  [sweep]         ks, js, khat, band, n_kappa, kappa_range, bound_mode
+  [sweep]         ks, js, khat, n_kappa, kappa_range
 
 load_config rejects any other section or key, naming file, section and
 key: a setting that nothing reads must not look as if it took effect.
@@ -108,10 +108,8 @@ _SWEEP_KEYS = {
     "ks": _floats,
     "js": _ints,
     "khat": _floats,
-    "band": float,
     "n_kappa": int,
     "kappa_range": _floats,
-    "bound_mode": str,
 }
 _POTENTIAL_KEYS = {"shape", "g", "r", "w", "components", "cell_average", "subsamples", "table"}
 _KNOWN_KEYS = {

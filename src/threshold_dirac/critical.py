@@ -34,7 +34,9 @@ CONVENTIONS
 
     gram_n[p, q] = <Phi_p, A, Phi_q>, gram_m[p, q] = <Phi_p, A, A Phi_q>;
     with Hermitian A these are the Gram matrices of N and of the span
-    M = {A Phi} under the A-weighted pairing. Basis states are sup-norm
+    M = {A Phi} under the A-weighted pairing. CriticalStructure owns the
+    span: coordinates applies gram^-1 to pairing data, and project gives
+    the direct-sum projectors of both splits. Basis states are sup-norm
     normalized with a deterministic phase (largest component real
     positive); inside a degenerate null space the basis is pinned to the
     projections of fixed start vectors.
@@ -43,6 +45,7 @@ CONVENTIONS
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -62,7 +65,6 @@ from .solver import (
 
 __all__ = [
     "CriticalStructure",
-    "Projectors",
     "critical_couplings",
     "find_critical_coupling",
     "lambda_of",
@@ -70,7 +72,6 @@ __all__ = [
     "classify_lambda_bar",
     "decay_decomposition",
     "extend_to_grid",
-    "make_projectors",
     "sigma_min_at",
 ]
 
@@ -107,6 +108,34 @@ class CriticalStructure:
     def pairing(self, B: FourPotential) -> np.ndarray:
         """W[p, q] = <Phi_p, B, Phi_q> over the basis."""
         return _pairing(self.basis, B, self.basis)
+
+    def coordinates(self, M, split: str = "N") -> np.ndarray:
+        """gram^-1 M, gram_n for split "N" and gram_m for "M": pairing
+        data <Phi_p, A, .> (a vector, or matrix columns) as coefficients
+        in the basis."""
+        gram = {"N": self.gram_n, "M": self.gram_m}[split]
+        return np.linalg.solve(gram, np.asarray(M, dtype=np.complex128))
+
+    @cached_property
+    def _grams_regular(self) -> bool:
+        svs = [np.linalg.svd(gram, compute_uv=False) for gram in (self.gram_n, self.gram_m)]
+        return all(sv[-1] > 1e-12 * sv[0] for sv in svs)
+
+    def project(self, which: str, f: SpinorField) -> SpinorField:
+        """P_par / P_perp of the N-split (along the basis) or the M-split
+        (along span{A Phi_q}); which in {"M_par", "M_perp", "N_par",
+        "N_perp"}. ValueError when either gram matrix is singular."""
+        split, _, part = which.partition("_")
+        if split not in ("M", "N") or part not in ("par", "perp"):
+            raise ValueError("unknown projector")
+        if not self._grams_regular:
+            raise ValueError("singular gram matrix: class-C condition (c) violated")
+        A = self.critical_potential()
+        gamma = self.coordinates([pseudo_inner(phi, A, f) for phi in self.basis], split)
+        par = np.zeros_like(f.values)
+        for c, phi in zip(gamma, self.basis):
+            par += c * (A.apply(phi.values) if split == "M" else phi.values)
+        return SpinorField(f.grid, par if part == "par" else f.values - par)
 
 
 def _pairing(left: list, B: FourPotential, right: list) -> np.ndarray:
@@ -335,45 +364,3 @@ def decay_decomposition(phi_ext: SpinorField, A: FourPotential, lam: np.ndarray)
     report["exponent_phi2"] = -1.0 if np.linalg.norm(lam) > 0 else None
     return report
 
-
-# ---------------------------------------------------------------------------
-# direct-sum projectors
-
-
-@dataclass
-class Projectors:
-    """P_par/P_perp for the M-split (span{A Phi_q}) and the N-split."""
-
-    A: FourPotential
-    basis: list
-    gram_n: np.ndarray
-    gram_m: np.ndarray
-
-    def _coeffs(self, gram: np.ndarray, f: SpinorField) -> np.ndarray:
-        b = np.array([pseudo_inner(phi, self.A, f) for phi in self.basis])
-        return np.linalg.solve(gram, b)
-
-    def project(self, which: str, f: SpinorField) -> SpinorField:
-        """which in {"M_par", "M_perp", "N_par", "N_perp"}."""
-        if which[:1] not in ("M", "N"):
-            raise ValueError("unknown projector")
-        m_split = which.startswith("M")
-        gamma = self._coeffs(self.gram_m if m_split else self.gram_n, f)
-        par = np.zeros_like(f.values)
-        for c, phi in zip(gamma, self.basis):
-            par += c * (self.A.apply(phi.values) if m_split else phi.values)
-        if which.endswith("par"):
-            return SpinorField(f.grid, par)
-        if which.endswith("perp"):
-            return SpinorField(f.grid, f.values - par)
-        raise ValueError("unknown projector")
-
-
-def make_projectors(crit: CriticalStructure) -> Projectors:
-    for gram in (crit.gram_n, crit.gram_m):
-        sv = np.linalg.svd(gram, compute_uv=False)
-        if sv[-1] < 1e-12 * sv[0]:
-            raise ValueError("singular gram matrix: class-C condition (c) violated")
-    return Projectors(
-        crit.critical_potential(), crit.basis, crit.gram_n, crit.gram_m
-    )

@@ -248,11 +248,11 @@ def gamma_spectrum(
     self-adjoint and anti-self-adjoint in the gram_n metric; the gammas
     are the eigenvalues of Mhat, real because the metric is definite.
     """
-    B0hat = np.linalg.solve(crit.gram_n, crit.pairing(B0))
+    B0hat = crit.coordinates(crit.pairing(B0))
     sv = np.linalg.svd(B0hat, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
         raise ValueError("projected perturbation matrix is singular on the span")
-    Rhat = np.linalg.solve(crit.gram_n, np.asarray(R, dtype=np.complex128))
+    Rhat = crit.coordinates(R)
     X = np.linalg.solve(B0hat, Rhat)
     Y = np.linalg.solve(B0hat.T, Rhat.T).T
     Mhat = 0.5 * (X + Y)

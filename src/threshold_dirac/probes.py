@@ -38,9 +38,9 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize_scalar
 
-from .critical import CriticalStructure, make_projectors
+from .critical import CriticalStructure
 from .forms import gamma_spectrum, taylor_form
-from .potentials import FourPotential, Grid3, SpinorField, fold_rows, norms
+from .potentials import FourPotential, Grid3, SpinorField, fold_rows, norms, pseudo_inner
 from .kernel import blas_matmul
 from .solver import (
     apply_kernel_rows,
@@ -87,6 +87,7 @@ _NEWTON_STEPS = 30  # crossing Newton: steps before the run counts as not conver
 _SECTOR_REL = 1e-8  # a parity sector holds the threshold basis above this weight
 _PEAK_COARSE = 12  # coarse mu samples of mu_peak
 _PEAK_TOL_REL = 1e-5  # mu_peak's xatol is this * max(|mu_hi|, 1): absolute below 1
+_BAND = 10.0  # a clean sweep record counts as inside the law within this factor of the fit
 
 
 @dataclass
@@ -100,7 +101,6 @@ class SweepPlan:
     js: tuple = (1, 2)
     khat: tuple = (0.0, 0.0, 1.0)
     eval_grid: Grid3 | None = None
-    band: float = 10.0
     n_kappa: int = 400
     kappa_range: tuple = (1e-4, 0.9)
     bound_mode: str = "eigen"  # eigen | sigma-scan
@@ -181,18 +181,16 @@ def _metric_chol(gram: np.ndarray):
     return sla.cholesky(sign * gram, lower=True)
 
 
-def resonance_denominator(
-    crit: CriticalStructure, R: np.ndarray, B: FourPotential | None, k: float
-) -> float:
-    """inf over normalized span states of ||(P_N B + Rhat k^2) Psi|| + k^3.
+def resonance_denominator(crit: CriticalStructure, B: FourPotential | None, k: float) -> float:
+    """inf over normalized span states of ||(P_N B + Rhat k^2) Psi|| + k^3,
+    R the order-2 Taylor form of the critical structure.
 
     Norms are taken in the gram_n metric; B = None means the projected
     perturbation part is absent.
     """
-    Rhat = np.linalg.solve(crit.gram_n, np.asarray(R, dtype=np.complex128))
-    K = Rhat * k**2
+    K = crit.coordinates(taylor_form(crit.critical_potential(), crit, 2)) * k**2
     if B is not None:
-        K = K + np.linalg.solve(crit.gram_n, crit.pairing(B))
+        K = K + crit.coordinates(crit.pairing(B))
     L = _metric_chol(crit.gram_n)
     Km = L.conj().T @ K @ np.linalg.inv(L.conj().T)
     return float(np.linalg.svd(Km, compute_uv=False)[-1] + k**3)
@@ -226,7 +224,7 @@ def _unit_potential(V: FourPotential) -> FourPotential:
 # resonance sweep
 
 
-def _sweep_column(crit, proj, V: FourPotential, k: float, kvec, systems, js, eval_points) -> list:
+def _sweep_column(crit, V: FourPotential, k: float, kvec, systems, js, eval_points) -> list:
     """Every (coupling, j) cell at one k: solve, extend, project.
 
     systems yields (mu, M, V_mu rows) per coupling, with M = 1 - T-hat of
@@ -239,13 +237,14 @@ def _sweep_column(crit, proj, V: FourPotential, k: float, kvec, systems, js, eva
     union = V.support_indices()
     pts = grid.points[union]
     unit = _unit_potential(V)
+    A = crit.critical_potential()
     cells = []
     folded = []
     for mu, M, vmu_rows in systems:
         fac = factor(M)
         for j in js:
             chi = free_solution(j, kvec)
-            u = fac.solve(chi.values_at(pts).reshape(-1)).reshape(-1, 4)
+            u = fac.solve(chi.values_at(pts).reshape(-1))[0].reshape(-1, 4)
             cells.append((mu, j, fac.at_resonance, chi, u))
             folded.append(fold_rows(vmu_rows, u))
         del M, fac  # this coupling's matrix and LU go before the next is built
@@ -254,8 +253,8 @@ def _sweep_column(crit, proj, V: FourPotential, k: float, kvec, systems, js, eva
     for (mu, j, flagged, chi, u), tail in zip(cells, exts.transpose(1, 0, 2)):
         ext = chi.values_at(eval_points) + tail
         phi = SpinorField.on_nodes(grid, union, u)
-        npar = proj.project("N_par", phi)
-        coeffs = proj._coeffs(crit.gram_n, phi)
+        npar = crit.project("N_par", phi)
+        coeffs = crit.coordinates([pseudo_inner(p, A, phi) for p in crit.basis])
         resid = phi.values[union] - npar.values[union] - chi.values_at(pts)
         out.append(
             SweepRecord(
@@ -282,7 +281,9 @@ def resonance_sweep(plan: SweepPlan) -> SweepResult:
     The operator pair is assembled once per k at unit couplings and
     recombined per mu (the contraction is exactly linear in the
     potential), so a mu scan costs one LU per cell and one kernel pass
-    per k.  Solver failures become flagged records, never exceptions.
+    per k.  A flagged factorization (at resonance, or a failed LU) gives
+    a flagged record; an unflagged solve that misses the residual
+    contract raises RuntimeError (Factorization.solve).
     """
     crit = plan.crit
     A = crit.critical_potential()
@@ -291,13 +292,12 @@ def resonance_sweep(plan: SweepPlan) -> SweepResult:
     union = V.support_indices()
     va, vb = A.values[union], plan.B0.values[union]
     eval_grid = plan.eval_grid or default_eval_grid(A.grid)
-    proj = make_projectors(crit)
 
     def run_k(k: float) -> list:
         TA, TB = assemble_pair(A, plan.B0, k)
         systems = ((mu, system_matrix(TA, TB, mu), va + mu * vb) for mu in plan.mus)
         kvec = k * np.asarray(plan.khat)
-        cells = _sweep_column(crit, proj, V, k, kvec, systems, plan.js, eval_grid.points)
+        cells = _sweep_column(crit, V, k, kvec, systems, plan.js, eval_grid.points)
         return [replace(r, predicted_bound=resonance_prediction(r.mu, k, gammas)) for r in cells]
 
     records = [r for k in plan.ks for r in run_k(k)]
@@ -314,7 +314,7 @@ def resonance_sweep(plan: SweepPlan) -> SweepResult:
         for r in clean:
             pred = const * r.predicted_bound
             v = value(r)
-            if v > plan.band * pred or v < pred / plan.band:
+            if v > _BAND * pred or v < pred / _BAND:
                 bad += 1
         return bad
 
@@ -348,7 +348,7 @@ def mu_peak(crit: CriticalStructure, B0: FourPotential, k: float, bracket: tuple
     chi_rhs = free_solution(1, (0.0, 0.0, float(k))).values_at(pts).reshape(-1)
 
     def sup_at(mu: float) -> float:
-        u = factor(system_matrix(TA, TB, mu)).solve(chi_rhs).reshape(-1, 4)
+        u = factor(system_matrix(TA, TB, mu)).solve(chi_rhs)[0].reshape(-1, 4)
         return float(np.max(np.linalg.norm(u, axis=1)))
 
     mu_lo, mu_hi = float(bracket[0]), float(bracket[1])
@@ -657,7 +657,7 @@ def default_probe_field(crit: CriticalStructure) -> SpinorField:
         1.0 + 0.7 * pts[:, 0] + 0.4 * pts[:, 1] - 0.3 * pts[:, 2]
     )
     raw = SpinorField(grid, np.outer(prof, np.array([1.0, 0.3, 0.25 - 0.15j, -0.4])))
-    return make_projectors(crit).project("M_perp", raw)
+    return crit.project("M_perp", raw)
 
 
 def inverse_bound_probe(
@@ -684,23 +684,21 @@ def inverse_bound_probe(
 
     rhs1 = fold_rows(A.values[union], phi.values[union]).reshape(-1)
     rhs2 = m_perp.values[union].reshape(-1)
-    u = fac.solve(rhs1).reshape(-1, 4)
-    v = fac.solve(rhs2).reshape(-1, 4)
+    u = fac.solve(rhs1)[0].reshape(-1, 4)
+    v = fac.solve(rhs2)[0].reshape(-1, 4)
 
-    proj = make_projectors(crit)
-    R = taylor_form(A, crit, 2)
     bn = norms(B) if B is not None else {"l1": 0.0, "linf": 0.0}
     report = {
         "k": k,
         "rcond": fac.rcond,
         "at_resonance": fac.at_resonance,
-        "denominator": resonance_denominator(crit, R, B, k),
+        "denominator": resonance_denominator(crit, B, k),
         "b_l1": bn["l1"],
         "b_linf": bn["linf"],
     }
     for name, sol in (("aphi", u), ("mperp", v)):
         f = SpinorField.on_nodes(grid, union, sol)
-        npar = proj.project("N_par", f)
+        npar = crit.project("N_par", f)
         nperp = f.values[union] - npar.values[union]
         report[f"n_par_{name}"] = npar.sup_norm()
         report[f"n_perp_{name}"] = float(np.max(np.linalg.norm(nperp, axis=1)))
@@ -758,8 +756,8 @@ def derivative_recursion(
 
     Differentiating (1 - T) phi = chi in k gives
     (1 - T) phi^(m) = d^m chi + sum_{l=1..m} C(m,l) [d^l T] phi^(m-l),
-    solved with one LU shared across orders, each solve held to the
-    residual contract of Factorization.checked_solve; the derivative
+    solved with one LU shared across orders (Factorization.solve holds
+    each solve to the residual contract); the derivative
     kernels are the closed forms the forms module uses, here at real k.
     The extension to the evaluation grid makes one stacked kernel pass
     per kernel order l.  With A None (no potential at all), phi^(m) =
@@ -801,7 +799,7 @@ def derivative_recursion(
         for l in range(1, order + 1):
             dT = apply_kernel_rows(k, pts, V, phis[order - l], h, order=l)
             f += math.comb(order, l) * dT
-        phis.append(fac.checked_solve(f.reshape(-1))[0].reshape(-1, 4))
+        phis.append(fac.solve(f.reshape(-1))[0].reshape(-1, 4))
 
     targets = eval_grid.points
     # pass l applies [d^l T] to phi^(o - l) for every order o >= max(l, 1)
@@ -831,11 +829,8 @@ def derivative_alpha(
     crit: CriticalStructure, B: FourPotential | None, k: float
 ) -> float:
     """alpha = 1 + (k + |B|_1) / (span denominator at k), always >= 1."""
-    A = crit.critical_potential()
-    R = taylor_form(A, crit, 2)
-    denom = resonance_denominator(crit, R, B, k)
     bn = norms(B)["l1"] if B is not None else 0.0
-    return 1.0 + (k + bn) / denom
+    return 1.0 + (k + bn) / resonance_denominator(crit, B, k)
 
 
 def derivative_bound(
@@ -876,7 +871,6 @@ def lambda1_probe(crit: CriticalStructure, B: FourPotential | None, ks) -> list:
         raise ValueError("lambda1 probe needs a resonance-class structure")
     V = combine_potentials(crit.critical_potential(), B)
     eval_grid = default_eval_grid(V.grid)
-    proj = make_projectors(crit)
     pinf = pairing_inf(crit, B)
     vrows = V.values[V.support_indices()]
 
@@ -885,7 +879,7 @@ def lambda1_probe(crit: CriticalStructure, B: FourPotential | None, ks) -> list:
         k = float(k)
         TV = assemble_T(V, k)
         system = (0.0, system_matrix(TV, out=TV), vrows)
-        (r,) = _sweep_column(crit, proj, V, k, (0.0, 0.0, k), [system], (1,), eval_grid.points)
+        (r,) = _sweep_column(crit, V, k, (0.0, 0.0, k), [system], (1,), eval_grid.points)
         out.append(
             {
                 "k": k,

@@ -55,13 +55,17 @@ SOLVES
     pivoting, the package's only LU, and a reciprocal condition estimate.
     Systems whose estimate falls below 1e-10 are flagged "at-resonance"
     and solved in the least-squares sense instead (sweeps cross
-    resonances on purpose). Every solve read as physics also checks its
-    residual (checked_solve). sigma_min and null spaces come from one
+    resonances on purpose). Factorization.solve is the one solve of a
+    right-hand side: it returns the solution with its residual
+    |M x - rhs| (node sup norm), and an unflagged solve whose residual
+    exceeds 1e-8 sup|rhs| raises RuntimeError, so a wrong solution never
+    reads as physics. sigma_min and null spaces come from one
     subspace_iteration on an LU from factor; at a critical coupling or a
     crossing its estimate is at the round-off floor from the first step,
     and it stops after two steps (four solves). A failed LU (LAPACK raised,
-    or the LU is not finite) has lu None and rcond NaN; then solve and
-    sigma_min give NaN, subspace_iteration None, shift-invert raises.
+    or the LU is not finite) has lu None and rcond NaN; then solve gives
+    NaN for the solution and the residual, sigma_min NaN,
+    subspace_iteration None, and shift-invert raises.
 
     Parity sectors: when every potential is parity-even on the lattice
     (a0 equal and each a_l opposite at the mirror node, bit for bit),
@@ -641,7 +645,7 @@ def solve_generalized(
 
     TV = assemble_T(V, k)
     fac = factor(system_matrix(TV, out=TV))
-    sol, diagnostics["residual"] = fac.checked_solve(chi.values_at(V.grid.points[sup]).reshape(-1))
+    sol, diagnostics["residual"] = fac.solve(chi.values_at(V.grid.points[sup]).reshape(-1))
     diagnostics.update(rcond=fac.rcond, at_resonance=fac.at_resonance)
     phi_sup = sol.reshape(-1, 4)
     diagnostics["support_sup"] = float(np.max(np.linalg.norm(phi_sup, axis=1)))
@@ -683,23 +687,21 @@ class Factorization:
     def at_resonance(self) -> bool:
         return not self.rcond >= _RESONANCE_RCOND
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """LU solve, least squares when flagged, NaN when the LU failed.
+    def solve(self, rhs: np.ndarray) -> tuple:
+        """(x, node sup norm of M x - rhs): an LU solve, least squares when
+        flagged, NaN for both when the LU failed.
 
-        LAPACK's least-squares driver does not return on a non-finite
-        matrix, so a failed factorization yields NaN instead of a solution.
+        An unflagged solve is held to the residual contract
+        residual <= _RESIDUAL_REL sup|rhs| and raises RuntimeError when it
+        misses it. LAPACK's least-squares routine does not return on a
+        non-finite matrix, so a failed factorization yields NaN instead.
         """
         if self.lu is None:
-            return np.full(rhs.shape, np.nan, dtype=np.complex128)
+            return np.full(rhs.shape, np.nan, dtype=np.complex128), np.nan
         if self.at_resonance:
             x, *_ = np.linalg.lstsq(self.matrix, rhs, rcond=None)
-            return x
-        return sla.lu_solve(self.lu, rhs)
-
-    def checked_solve(self, rhs: np.ndarray) -> tuple:
-        """(solve(rhs), node sup norm of M x - rhs); RuntimeError when an
-        unflagged solve misses residual <= _RESIDUAL_REL sup|rhs|."""
-        x = self.solve(rhs)
+        else:
+            x = sla.lu_solve(self.lu, rhs)
         res, scale = (float(np.max(np.linalg.norm(v.reshape(-1, 4), axis=1)))
                       for v in (blas_matmul(self.matrix, x) - rhs, rhs))
         if not self.at_resonance and res > _RESIDUAL_REL * max(scale, 1e-300):

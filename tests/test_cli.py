@@ -112,3 +112,15 @@ def test_experiment_scripts_import_and_parse(script):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_search_without_a_coupling_exits_naming_the_bracket(tmp_path):
+    """A bracket that holds no certified coupling ends find-critical, and
+    every config command that searches first, with a one-line exit that
+    names the bracket, not a traceback."""
+    with pytest.raises(SystemExit, match=r"bracket -1\.6, -1\.0: not critical in range"):
+        main(["find-critical", "--bracket=-1.6,-1.0"])
+    cfg_path = tmp_path / "empty.ini"
+    cfg_path.write_text(BUMP_CONFIG + "bracket = -0.5, -0.4\n")
+    with pytest.raises(SystemExit, match=r"bracket -0\.5, -0\.4: not critical in range"):
+        main(["classify", "--config", str(cfg_path)])

@@ -36,7 +36,6 @@ js = 1
 khat = 0, 0, 1
 n_kappa = 150
 kappa_range = 0.02, 0.3
-bound_mode = eigen
 """
 
 
@@ -71,7 +70,7 @@ def test_config_round_trip(tmp_path):
     assert cio.mus_from_config(cfg) == (0.01, 0.02)
     kw = cio.sweep_kwargs_from_config(cfg)
     assert kw["ks"] == (0.1, 0.2) and kw["js"] == (1,)
-    assert kw["n_kappa"] == 150 and kw["bound_mode"] == "eigen"
+    assert kw["n_kappa"] == 150
     assert kw["kappa_range"] == (0.02, 0.3)
 
 
@@ -124,3 +123,14 @@ def test_records_csv_content(tmp_path):
     lines = open(path).read().splitlines()
     assert lines[0] == "mu,k,j,sup_norm,n_part_norm,residual_part,predicted_bound,at_resonance"
     assert lines[1] == "0.5,0.25,1,2.0,1.5,0.25,3.0,1"
+
+
+def test_retired_sweep_keys_are_rejected(tmp_path):
+    """band and bound_mode had one value in use and are no longer settable
+    from a config; a file that still sets them is rejected by name."""
+    path = tmp_path / "old.ini"
+    for line in ("band = 10.0", "bound_mode = eigen"):
+        path.write_text(CONFIG_TEXT + line + "\n")
+        key = line.split()[0]
+        with pytest.raises(ValueError, match=rf"old\.ini: \[sweep\] {key}: unknown key"):
+            cio.load_config(str(path))

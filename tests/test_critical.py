@@ -1,5 +1,6 @@
 """Critical coupling location, threshold space extraction, classification."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -25,7 +26,6 @@ from threshold_dirac.critical import (
     extend_to_grid,
     find_critical_coupling,
     lambda_of,
-    make_projectors,
     sigma_min_at,
 )
 from threshold_dirac.radial import RadialWell, critical_coupling, tail_ratio
@@ -470,47 +470,54 @@ def random_fields(grid, count, rng):
 
 
 def test_projector_algebra(crit9, rng):
-    proj = make_projectors(crit9)
     A = crit9.critical_potential()
     grid = crit9.shape.grid
     for f in random_fields(grid, 20, rng):
         scale = f.sup_norm()
         for split in ("M", "N"):
-            par = proj.project(split + "_par", f)
-            perp = proj.project(split + "_perp", f)
+            par = crit9.project(split + "_par", f)
+            perp = crit9.project(split + "_perp", f)
             assert np.max(np.abs(par.values + perp.values - f.values)) < 1e-10 * scale
-            twice = proj.project(split + "_par", par)
+            twice = crit9.project(split + "_par", par)
             assert np.max(np.abs(twice.values - par.values)) < 1e-10 * scale
-        perp = proj.project("M_perp", f)
+        perp = crit9.project("M_perp", f)
         pair = max(abs(pseudo_inner(phi, A, perp)) for phi in crit9.basis)
         ref = max(abs(pseudo_inner(phi, A, f)) for phi in crit9.basis) + 1e-30
         assert pair < 1e-10 * max(1.0, ref)
 
 
 def test_projector_reproduces_span(crit9):
-    proj = make_projectors(crit9)
     A = crit9.critical_potential()
     grid = crit9.shape.grid
     from threshold_dirac.potentials import fold_rows
 
     aphi = SpinorField(grid, fold_rows(A.values, crit9.basis[0].values))
-    par = proj.project("M_par", aphi)
+    par = crit9.project("M_par", aphi)
     assert np.max(np.abs(par.values - aphi.values)) < 1e-10 * aphi.sup_norm()
     nphi = crit9.basis[1]
-    npar = proj.project("N_par", nphi)
+    npar = crit9.project("N_par", nphi)
     assert np.max(np.abs(npar.values - nphi.values)) < 1e-10
+
+
+def test_project_rejects_unknown_names_and_singular_grams(crit9):
+    f = crit9.basis[0]
+    with pytest.raises(ValueError, match="unknown projector"):
+        crit9.project("N_side", f)
+    for gram_m in (np.ones_like(crit9.gram_m), np.zeros_like(crit9.gram_m)):
+        flat = dataclasses.replace(crit9, gram_m=gram_m)
+        with pytest.raises(ValueError, match="singular gram"):
+            flat.project("N_par", f)
 
 
 def test_mperp_invariance_under_threshold_T(crit9, rng):
     """T_1 maps the A-orthogonal complement of N into itself: pairings of
     T h_perp with every basis state stay at quadrature-roundoff level."""
-    proj = make_projectors(crit9)
     A = crit9.critical_potential()
     grid = crit9.shape.grid
     that = assemble_T(crit9.shape, 0.0)
     sup = crit9.shape.support_indices()
     for f in random_fields(grid, 5, rng):
-        perp = proj.project("M_perp", f)
+        perp = crit9.project("M_perp", f)
         flat = perp.values[sup].reshape(-1)
         tvals = crit9.g_star * (that @ flat).reshape(-1, 4)
         full = np.zeros_like(perp.values)

@@ -8,7 +8,7 @@ import scipy.sparse.linalg
 
 from threshold_dirac import probes, solver
 from threshold_dirac.potentials import Grid3, SpinorField, build_potential
-from threshold_dirac.critical import find_critical_coupling, make_projectors
+from threshold_dirac.critical import find_critical_coupling
 from threshold_dirac.forms import gamma_spectrum, taylor_form
 from threshold_dirac.solver import free_spinor, solve_generalized
 from threshold_dirac.probes import (
@@ -99,13 +99,11 @@ def test_prediction_peaks_on_the_resonance_curve():
 
 
 def test_denominator_floor_and_pairing(crit_free, b0, gammas):
-    A = crit_free.critical_potential()
-    Rm = taylor_form(A, crit_free, 2)
     k = 0.2
     assert pairing_inf(crit_free, None) == 0.0
     assert pairing_inf(crit_free, b0) > 0.0
-    d_on = resonance_denominator(crit_free, Rm, b0.rescaled(-float(gammas[0]) * k * k), k)
-    d_off = resonance_denominator(crit_free, Rm, b0.rescaled(0.3), k)
+    d_on = resonance_denominator(crit_free, b0.rescaled(-float(gammas[0]) * k * k), k)
+    d_off = resonance_denominator(crit_free, b0.rescaled(0.3), k)
     assert d_on >= k**3
     assert d_off > 3.0 * d_on
 
@@ -321,13 +319,12 @@ def test_symmetric_probe_decouples_from_span(crit_free, b0):
     # even envelope + upper components only: the span coupling vanishes
     # through every order in k (angular selection), so n_par stays at
     # roundoff no matter how close the resonance is
-    proj = make_projectors(crit_free)
     grid = crit_free.shape.grid
     prof = np.exp(-2.0 * np.sum(grid.points**2, axis=1))
     raw = np.zeros((grid.n_nodes, 4), dtype=np.complex128)
     raw[:, 0] = prof
     raw[:, 1] = 0.5 * prof
-    m_sym = proj.project("M_perp", SpinorField(grid, raw))
+    m_sym = crit_free.project("M_perp", SpinorField(grid, raw))
     rep = inverse_bound_probe(
         crit_free, b0.rescaled(0.2), (0.0, 0.0, 0.2), crit_free.basis[0], m_sym
     )
@@ -407,11 +404,13 @@ def test_derivative_extension_one_kernel_pass_per_order(monkeypatch):
     assert set(rec["orders"]) == {1, 2}
 
 
-def test_unflagged_solves_hold_the_residual_contract(monkeypatch):
+def test_unflagged_solves_hold_the_residual_contract(monkeypatch, crit_free, crit_res, b0):
     """A factorization that solves the wrong system (the LU of 2M) must
-    raise, in the solver and in each solve of the derivative recursion,
-    never pass as a solution."""
+    raise, in the solver, in each solve of the derivative recursion, and
+    in the sweep, the mu-peak search, the inverse-bound probe and the
+    resonance-class probe, never pass as a solution."""
     A = build_potential(Grid3(R, 5), "spherical-well", -0.55, R)
+    m_perp = default_probe_field(crit_free)
     real = solver.factor
 
     def wrong(M):
@@ -423,6 +422,16 @@ def test_unflagged_solves_hold_the_residual_contract(monkeypatch):
         solve_generalized(A, None, 1, (0.0, 0.0, 0.2))
     with pytest.raises(RuntimeError, match="residual"):
         derivative_recursion(A, None, 1, (0.0, 0.0, 0.2), 2, eval_grid=Grid3(1.5, 7))
+    with pytest.raises(RuntimeError, match="residual"):
+        resonance_sweep(SweepPlan(crit_free, b0, mus=(0.05,), ks=(0.2,), js=(1,)))
+    with pytest.raises(RuntimeError, match="residual"):
+        mu_peak(crit_free, b0, 0.2, (0.01, 0.05))
+    with pytest.raises(RuntimeError, match="residual"):
+        inverse_bound_probe(
+            crit_free, b0.rescaled(0.2), (0.0, 0.0, 0.2), crit_free.basis[0], m_perp
+        )
+    with pytest.raises(RuntimeError, match="residual"):
+        lambda1_probe(crit_res, None, (0.1,))
 
 
 def test_lambda1_probe_gating_and_decay(crit_free, crit_res):

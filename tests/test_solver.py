@@ -851,7 +851,7 @@ def test_non_finite_lu_is_a_failed_factorization():
     m = np.array([[1.0, 1e308], [1.0, -1e308]])
     fac = solver.factor(m)
     assert fac.lu is None and np.isnan(fac.rcond) and fac.at_resonance
-    assert np.all(np.isnan(fac.solve(np.ones(2))))
+    assert np.all(np.isnan(fac.solve(np.ones(2))[0]))
     assert np.isnan(smallest_singular_value(m))
     assert solver.subspace_iteration(fac, 1) is None
     sigma, basis = critical._null_basis(fac, 1e-8)
@@ -861,6 +861,28 @@ def test_non_finite_lu_is_a_failed_factorization():
     broken[0, 1] = np.nan
     with pytest.raises(RuntimeError, match="factorization"):
         critical.critical_couplings(broken, (-2.2, -0.4))
+
+
+def test_solve_returns_its_residual():
+    """Factorization.solve returns (x, node sup norm of M x - rhs). An LU
+    solve meets the contract; a flagged least-squares solve reports its
+    residual without raising; a failed LU gives NaN for both."""
+    rng = np.random.default_rng(5)
+    m = np.eye(8) + 0.1 * rng.normal(size=(8, 8))
+    rhs = rng.normal(size=8) + 0j
+    x, res = solver.factor(m).solve(rhs)
+    assert res <= 1e-12 * np.max(np.abs(rhs))
+    np.testing.assert_allclose(m @ x, rhs, rtol=0.0, atol=1e-12)
+
+    m[:, 0] = m[:, 1]
+    fac = solver.factor(m)
+    assert fac.at_resonance
+    x, res = fac.solve(rhs)
+    assert res == np.max(np.linalg.norm((m @ x - rhs).reshape(-1, 4), axis=1))
+    assert res > 1e-8
+
+    x, res = solver.factor(np.array([[1.0, 1e308], [1.0, -1e308]])).solve(np.ones(2))
+    assert np.all(np.isnan(x)) and np.isnan(res)
 
 
 def test_every_lu_goes_through_factor(monkeypatch):
