@@ -45,15 +45,15 @@ from .kernel import blas_matmul
 from .solver import (
     apply_kernel_rows,
     assemble_pair,
-    assemble_sector,
+    assemble_sectors,
     assemble_T,
     combine_potentials,
     default_eval_grid,
     factor,
     free_solution,
     free_spinor,
-    parity_sectors,
     smallest_singular_value,
+    symmetry_sectors,
     system_matrix,
 )
 
@@ -84,7 +84,7 @@ _BRANCH_REL = 1e-12  # block iteration: pencil values steady to this, relative
 _BRANCH_STEPS = 40  # block iteration steps before a kappa counts as failed
 _NEWTON_REL = 1e-12  # crossing Newton: |d kappa| <= this * kappa ends the run
 _NEWTON_STEPS = 30  # crossing Newton: steps before the run counts as not converged
-_SECTOR_REL = 1e-8  # a parity sector holds the threshold basis above this weight
+_SECTOR_REL = 1e-8  # a symmetry sector holds the threshold basis above this weight
 _PEAK_COARSE = 12  # coarse mu samples of mu_peak
 _PEAK_TOL_REL = 1e-5  # mu_peak's xatol is this * max(|mu_hi|, 1): absolute below 1
 _BAND = 10.0  # a clean sweep record counts as inside the law within this factor of the fit
@@ -438,37 +438,42 @@ def _block_iteration(apply, X: np.ndarray, shift: float):
 
 
 def _branch_seeds(A: FourPotential, B0: FourPotential, basis: list) -> list:
-    """(sector, block) for each parity sector of A + B0 that holds the
-    threshold basis: the basis's part there, in sector coordinates.  A
-    part whose norm is at most _SECTOR_REL of the basis's is round-off;
-    a potential that is not parity-even gives one seed, the whole
-    support."""
+    """(sector, block) for each symmetry sector of A + B0 that holds the
+    threshold basis: an orthonormal basis, in sector coordinates, of the
+    range of the threshold basis's part there.  Directions of the part
+    whose singular value is at most _SECTOR_REL of the basis's norm are
+    round-off; potentials without a common symmetry give one seed, the
+    whole support."""
     union = combine_potentials(A, B0).support_indices()
     X = np.stack([f.values[union].reshape(-1) for f in basis], axis=1)
     cut = _SECTOR_REL * np.linalg.norm(X)
-    parts = [(sector, sector.project(X)) for sector in parity_sectors(A, B0)]
-    return [(sector, part) for sector, part in parts if np.linalg.norm(part) > cut]
+    seeds = []
+    for sector in symmetry_sectors(A, B0):
+        u, s, _ = np.linalg.svd(sector.project(X), full_matrices=False)
+        if s[0] > cut:
+            seeds.append((sector, u[:, s > cut]))
+    return seeds
 
 
 def _branch(A: FourPotential, B0: FourPotential, kappa: float, shift: float, seeds, derivative=False):
     """Pencil values mu of 1 - T^{A + mu B0} at k = i kappa nearest shift.
 
     seeds holds (sector, block) pairs (see _branch_seeds); each block's
-    size is the number of values its parity sector returns.  Per sector,
-    one assembly and one LU of M = 1 - T_A - shift T_B, built in place
-    over T_A, serve the right block inverse iteration X <- M^-1 T_B X
-    and, with derivative, the left one on M^H.  Then dmu/dkappa is the
-    diagonal, in the Ritz basis, of -i (Y^H T_B X)^-1 Y^H T'_{A + mu B0} X
-    (the eigenvalues of that matrix when the block is one degenerate
-    branch), where T' = dT/dk is one order-1 kernel-row pass on the
-    sector's targets.  Returns (mus, dmus, seeds) with the Ritz blocks
-    as the new seeds, dmus None without derivative; None when factor
-    fails or an iteration does not settle.
+    size is the number of values its sector returns.  One kernel-row
+    pass on the orbit representatives serves every sector; per sector,
+    one LU of M = 1 - T_A - shift T_B, built in place over T_A, serves
+    the right block inverse iteration X <- M^-1 T_B X and, with
+    derivative, the left one on M^H.  Then dmu/dkappa is the diagonal,
+    in the Ritz basis, of -i (Y^H T_B X)^-1 Y^H T'_{A + mu B0} X (the
+    eigenvalues of that matrix when the block is one degenerate branch),
+    where T' = dT/dk is one order-1 kernel-row pass on the
+    representatives for every sector's fields.  Returns (mus, dmus,
+    seeds) with the Ritz blocks as the new seeds, dmus None without
+    derivative; None when factor fails or an iteration does not settle.
     """
-    unit = _unit_potential(combine_potentials(A, B0))
-    all_mus, all_dmus, blocks = [], [], []
-    for sector, X in seeds:
-        M, TB = assemble_sector(sector, A, B0, 1j * kappa)  # M holds T_A until turned into M
+    blocks, lefts = [], []
+    pairs = assemble_sectors([sector for sector, _ in seeds], A, B0, 1j * kappa)
+    for (sector, X), (M, TB) in zip(seeds, pairs):  # M holds T_A until turned into M
         M += shift * TB  # T-hat of A + shift B0 first: the crossings' kappa bits depend on this order
         lu = factor(system_matrix(M, out=M)).lu
         del M  # LAPACK factored a copy: only the LU stays
@@ -480,9 +485,7 @@ def _branch(A: FourPotential, B0: FourPotential, kappa: float, shift: float, see
         Q, H = right
         theta, S = np.linalg.eig(H)
         X = Q @ S
-        mus = (shift + 1.0 / theta).real
-        all_mus.append(mus)
-        blocks.append((sector, X))
+        blocks.append((sector, X, (shift + 1.0 / theta).real))
         if not derivative:
             continue
         left = _block_iteration(
@@ -490,18 +493,29 @@ def _branch(A: FourPotential, B0: FourPotential, kappa: float, shift: float, see
         )
         if left is None:
             return None
-        Y = left[0]
-        va, vb = A.values[sector.nodes], B0.values[sector.nodes]
-        full = sector.extend(X)
-        fields = np.stack([fold_rows(va + m * vb, x.reshape(-1, 4)) for m, x in zip(mus, full.T)])
-        dT = apply_kernel_rows(
-            1j * kappa, A.grid.points[sector.targets], unit, fields, A.grid.spacing, order=1
-        )
-        dTX = sector.restrict(dT.transpose(1, 0, 2).reshape(len(mus), -1).T)
-        D = -1j * np.linalg.solve(Y.conj().T @ blas_matmul(TB, X), Y.conj().T @ dTX)
-        all_dmus.append(np.diagonal(D).real)
-    dmus = np.concatenate(all_dmus) if derivative else None
-    return np.concatenate(all_mus), dmus, blocks
+        lefts.append((left[0], blas_matmul(TB, X)))
+    mus = np.concatenate([m for _, _, m in blocks])
+    seeds = [(sector, X) for sector, X, _ in blocks]
+    if not derivative:
+        return mus, None, seeds
+    first = seeds[0][0]  # every sector shares the support and the representatives
+    va, vb = A.values[first.nodes], B0.values[first.nodes]
+    fields = np.stack([
+        fold_rows(va + m * vb, x.reshape(-1, 4))
+        for sector, X, ms in blocks
+        for m, x in zip(ms, sector.extend(X).T)
+    ])
+    unit = _unit_potential(combine_potentials(A, B0))
+    dT = apply_kernel_rows(
+        1j * kappa, A.grid.points[first.targets], unit, fields, A.grid.spacing, order=1
+    )
+    ends = np.cumsum([len(ms) for _, _, ms in blocks])[:-1]
+    dmus = []
+    for (sector, X, ms), (Y, TBX), part in zip(blocks, lefts, np.split(dT, ends, axis=1)):
+        dTX = sector.restrict(part.transpose(1, 0, 2).reshape(len(ms), -1).T)
+        D = -1j * np.linalg.solve(Y.conj().T @ TBX, Y.conj().T @ dTX)
+        dmus.append(np.diagonal(D).real)
+    return mus, np.concatenate(dmus), seeds
 
 
 def _newton_crossing(A, B0, mu: float, lo: float, hi: float, f_lo: float, f_hi: float, seeds):
@@ -555,7 +569,7 @@ def _track_eigen(plan: SweepPlan) -> list:
     kappas = np.geomspace(kmin, kmax, max(16, plan.n_kappa // 10))
 
     # the branch leaves mu = 0 at kappa = 0 along the threshold basis
-    # (zero on nodes of B0's support outside A's), in the parity sectors
+    # (zero on nodes of B0's support outside A's), in the symmetry sectors
     # that hold it; each kappa is shifted at the branch value of the one
     # before
     seeds = _branch_seeds(A, B0, crit.basis)

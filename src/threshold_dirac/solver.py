@@ -67,16 +67,23 @@ SOLVES
     NaN for the solution and the residual, sigma_min NaN,
     subspace_iteration None, and shift-invert raises.
 
-    Parity sectors: when every potential is parity-even on the lattice
-    (a0 equal and each a_l opposite at the mirror node, bit for bit),
-    parity (P f)_s = beta f_{S-1-s} commutes with T-hat and the operators
-    split into an even and an odd block of half the size.
-    parity_sectors finds them, or the whole support as one sector;
-    assemble_sector builds a pair's block from the kernel rows of the
-    representative half of the support plus the centre node, folding
-    the mirrored columns, and ParitySector maps vectors to and from its
-    coordinates. The bound-state branch runs on the sectors that hold
-    the threshold basis: one LU of half the size per kappa.
+    Symmetry sectors: symmetry_sectors finds the largest group among
+    C4h (the 90-degree rotation about z, (i, j, k) -> (n-1-j, i, k) with
+    U = exp(-i pi/4 Sigma_3) on spinors, and inversion, flat node
+    i -> N-1-i with beta), inversion and the trivial group that every
+    potential admits, checked bit for bit through the integer node
+    maps.  Every group element then commutes with T-hat, which is block
+    diagonal over the group's one-dimensional characters: 8 sectors for
+    C4h (U^4 = -1, so the rotation eigenvalues are e^{i pi (2m+1)/4}),
+    2 for inversion, the whole support for the trivial group.  A Sector
+    maps vectors to and from the coordinates of an orthonormal basis,
+    one 4x4 SVD of the stabiliser projector per orbit type, so the
+    centre node and the z axis need no special case.  assemble_sectors
+    builds a pair's blocks on several sectors from one kernel-row pass
+    over the orbit representatives (40 of the 251 nodes of the n = 9
+    well), folding the columns at their images with the characters.
+    The bound-state branch runs on the sectors that hold the threshold
+    basis: at n = 9 two LUs of 129 unknowns per kappa.
 
     Matrix-sized products go through kernel.blas_matmul, scipy's BLAS,
     so numpy's separate OpenBLAS thread pool never spins beside an LU.
@@ -92,7 +99,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .algebra import alpha_stack, identity4
+from .algebra import alpha_stack, beta, identity4
 from .kernel import CLIFFORD_BASIS, blas_matmul, expand, self_cell_coefficients
 from .kernel import coefficients as kernel_coefficients
 from .potentials import FourPotential, Grid3, SpinorField, fold_rows
@@ -103,9 +110,9 @@ __all__ = [
     "free_solution",
     "assemble_T",
     "assemble_pair",
-    "ParitySector",
-    "parity_sectors",
-    "assemble_sector",
+    "Sector",
+    "symmetry_sectors",
+    "assemble_sectors",
     "assemble_kernel_blocks",
     "contract_potential",
     "apply_kernel_rows",
@@ -378,7 +385,7 @@ def contract_potential(
 
 def _assembled(k, grid: Grid3, nodes: np.ndarray, *pot_values: np.ndarray, rows=None) -> list:
     """Dense T-hat of each (n_nodes, 4) potential array on one node set,
-    or its rows of the first ``rows`` nodes only.
+    or its rows of the nodes at positions ``rows`` only.
 
     Each chunk of targets gets its 4x4 blocks from one
     assemble_kernel_blocks call and is contracted once per potential
@@ -390,11 +397,11 @@ def _assembled(k, grid: Grid3, nodes: np.ndarray, *pot_values: np.ndarray, rows=
     pts = grid.points[nodes]
     vals = [v[nodes] for v in pot_values]
     n = len(pts)
-    rows = n if rows is None else rows
-    mats = [np.empty((4 * rows, 4 * n), dtype=np.complex128) for _ in vals]
+    rows = np.arange(n) if rows is None else rows
+    mats = [np.empty((4 * len(rows), 4 * n), dtype=np.complex128) for _ in vals]
     step = _chunk_rows(n * len(vals))
-    for s in range(0, rows, step):
-        blocks = assemble_kernel_blocks(k, pts[s : min(s + step, rows)], pts, grid.spacing)
+    for s in range(0, len(rows), step):
+        blocks = assemble_kernel_blocks(k, pts[rows[s : s + step]], pts, grid.spacing)
         for mat, v in zip(mats, vals):
             contract_potential(blocks, v, out=mat[4 * s : 4 * (s + step)])
     return mats
@@ -421,111 +428,197 @@ def assemble_pair(A: FourPotential, B: FourPotential, k) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# parity sectors
+# symmetry sectors
 
-_BETA_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
+_BETA = beta()
+# the rotation by +90 degrees about z on spinors, exp(-i pi/4 Sigma_3) with
+# Sigma_3 = -i alpha_1 alpha_2, in closed form: -i Sigma_3 = -alpha_1 alpha_2
+_ROTATION = np.cos(np.pi / 4) * _I4 - np.sin(np.pi / 4) * (_ALPHA[0] @ _ALPHA[1])
+
+
+def _columns(f: np.ndarray) -> np.ndarray:
+    """A vector or block as a block: (n,) -> (n, 1)."""
+    return f.reshape(len(f), -1)
 
 
 @dataclass(frozen=True)
-class ParitySector:
-    """One parity sector of the operators on a support.
+class Sector:
+    """One symmetry sector: the vectors f with O_g f = chi(g) f for every
+    element g of a group of lattice symmetries, (O_g f)_{g(s)} = U_g f_s.
 
-    nodes is the sorted support (grid node indices).  The grid mirror
-    x -> -x maps flat node i to N - 1 - i, so on a mirror-symmetric
-    support it maps the s-th support node to the (S - 1 - s)-th.  With
-    sign +1 or -1 the sector holds the vectors with f_{S-1-s} = sign
-    beta f_s, the eigenvectors of parity (P f)_s = beta f_{S-1-s};
-    their coordinates are the components on the representative half
-    s < S // 2 and, when S is odd, the centre node's beta = sign
-    components.  Sign 0 is the whole support, one sector, in the full
-    coordinates.
+    nodes is the sorted support (grid node indices); images[o, g] is the
+    support position of g(r) for the representative r of orbit o, and
+    images[:, 0] (the identity) are the representatives, shared by the
+    group's sectors.  A sector vector is fixed on each orbit by its
+    representative's components, f_{g(r)} = conj(chi(g)) U_g f_r, and
+    these lie in the range of the representative's stabiliser projector.
+    basis[o] holds an orthonormal basis of that range, times sqrt(orbit
+    size), in its first columns (zero columns pad it to 4), and index
+    picks the used columns out of the 4 n_o; the sector coordinates are
+    those of an orthonormal basis V of the sector, and W =
+    blockdiag(basis)[:, index] is V's rows on the representatives times
+    the orbit sizes.  spread[o] stacks conj(chi(g)) U_g basis[o] / G
+    over the G elements: V's rows at the images of r, a node reached
+    from several elements taking their sum.  character is (chi(rotation),
+    chi(inversion)), 1 for an element the group lacks.
     """
 
     nodes: np.ndarray
-    sign: int = 0
+    images: np.ndarray
+    character: tuple
+    basis: np.ndarray
+    spread: np.ndarray
+    index: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return self.images.shape[1]
 
     @property
     def targets(self) -> np.ndarray:
-        """The nodes whose rows the sector uses: half plus centre."""
-        return self.nodes[: (len(self.nodes) + 1) // 2] if self.sign else self.nodes
+        """The nodes whose rows the sector uses: the representatives."""
+        return self.nodes[self.images[:, 0]]
 
-    @cached_property
-    def index(self) -> np.ndarray:
-        """Positions of the sector coordinates among the targets' components."""
-        if not self.sign:
-            return np.arange(4 * len(self.nodes))
-        half = len(self.nodes) // 2
-        centre = 4 * half + (np.arange(2) if self.sign > 0 else np.arange(2, 4))
-        return np.concatenate([np.arange(4 * half), centre[: 2 * (len(self.nodes) % 2)]])
+    def _coordinates(self, at_reps: np.ndarray) -> np.ndarray:
+        """W^H of a block (4 n_o, m) on the representatives."""
+        x = self.basis.conj().transpose(0, 2, 1) @ at_reps.reshape(len(self.basis), 4, -1)
+        return x.reshape(-1, x.shape[-1])[self.index]
 
     def restrict(self, f: np.ndarray) -> np.ndarray:
         """Sector coordinates of a sector vector (or block), given on the
         support or on the targets only."""
-        return f[self.index] if self.sign else f
+        cols = _columns(f)
+        by_node = cols.reshape(-1, 4, cols.shape[1])
+        if len(by_node) != len(self.basis):
+            by_node = by_node[self.images[:, 0]]
+        return self._coordinates(by_node).reshape((-1,) + f.shape[1:])
 
     def extend(self, x: np.ndarray) -> np.ndarray:
-        """The sector vector (or block) on the whole support."""
-        if not self.sign:
-            return x
-        n, half = len(self.nodes), len(self.nodes) // 2
-        full = np.zeros((4 * n,) + x.shape[1:], dtype=np.complex128)
-        full[self.index] = x
-        by_node = full.reshape((n, 4) + x.shape[1:])
-        beta = _BETA_DIAG.reshape((4,) + (1,) * (x.ndim - 1))
-        by_node[n - half :] = (self.sign * beta) * by_node[:half][::-1]
-        return full
+        """The sector vector (or block) on the whole support, V x."""
+        y = np.zeros((4 * len(self.basis), _columns(x).shape[1]), dtype=np.complex128)
+        y[self.index] = _columns(x)
+        parts = (self.spread @ y.reshape(len(self.basis), 4, -1)).reshape(
+            len(self.basis), self.order, 4, -1
+        )
+        full = np.zeros((len(self.nodes),) + parts.shape[2:], dtype=np.complex128)
+        for g in range(self.order):  # one element maps distinct representatives apart
+            full[self.images[:, g]] += parts[:, g]
+        return full.reshape((-1,) + x.shape[1:])
 
     def project(self, f: np.ndarray) -> np.ndarray:
-        """Sector coordinates of the sector part (f + sign P f) / 2."""
-        if not self.sign:
-            return f
-        by_node = f.reshape((len(self.nodes), 4) + f.shape[1:])
-        beta = _BETA_DIAG.reshape((4,) + (1,) * (f.ndim - 1))
-        pf = (beta * by_node[::-1]).reshape(f.shape)
-        return self.restrict(0.5 * (f + self.sign * pf))
+        """Sector coordinates of the sector part of f, V^H f."""
+        cols = _columns(f)
+        at_images = cols.reshape(len(self.nodes), 4, -1)[self.images]  # (n_o, G, 4, m)
+        stacked = at_images.reshape(len(self.basis), -1, cols.shape[1])
+        x = self.spread.conj().transpose(0, 2, 1) @ stacked
+        return x.reshape(-1, x.shape[-1])[self.index].reshape((-1,) + f.shape[1:])
 
-    def fold(self, rows: np.ndarray) -> np.ndarray:
-        """The sector block of an operator that commutes with parity, from
-        its rows on the targets: (T_sign)_ij = T_ij + sign T_{i,m(j)} beta,
-        the mirrored columns folded in place, then the sector's rows and
-        columns."""
-        if not self.sign:
-            return rows
-        n, half = len(self.nodes), len(self.nodes) // 2
-        cols = rows.reshape(len(rows), n, 4)
-        cols[:, :half] += (self.sign * _BETA_DIAG) * cols[:, n - half :][:, ::-1]
-        return rows[np.ix_(self.index, self.index)]
+    def fold(self, tv: np.ndarray) -> np.ndarray:
+        """The sector block V^H T V = W^H (T V) of an operator T that
+        commutes with the group, from the rows (T V)[r] on the
+        representatives, (rows, n_o, 4) with the padded columns."""
+        return self._coordinates(tv.reshape(len(tv), -1)[:, self.index])
 
 
-def _parity_even(A: FourPotential) -> bool:
+def _inversion_even(values: np.ndarray, inversion: np.ndarray) -> bool:
     """a0 at the mirror node equals a0, each a_l is its negative, bit for bit."""
-    mirrored = A.values[::-1]
-    return np.array_equal(mirrored[:, 0], A.values[:, 0]) and np.array_equal(
-        mirrored[:, 1:], -A.values[:, 1:]
+    mirrored = values[inversion]
+    return np.array_equal(mirrored[:, 0], values[:, 0]) and np.array_equal(
+        mirrored[:, 1:], -values[:, 1:]
     )
 
 
-def parity_sectors(A: FourPotential, B: FourPotential | None = None) -> tuple:
-    """The parity sectors of the support of A + B: (even, odd) when both
-    are parity-even on the lattice, else the whole support as one.
+def _rotation_even(values: np.ndarray, rotation: np.ndarray) -> bool:
+    """a1 and a2 vanish, a0 and a3 are equal at the rotated node, bit for bit."""
+    return not np.any(values[:, 1:3]) and np.array_equal(
+        values[rotation][:, ::3], values[:, ::3]
+    )
 
-    Parity commutes with T-hat for such potentials, since beta G(-z)
-    beta = G(z) and the near-cell rules are mirror symmetric, so the
-    operators are block diagonal over the sectors.
+
+def symmetry_sectors(A: FourPotential, B: FourPotential | None = None) -> tuple:
+    """The symmetry sectors of the support of A + B under the largest
+    group among C4h, inversion and the trivial one that both potentials
+    admit bit for bit on the lattice: 8 sectors, 2, or the whole support.
+
+    The 90-degree rotation about z maps node (i, j, k) to (n-1-j, i, k)
+    with U = _ROTATION, inversion maps flat node i to N-1-i with beta;
+    the kernel is covariant under both, so every O_g commutes with
+    T-hat and the operators are block diagonal over the sectors.  U^4 =
+    -1, so the C4z characters are e^{i pi (2m+1)/4}; with parity +-1
+    that gives the 8 one-dimensional characters of C4h.
     """
+    pots = [P for P in (A, B) if P is not None]
+    grid = A.grid
+    n = grid.nodes_per_axis
+    i, j, k = np.indices((n, n, n)).reshape(3, -1)
+    rotation = ((n - 1 - j) * n + i) * n + k
+    inversion = np.arange(grid.n_nodes)[::-1]
+    parity = all(_inversion_even(P.values, inversion) for P in pots)
+    turns = 4 if parity and all(_rotation_even(P.values, rotation) for P in pots) else 1
+    flips = 2 if parity else 1
+
     nodes = combine_potentials(A, B).support_indices()
-    if all(_parity_even(P) for P in (A, B) if P is not None):
-        return ParitySector(nodes, 1), ParitySector(nodes, -1)
-    return (ParitySector(nodes),)
+    maps, spins, powers = [], [], []
+    for a in range(turns):
+        for b in range(flips):
+            image = np.arange(grid.n_nodes)
+            for _ in range(a):
+                image = rotation[image]
+            maps.append(inversion[image] if b else image)
+            spins.append(np.linalg.matrix_power(_ROTATION, a) @ np.linalg.matrix_power(_BETA, b))
+            powers.append((a, b))
+    moved = np.searchsorted(nodes, np.stack(maps)[:, nodes])  # (G, S) positions of g(s)
+    reps = np.flatnonzero(moved.min(axis=0) == np.arange(len(nodes)))
+    images = moved[:, reps].T  # (n_o, G)
+    fixed = images == reps[:, None]  # g in the representative's stabiliser
+    size = len(maps) / fixed.sum(axis=1)  # orbit sizes
+    kinds, kind_of = np.unique(fixed, axis=0, return_inverse=True)
+    spins = np.stack(spins)
+
+    sectors = []
+    for m in range(turns):
+        lam = np.exp(1j * np.pi * (2 * m + 1) / 4) if turns > 1 else 1.0
+        for p in (1, -1)[:flips]:
+            chars = np.array([lam**a * p**b for a, b in powers], dtype=np.complex128)
+            bases = []
+            for stab in kinds:  # one SVD of the stabiliser projector per orbit type
+                if stab.sum() == 1:  # only the identity fixes r: the projector is 1
+                    bases.append(_I4)
+                    continue
+                proj = np.tensordot(chars[stab].conj(), spins[stab], axes=1) / stab.sum()
+                u, s, _ = np.linalg.svd(proj)
+                bases.append(np.where(s > 0.5, u, 0.0))
+            basis = np.stack(bases)[kind_of.reshape(-1)] * np.sqrt(size)[:, None, None]
+            spread = np.einsum("g,gij,ojk->ogik", chars.conj() / len(maps), spins, basis)
+            index = np.flatnonzero(np.any(basis != 0.0, axis=1))
+            spread = spread.reshape(len(reps), -1, 4)
+            sectors.append(Sector(nodes, images, (complex(lam), p), basis, spread, index))
+    return tuple(sectors)
 
 
-def assemble_sector(sector: ParitySector, A: FourPotential, B: FourPotential, k) -> tuple:
-    """(T-hat of A, T-hat of B) on one parity sector of the support of
-    A + B (parity_sectors(A, B)), from the kernel rows of its targets
-    only: about half of assemble_pair's kernel pass for a parity sector,
-    all of it for the whole support, where the pair is assemble_pair's."""
-    pair = _assembled(k, A.grid, sector.nodes, A.values, B.values, rows=len(sector.targets))
-    return tuple(sector.fold(m) for m in pair)
+def assemble_sectors(sectors: tuple, A: FourPotential, B: FourPotential, k) -> list:
+    """(T-hat of A, T-hat of B) on each of some sectors of one
+    symmetry_sectors(A, B) call, from one kernel-row pass over the orbit
+    representatives (about 1/8 of the support for C4h, all of it for
+    the trivial group).
+
+    The rows of T V for every sector come from one product per matrix:
+    the columns at the images of each representative, gathered once,
+    against the sectors' spreads side by side; each sector then folds
+    its own columns.
+    """
+    images = sectors[0].images
+    pair = _assembled(k, A.grid, sectors[0].nodes, A.values, B.values, rows=images[:, 0])
+    if sectors[0].order == 1:  # the trivial group: V = 1, the blocks are the matrices
+        return [tuple(pair)]
+    spreads = np.concatenate([sector.spread for sector in sectors], axis=2)
+    folded = []
+    for rows in pair:
+        cols = np.take(rows.reshape(len(rows), -1, 4), images, axis=1)  # (m, n_o, G, 4)
+        cols = cols.reshape(len(rows), len(images), -1).transpose(1, 0, 2) @ spreads
+        tv = cols.transpose(1, 0, 2).reshape(len(rows), len(images), len(sectors), 4)
+        folded.append([sector.fold(tv[:, :, i]) for i, sector in enumerate(sectors)])
+    return list(zip(*folded))
 
 
 def apply_kernel_rows(

@@ -204,7 +204,7 @@ def wider_b0_track():
     """Eigen and sigma-scan tracks for a B0 that is not proportional to
     the shape: a unit well of radius 1 against a critical well of radius
     0.8, so B0 also lives on nodes outside A's support.  7^3 grid, short
-    kappa range.  The eigen track runs with assemble_sector and ARPACK
+    kappa range.  The eigen track runs with assemble_sectors and ARPACK
     counted."""
     grid = Grid3(R, 7)
     crit = find_critical_coupling(build_potential(grid, "spherical-well", 1.0, 0.8), (8.0, 14.0))
@@ -219,7 +219,7 @@ def wider_b0_track():
         n_kappa=20,
         kappa_range=(0.04, 0.15),
     )
-    calls = {"assemble_sector": 0, "eigs": 0}
+    calls = {"assemble_sectors": 0, "eigs": 0}
 
     def counted(name, fn):
         def spy(*args, **kwargs):
@@ -229,7 +229,7 @@ def wider_b0_track():
         return spy
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(probes, "assemble_sector", counted("assemble_sector", probes.assemble_sector))
+        mp.setattr(probes, "assemble_sectors", counted("assemble_sectors", probes.assemble_sectors))
         mp.setattr(scipy.sparse.linalg, "eigs", counted("eigs", scipy.sparse.linalg.eigs))
         rec_e = boundstate_track(plan)
     rec_s = boundstate_track(replace(plan, bound_mode="sigma-scan"))
@@ -254,7 +254,7 @@ def test_boundstate_eigen_track_counts(wider_b0_track):
     crossings = len(rec_e)
     assert crossings == len(plan.mus)
     assert calls["eigs"] == 0
-    assert n_curve < calls["assemble_sector"] <= n_curve + 6 * crossings + crossings
+    assert n_curve < calls["assemble_sectors"] <= n_curve + 6 * crossings + crossings
 
 
 def test_boundstate_eigen_failed_lu_gives_no_record(wider_b0_track, monkeypatch):
@@ -267,18 +267,18 @@ def test_boundstate_eigen_failed_lu_gives_no_record(wider_b0_track, monkeypatch)
     kappas = np.geomspace(kmin, kmax, max(16, plan.n_kappa // 10))
     target = rec_e[0]
     above = float(kappas[np.searchsorted(kappas, target.kappa)])
-    assemble_sector = probes.assemble_sector
+    assemble_sectors = probes.assemble_sectors
     for bad in (above, target.kappa):
         seen = []
 
-        def poisoned(sector, A, B, k):
-            TA, TB = assemble_sector(sector, A, B, k)
+        def poisoned(sectors, A, B, k):
+            blocks = assemble_sectors(sectors, A, B, k)
             if abs(k.imag - bad) <= 1e-9 * bad:
-                TA[3, 5] = np.nan
+                blocks[0][0][3, 5] = np.nan
                 seen.append(k.imag)
-            return TA, TB
+            return blocks
 
-        monkeypatch.setattr(probes, "assemble_sector", poisoned)
+        monkeypatch.setattr(probes, "assemble_sectors", poisoned)
         got = boundstate_track(replace(plan, mus=(target.mu, rec_e[1].mu)))
         assert seen
         assert [r.mu for r in got] == [rec_e[1].mu]

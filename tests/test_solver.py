@@ -201,46 +201,105 @@ def _matched_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(cost[rows, cols].max())
 
 
-def test_parity_sector_spectra_make_the_full_spectrum():
-    """For two parity-even spherical wells on 7^3, the even and odd sector
-    blocks of T_A and of T_B on the union support together carry the
-    full T-hat spectrum, at real and imaginary k; the sector blocks are
-    half the size."""
+def _weights(sectors, crit):
+    """Norm of the threshold basis's part in each sector, over its norm."""
+    X = np.stack([f.values[sectors[0].nodes].reshape(-1) for f in crit.basis], axis=1)
+    return [np.linalg.norm(sec.project(X)) / np.linalg.norm(X) for sec in sectors]
+
+
+def _odd_quarter(sec) -> bool:
+    """The odd sectors whose C4z eigenvalue is e^{+-i pi/4}."""
+    lam, p = sec.character
+    return p == -1 and abs(abs(np.angle(lam)) - np.pi / 4) <= 1e-12
+
+
+def test_symmetry_sector_spectra_make_the_full_spectrum():
+    """For two C4h-symmetric spherical wells on 7^3, the 8 sector blocks
+    of T_A and of T_B on the union support together carry the full
+    T-hat spectrum, at real and imaginary k; the block sizes sum to the
+    4 S unknowns, and the Kramers pair of the critical well lies in the
+    two odd sectors of C4z eigenvalue e^{+-i pi/4}."""
+    from threshold_dirac import critical
+
     grid = make_grid(7)
     A = lattice_well(grid, 1.3, R)
     B = lattice_well(grid, 0.7, 0.7)
-    sectors = solver.parity_sectors(A, B)
-    assert [sec.sign for sec in sectors] == [1, -1]
+    sectors = solver.symmetry_sectors(A, B)
+    assert len(sectors) == 8
+    assert sum(len(sec.index) for sec in sectors) == 4 * len(sectors[0].nodes)
     for k in (0.2, 0.1j):
         TA, TB = solver.assemble_pair(A, B, k)
-        blocks = [solver.assemble_sector(sec, A, B, k) for sec in sectors]
-        assert all(len(ta) == len(TA) // 2 for ta, _ in blocks)
+        blocks = solver.assemble_sectors(sectors, A, B, k)
+        assert [len(ta) for ta, _ in blocks] == [len(sec.index) for sec in sectors]
         for full, part in ((TA, [ta for ta, _ in blocks]), (TB, [tb for _, tb in blocks])):
             want = np.linalg.eigvals(full)
             got = np.concatenate([np.linalg.eigvals(m) for m in part])
             assert _matched_gap(want, got) <= 1e-12 * np.max(np.abs(want))
+    crit = critical.find_critical_coupling(lattice_well(grid, 1.0, R), (5.0, 9.0))
+    for sec, w in zip(sectors, _weights(sectors, crit)):
+        if _odd_quarter(sec):
+            assert w == pytest.approx(np.sqrt(0.5), rel=1e-10)
+        else:
+            assert w <= 1e-14
 
 
-def test_parity_sector_maps_round_trip():
-    """extend and restrict are inverse on sector coordinates, and project
-    keeps a sector vector and drops the other sector's part."""
+def test_symmetry_sector_maps_round_trip():
+    """In each of the 8 sectors, extend and restrict are inverse on
+    sector coordinates, and project keeps a sector vector and drops the
+    other sectors' parts."""
     grid = make_grid(7)
     A = lattice_well(grid, 1.0, R)
-    even, odd = solver.parity_sectors(A)
+    sectors = solver.symmetry_sectors(A)
+    assert len(sectors) == 8
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(len(even.index), 3)) + 1j * rng.normal(size=(len(even.index), 3))
-    for sec, other in ((even, odd), (odd, even)):
+    for sec in sectors:
+        x = rng.normal(size=(len(sec.index), 3)) + 1j * rng.normal(size=(len(sec.index), 3))
         f = sec.extend(x)
         assert f.shape == (4 * len(A.support_indices()), 3)
-        assert np.array_equal(sec.restrict(f), x)
-        assert np.allclose(sec.project(f), x, rtol=0.0, atol=1e-15)
-        assert np.max(np.abs(other.project(f))) <= 1e-15
+        assert np.allclose(sec.restrict(f), x, rtol=0.0, atol=1e-15 * np.max(np.abs(x)))
+        assert np.allclose(sec.project(f), x, rtol=0.0, atol=1e-15 * np.max(np.abs(x)))
+        for other in sectors:
+            if other is not sec:
+                assert np.max(np.abs(other.project(f))) <= 1e-15 * np.max(np.abs(x))
+
+
+def test_symmetry_group_level_and_rotation_sense():
+    """The group is the largest of C4h, inversion and the trivial one that
+    the potentials admit: a spherical lattice well gives 8 sectors, a
+    parity-even well with r^2 = h^2 (2 i^2 + j^2 + k^2) gives 2, and with
+    a1 nonzero the spherical well gives 1.  The rotation's spinor matrix
+    has the sense that makes (O f)_{r(s)} = U f_s commute with T-hat,
+    r(i, j, k) = (n-1-j, i, k); the opposite sense does not."""
+    grid = make_grid(7)
+    n = grid.nodes_per_axis
+    well = lattice_well(grid, 1.0, R)
+    assert len(solver.symmetry_sectors(well)) == 8
+    i, j, k = np.indices((n, n, n)).reshape(3, -1) - (n - 1) // 2
+    r = grid.spacing * np.sqrt(2 * i**2 + j**2 + k**2)
+    values = np.zeros((grid.n_nodes, 4))
+    values[:, 0] = smoothstep_profile(r, 0.3, 0.9)
+    oblong = FourPotential(grid, "oblong-well", 1.0, R, values)
+    assert len(solver.symmetry_sectors(oblong)) == 2
+    vector = lattice_well(grid, 1.0, R, components=(1.0, 0.3, 0.0, 0.0))
+    assert [sec.order for sec in solver.symmetry_sectors(vector)] == [1]
+
+    nodes = well.support_indices()
+    i, j, k = np.indices((n, n, n)).reshape(3, -1)
+    turned = np.searchsorted(nodes, (((n - 1 - j) * n + i) * n + k)[nodes])
+    T = solver.assemble_T(well, 0.1j)
+    for U, small in ((solver._ROTATION, True), (solver._ROTATION.conj().T, False)):
+        O = np.zeros_like(T)
+        for s, t in enumerate(turned):
+            O[4 * t : 4 * t + 4, 4 * s : 4 * s + 4] = U
+        gap = np.linalg.norm(O @ T - T @ O) / np.linalg.norm(T)
+        assert gap <= 1e-14 if small else gap > 0.1
 
 
 def test_sector_branch_values_are_pencil_eigenvalues():
-    """The branch's values at one kappa, from the odd sector that holds
-    the threshold basis, are generalized eigenvalues of the full pencil
-    (1 - T_A, T_B) at k = i kappa (dense QZ on the union support)."""
+    """The branch's values at one kappa, one from each of the two odd
+    sectors of C4z eigenvalue e^{+-i pi/4} that hold the threshold basis,
+    are generalized eigenvalues of the full pencil (1 - T_A, T_B) at
+    k = i kappa (dense QZ on the union support)."""
     from threshold_dirac import critical, probes
 
     grid = make_grid(7)
@@ -248,7 +307,8 @@ def test_sector_branch_values_are_pencil_eigenvalues():
     A = crit.critical_potential()
     B0 = lattice_well(grid, 1.0, 0.7)
     seeds = probes._branch_seeds(A, B0, crit.basis)
-    assert [(sec.sign, x.shape[1]) for sec, x in seeds] == [(-1, 2)]
+    assert [x.shape[1] for _, x in seeds] == [1, 1]
+    assert all(_odd_quarter(sec) for sec, _ in seeds)
     kappa = 0.05
     mus, _, _ = probes._branch(A, B0, kappa, 0.0, seeds)
     TA, TB = solver.assemble_pair(A, B0, 1j * kappa)
@@ -259,12 +319,61 @@ def test_sector_branch_values_are_pencil_eigenvalues():
         assert np.min(np.abs(pencil - mu)) <= 1e-10 * abs(mu)
 
 
+def test_sector_track_makes_one_row_pass_per_kappa_and_small_lus(monkeypatch):
+    """On the C4h lattice wells the eigen track makes one kernel-row pass
+    on the orbit representatives per kappa (curve points and Newton
+    steps), serving both sectors that hold the threshold basis; every LU
+    of the branch has at most ceil(4 S / 8) + 8 unknowns, and the
+    sigma_min validations stay full size."""
+    from threshold_dirac import critical, probes
+    from threshold_dirac.forms import gamma_spectrum, taylor_form
+
+    grid = make_grid(7)
+    crit = critical.find_critical_coupling(lattice_well(grid, 1.0, R), (5.0, 9.0))
+    A = crit.critical_potential()
+    B0 = lattice_well(grid, 1.0, R)
+    n_unknowns = 4 * len(combine_potentials(A, B0).support_indices())
+    g1 = float(gamma_spectrum(crit, B0, taylor_form(A, crit, 2)).gammas[0])
+    plan = probes.SweepPlan(
+        crit, B0, mus=tuple(g1 * k * k for k in (0.06, 0.1)), ks=(0.1,),
+        n_kappa=20, kappa_range=(0.04, 0.15),
+    )
+    kappas, passes, branch_sizes, full_sizes = [], [], [], []
+
+    def spy(record, fn):
+        def wrapped(*args, **kwargs):
+            record(*args, **kwargs)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(probes, "_branch", spy(
+        lambda A, B0, kappa, shift, seeds, **kw: kappas.append((kappa, len(seeds))),
+        probes._branch))
+    monkeypatch.setattr(solver, "_assembled", spy(
+        lambda k, grid, nodes, *vals, rows=None: passes.append((k, rows)), solver._assembled))
+    monkeypatch.setattr(probes, "factor", spy(lambda M: branch_sizes.append(len(M)), probes.factor))
+    monkeypatch.setattr(solver, "factor", spy(lambda M: full_sizes.append(len(M)), solver.factor))
+    records = probes.boundstate_track(plan)
+    assert len(records) == len(plan.mus)
+    assert all(n == 2 for _, n in kappas)
+    row_passes = [(k, rows) for k, rows in passes if rows is not None]
+    assert [k for k, _ in row_passes] == [1j * kappa for kappa, _ in kappas]
+    reps = solver.symmetry_sectors(A, B0)[0].images[:, 0]
+    assert 8 * len(reps) < 2 * n_unknowns // 4
+    assert all(np.array_equal(rows, reps) for _, rows in row_passes)
+    assert len(branch_sizes) == 2 * len(kappas)
+    assert max(branch_sizes) <= -(-n_unknowns // 8) + 8
+    assert full_sizes == [n_unknowns] * len(records)
+
+
 @pytest.mark.parametrize("case", ["shifted", "vector"])
 def test_asymmetric_potentials_are_one_sector_and_track(case):
-    """A parity-even well shifted by one lattice cell, and a vector
-    potential whose a_1 is even (parity needs it odd), are not
-    parity-even: each is one sector, the whole support, and its
-    eigen-mode crossings still agree with the literal sigma-scan."""
+    """A C4h-symmetric well shifted by one lattice cell, and a vector
+    potential whose a_1 is nonzero and even (C4h needs it zero, parity
+    odd), admit no lattice symmetry: each is one sector of the trivial
+    group, the whole support, and its eigen-mode crossings still agree
+    with the literal sigma-scan."""
     from dataclasses import replace
 
     from threshold_dirac import critical, probes
@@ -273,20 +382,20 @@ def test_asymmetric_potentials_are_one_sector_and_track(case):
     grid = make_grid(7)
     if case == "shifted":
         well = lattice_well(grid, 1.0, 0.6)
-        assert len(solver.parity_sectors(well)) == 2
+        assert len(solver.symmetry_sectors(well)) == 8
         moved = np.roll(well.values.reshape(7, 7, 7, 4), 1, axis=0).reshape(-1, 4)
         shape = FourPotential(grid, "shifted-well", 1.0, R, moved)
         bracket = (20.0, 30.0)
     else:
-        assert len(solver.parity_sectors(lattice_well(grid, 1.0, R))) == 2
+        assert len(solver.symmetry_sectors(lattice_well(grid, 1.0, R))) == 8
         shape = lattice_well(grid, 1.0, R, components=(1.0, 0.3, 0.0, 0.0))
         bracket = (12.5, 13.3)
     crit = critical.find_critical_coupling(shape, bracket)
     assert crit.lambda_bar == 0
     A = crit.critical_potential()
     B0 = lattice_well(grid, 1.0, R)
-    sectors = solver.parity_sectors(A, B0)
-    assert len(sectors) == 1 and sectors[0].sign == 0
+    sectors = solver.symmetry_sectors(A, B0)
+    assert len(sectors) == 1 and sectors[0].order == 1
     assert np.array_equal(sectors[0].nodes, combine_potentials(A, B0).support_indices())
     g1 = float(gamma_spectrum(crit, B0, taylor_form(A, crit, 2)).gammas[0])
     plan = probes.SweepPlan(
