@@ -788,7 +788,7 @@ def derivative_recursion(
     V = None if A is None else combine_potentials(A, B)
 
     if V is None or len(V.support_indices()) == 0:
-        grid = eval_grid or (V.grid if V is not None else Grid3(2.0, 21))
+        grid = eval_grid or (default_eval_grid(V.grid) if V is not None else Grid3(2.0, 21))
         chis = _free_derivatives(j, k, khat, m, grid.points)
         orders = {l: _weighted_sup(grid.points, chis[l], l) for l in range(1, m + 1)}
         return {

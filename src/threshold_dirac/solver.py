@@ -36,8 +36,9 @@ QUADRATURE
     offset times h is x_t - y_s exactly. Off-lattice targets use x_t - y_s;
     the same near displacement recurs at many of them, so one pre-pass
     per kernel call collects the distinct ones by exact bits and each is
-    subdivided once: the 21^3 sweep grid at n = 9 has 36,816 near pairs
-    but 16,351 distinct displacements.
+    subdivided once: an explicit off-lattice Grid3(2, 21) at n = 9 has
+    36,816 near pairs but 16,351 distinct displacements. The default
+    evaluation grid (default_eval_grid) lies on the lattice.
 
     Every quadrature block lies in the span of the Clifford basis
     (I, beta, alpha_1, alpha_2, alpha_3) (see the kernel module): the
@@ -671,7 +672,9 @@ def combine_potentials(A: FourPotential, B: FourPotential | None) -> FourPotenti
 
 
 def default_eval_grid(support_grid: Grid3) -> Grid3:
-    return Grid3(2.0 * support_grid.half_width, 21)
+    """The box of twice the support's half-width on the support lattice,
+    so every extension to it gathers its kernel rows from one offset table."""
+    return Grid3(2.0 * support_grid.half_width, 2 * support_grid.nodes_per_axis - 1)
 
 
 def smallest_singular_value(matrix) -> float:

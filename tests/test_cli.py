@@ -55,7 +55,8 @@ def test_solve_dumps_field_with_sidecar(tmp_path):
 
 def test_readme_classify_reference_config(tmp_path):
     """The README quick-start `classify --config scripts/configs/reference.ini`
-    fits the decay on the 4R grid even though [eval] has L = 2."""
+    fits the decay on the 4R grid, not on the default evaluation box of
+    half-width 2."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     config = os.path.join(root, "scripts", "configs", "reference.ini")
     out = str(tmp_path / "classify.csv")

@@ -350,6 +350,16 @@ def test_derivative_free_case_is_exact():
     assert np.max(np.linalg.norm(got - fd, axis=1)) <= 1e-5
 
 
+def test_derivative_zero_potential_uses_the_default_grid():
+    """With an empty support the recursion returns d^m chi on the grid
+    solve_generalized uses, default_eval_grid of the support grid."""
+    A = build_potential(Grid3(R, 9), "spherical-well", 0.0, R)
+    rec = derivative_recursion(A, None, 1, (0.0, 0.0, 0.3), 1)
+    phi, _ = solve_generalized(A, None, 1, (0.0, 0.0, 0.3))
+    assert rec["phi_m"].grid.same_layout(solver.default_eval_grid(A.grid))
+    assert rec["phi_m"].grid.same_layout(phi.grid)
+
+
 def test_derivative_m1_matches_fd_of_solution(crit_free, b0):
     A = crit_free.critical_potential()
     B = b0.rescaled(0.15)

@@ -614,15 +614,48 @@ def test_classify_extension_evaluates_the_offset_table_once(monkeypatch):
     assert sum(rows) <= 41**3 + 124 * 64
 
 
+def test_default_extension_evaluates_the_offset_table_once(monkeypatch):
+    """default_eval_grid at n = 9 is Grid3(2, 17) on the support lattice:
+    it holds every support node bit for bit, and one extension onto it
+    evaluates the kernel at the 25^3 offsets plus the 124 x 64 subcells
+    of the near block. At the support nodes that extension of a solve
+    reproduces the node solution to the residual contract."""
+    A = build_potential(make_grid(9), "spherical-well", -0.55, R)
+    sup = A.support_indices()
+    spts = A.grid.points[sup]
+    eval_grid = solver.default_eval_grid(A.grid)
+    at = [np.flatnonzero(np.all(eval_grid.points == p, axis=1)) for p in spts]
+    assert all(len(i) == 1 for i in at)
+    at = np.concatenate(at)
+    rows = _count_kernel_rows(monkeypatch)
+    f = smooth_field(A.grid).values[sup]
+    ext = apply_kernel_rows(0.1, eval_grid.points, A, f, A.grid.spacing)
+    assert ext.shape == (eval_grid.n_nodes, 4) and np.all(np.isfinite(ext))
+    assert sum(rows) <= 25**3 + 124 * 64
+
+    kvec = [0.1, 0.0, 0.0]
+    chi = free_solution(1, kvec).values_at(spts)
+    u, _ = solver.factor(solver.system_matrix(assemble_T(A, 0.1))).solve(chi.reshape(-1))
+    phi, _ = solve_generalized(A, None, 1, kvec)
+    assert phi.grid.same_layout(eval_grid)
+    scale = np.max(np.linalg.norm(chi, axis=1))
+    assert np.max(np.linalg.norm(phi.values[at] - u.reshape(-1, 4), axis=1)) <= 1e-8 * scale
+
+
 def test_off_lattice_extension_subdivides_each_near_displacement_once(monkeypatch):
-    """The 21^3 sweep grid at n = 9 is off the source lattice and has
-    36,816 near target-source pairs, but only 16,351 distinct
-    displacements by exact bits. One kernel call subdivides each of
-    them once (at most 16,352 rows), and its coefficients equal those
-    of subdividing chunk by chunk, bit for bit."""
+    """The explicit Grid3(2, 21) at n = 9 is off the source lattice but
+    for the 125 nodes of integer coordinates, and has 36,816 near
+    target-source pairs, but only 16,351 distinct displacements by
+    exact bits. One kernel call subdivides each of them once (at most
+    16,352 rows; more than the 124 of the offset table alone), and its
+    coefficients equal those of subdividing chunk by chunk, bit for
+    bit."""
     A = build_potential(make_grid(9), "spherical-well", 1.0, R)
     spts = A.grid.points[A.support_indices()]
-    h, targets = A.grid.spacing, solver.default_eval_grid(A.grid).points
+    h, targets = A.grid.spacing, Grid3(2.0 * A.grid.half_width, 21).points
+    offset = (targets - spts[0]) / h
+    on = np.all(np.abs(offset - np.rint(offset)) <= solver._LATTICE_TOL, axis=1)
+    assert np.count_nonzero(on) == 125
     rows = []
     subdivide = solver._subdivided_coefficients
 
@@ -632,7 +665,7 @@ def test_off_lattice_extension_subdivides_each_near_displacement_once(monkeypatc
 
     monkeypatch.setattr(solver, "_subdivided_coefficients", spy)
     chunks = list(solver._coefficient_chunks(0.2, targets, spts, h, 0))
-    assert sum(rows) <= 16_352
+    assert 124 < sum(rows) <= 16_352
     monkeypatch.setattr(solver, "_subdivided_coefficients", subdivide)
     for got_rows, got in chunks:
         want = solver._quadrature_coefficients(0.2, targets[got_rows, None] - spts, h, 0)
