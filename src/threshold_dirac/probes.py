@@ -9,8 +9,9 @@ PHYSICS SCOPE
     mu = gamma_l kappa^2 for k = i kappa, with gamma_l the curvature
     spectrum from the forms module (one formula, k^2 = -kappa^2).  This
     module measures those laws: divergence of sup norms, localization of
-    the blow-up inside the threshold span, bound-state tracks in the gap,
-    inverse-operator norm bands, and the growth of k-derivatives.
+    the blow-up inside the threshold span, bound-state tracks in the gap
+    (checked by an inertia count of crossings), inverse-operator norm
+    bands, and the growth of k-derivatives.
 
 MEASUREMENT CONVENTIONS
     Statements "norm <= C * bound" are probed two-sided: one constant is
@@ -38,6 +39,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize_scalar
 
+from .algebra import alpha_stack, identity4
 from .critical import CriticalStructure
 from .forms import gamma_spectrum, taylor_form
 from .potentials import FourPotential, Grid3, SpinorField, fold_rows, norms, pseudo_inner
@@ -52,6 +54,7 @@ from .solver import (
     factor,
     free_solution,
     free_spinor,
+    negative_count,
     smallest_singular_value,
     symmetry_sectors,
     system_matrix,
@@ -69,6 +72,7 @@ __all__ = [
     "resonance_sweep",
     "mu_peak",
     "boundstate_track",
+    "crossing_count",
     "default_probe_field",
     "inverse_bound_probe",
     "derivative_recursion",
@@ -78,8 +82,6 @@ __all__ = [
 ]
 
 _CROSSING_REL = 1e-5
-_REFINE_TRIGGER_REL = 0.2
-_MAX_REFINES_PER_MU = 6
 _BRANCH_REL = 1e-12  # block iteration: pencil values steady to this, relative
 _BRANCH_STEPS = 40  # block iteration steps before a kappa counts as failed
 _NEWTON_REL = 1e-12  # crossing Newton: |d kappa| <= this * kappa ends the run
@@ -92,7 +94,11 @@ _BAND = 10.0  # a clean sweep record counts as inside the law within this factor
 
 @dataclass
 class SweepPlan:
-    """One sweep campaign over (mu, k, j) cells around a critical structure."""
+    """One sweep campaign over (mu, k, j) cells around a critical structure.
+
+    The bound-state track reads mus, kappa_range (0 < lo < hi < 1, as
+    for BoundStateRecord) and n_kappa: its coarse kappa curve has
+    max(16, n_kappa // 10) points."""
 
     crit: CriticalStructure
     B0: FourPotential
@@ -103,7 +109,7 @@ class SweepPlan:
     eval_grid: Grid3 | None = None
     n_kappa: int = 400
     kappa_range: tuple = (1e-4, 0.9)
-    bound_mode: str = "eigen"  # eigen | sigma-scan
+    bound_mode: str = "eigen"  # the only mode; perfbench/campaigns.py passes it
 
     def __post_init__(self):
         self.mus = tuple(float(m) for m in self.mus)
@@ -120,8 +126,11 @@ class SweepPlan:
             raise ValueError("real-k probes need k > 0")
         if not self.B0.grid.same_layout(self.crit.shape.grid):
             raise ValueError("perturbation must live on the shape grid")
-        if self.bound_mode not in ("eigen", "sigma-scan"):
-            raise ValueError("bound_mode must be eigen or sigma-scan")
+        self.kappa_range = span = tuple(float(x) for x in self.kappa_range)
+        if len(span) != 2 or not 0.0 < span[0] < span[1] < 1.0:
+            raise ValueError("kappa_range must be (lo, hi) with 0 < lo < hi < 1")
+        if self.bound_mode != "eigen":
+            raise ValueError("bound_mode must be eigen")
 
 
 @dataclass(frozen=True)
@@ -379,38 +388,6 @@ def _bound_record(mu: float, kappa, sigma) -> BoundStateRecord:
     )
 
 
-def boundstate_track(plan: SweepPlan) -> list:
-    """Locate bound-state crossings of 1 - T^{A + mu B0} at k = i kappa.
-
-    Two modes, selected by plan.bound_mode:
-
-    "eigen" (the default, for any B0): continue the threshold branch.
-    At k = i kappa the couplings where 1 - T_A - mu T_B is singular are
-    the eigenvalues mu of the pencil (1 - T_A, T_B); the branch that
-    leaves mu = 0 at kappa = 0 is followed by block inverse iteration
-    over a coarse kappa curve, one LU per kappa, starting from the
-    threshold basis.  Each sign change of mu(kappa) - mu is then solved
-    by safeguarded Newton with the analytic dmu/dkappa, and every
-    crossing is validated against the sigma_min criterion.
-
-    "sigma-scan" (the literal cross-check): scan a log-spaced kappa grid
-    (one kernel pass per kappa serves every mu), refine each candidate
-    local minimum of sigma_min by bounded Brent (scipy's
-    minimize_scalar), and accept when the refined singular value
-    collapses.
-
-    Either way, a mu of the wrong sign legitimately yields an empty
-    list, and at mu = 0 the track sits at the kappa -> 0 boundary and is
-    reported at the first grid point.  A failed factorization or a
-    Newton run that does not converge gives no record, never a crossing.
-    """
-    if plan.crit.lambda_bar != 0:
-        raise ValueError("bound-state tracking needs the lambda-free class")
-    if plan.bound_mode == "eigen":
-        return _track_eigen(plan)
-    return _track_sigma_scan(plan)
-
-
 def _block_iteration(apply, X: np.ndarray, shift: float):
     """Block inverse iteration X <- apply(Q) with a Rayleigh-Ritz step.
 
@@ -562,7 +539,28 @@ def _sigma_at(A: FourPotential, B0: FourPotential, kappa: float, mu: float) -> t
     return smallest_singular_value(M), float(np.linalg.norm(M, 1))
 
 
-def _track_eigen(plan: SweepPlan) -> list:
+def boundstate_track(plan: SweepPlan) -> list:
+    """Locate bound-state crossings of 1 - T^{A + mu B0} at k = i kappa,
+    for any B0, by continuing the threshold branch.
+
+    At k = i kappa the couplings where 1 - T_A - mu T_B is singular are
+    the eigenvalues mu of the pencil (1 - T_A, T_B); the branch that
+    leaves mu = 0 at kappa = 0 is followed by block inverse iteration
+    over a coarse kappa curve of max(16, plan.n_kappa // 10) log-spaced
+    points across plan.kappa_range, one LU per kappa and sector,
+    starting from the threshold basis.  Each sign change of
+    mu(kappa) - mu is then solved by safeguarded Newton with the
+    analytic dmu/dkappa, and every crossing is validated against the
+    sigma_min criterion.  crossing_count is the independent check: its
+    difference across a crossing is crit.dim.
+
+    A mu of the wrong sign legitimately yields an empty list, and at
+    mu = 0 the track sits at the kappa -> 0 boundary and is reported at
+    the first curve point.  A failed factorization or a Newton run that
+    does not converge gives no record, never a crossing.
+    """
+    if plan.crit.lambda_bar != 0:
+        raise ValueError("bound-state tracking needs the lambda-free class")
     crit = plan.crit
     A, B0 = crit.critical_potential(), plan.B0
     kmin, kmax = plan.kappa_range
@@ -610,46 +608,29 @@ def _track_eigen(plan: SweepPlan) -> list:
     return records
 
 
-def _track_sigma_scan(plan: SweepPlan) -> list:
-    crit = plan.crit
-    A = crit.critical_potential()
-    kmin, kmax = plan.kappa_range
-    kappas = np.geomspace(kmin, kmax, plan.n_kappa)
-
-    def scan_col(kappa: float) -> list:
-        TA, TB = assemble_pair(A, plan.B0, 1j * kappa)
-        systems = (system_matrix(TA, TB, mu) for mu in plan.mus)
-        return [(smallest_singular_value(M), float(np.linalg.norm(M, 1))) for M in systems]
-
-    grid_vals = [scan_col(kappa) for kappa in kappas]
-
-    records = []
-    for im, mu in enumerate(plan.mus):
-        sig = np.array([grid_vals[i][im][0] for i in range(len(kappas))])
-        scl = np.array([grid_vals[i][im][1] for i in range(len(kappas))])
-        trigger = _REFINE_TRIGGER_REL * float(np.median(scl))
-        accept = _CROSSING_REL * float(np.median(scl))
-        candidates = []
-        if sig[0] < sig[1] and sig[0] < trigger:
-            candidates.append(0)
-        for i in range(1, len(kappas) - 1):
-            if sig[i] < sig[i - 1] and sig[i] <= sig[i + 1] and sig[i] < trigger:
-                candidates.append(i)
-        candidates = sorted(candidates, key=lambda i: sig[i])[:_MAX_REFINES_PER_MU]
-        for i in sorted(candidates):
-            if i == 0:
-                kap, val = kappas[0], sig[0]
-            else:
-                best = minimize_scalar(
-                    lambda x: _sigma_at(A, plan.B0, x, mu)[0],
-                    bounds=(kappas[i - 1], kappas[i + 1]),
-                    method="bounded",
-                    options={"xatol": 1e-7 * kappas[i]},
-                )
-                kap, val = best.x, best.fun
-            if val < accept:
-                records.append(_bound_record(mu, kap, val))
-    return records
+def crossing_count(V: FourPotential, kappa: float) -> int:
+    """Negative eigenvalues of the Hermitian H = V^-1 - G(i kappa) on the
+    support of V: G is T-hat of the unit potential there, V^-1 the
+    node-wise (a0 - a.alpha) / (a0^2 - |a|^2).  H is singular where
+    1 - T^V = (V^-1 - G) V is, and the count never falls as kappa grows
+    (Birman-Schwinger for Dirac operators in the gap; M. Klaus, Helv.
+    Phys. Acta 53, 1980): its rise between two kappas is the number of
+    crossings there, with multiplicity.  At kappa = 0, V = g W with
+    a0 > |a| on W, its rise across a bracket on one side of g = 0 is the
+    number of critical couplings inside.  Full size, off the sectors,
+    the branch and sigma_min, so an independent check of
+    boundstate_track.  Raises ValueError where V is singular at a
+    support node (a0^2 = |a|^2); no node is skipped.
+    """
+    rows = V.values[V.support_indices()]
+    det = rows[:, 0] ** 2 - np.sum(rows[:, 1:] ** 2, axis=1)
+    if np.any(det == 0.0):
+        raise ValueError("V is singular at a support node (a0^2 = |a|^2): no crossing count")
+    inv = rows[:, :1, None] * identity4() - np.einsum("sl,lij->sij", rows[:, 1:], alpha_stack())
+    n = len(rows)
+    H = -assemble_T(_unit_potential(V), 1j * kappa)
+    H.reshape(n, 4, n, 4)[np.arange(n), :, np.arange(n), :] += inv / det[:, None, None]
+    return negative_count(H)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,9 @@ SOLVES
     and it stops after two steps (four solves). A failed LU (LAPACK raised,
     or the LU is not finite) has lu None and rcond NaN; then solve gives
     NaN for the solution and the residual, sigma_min NaN,
-    subspace_iteration None, and shift-invert raises.
+    subspace_iteration None, and shift-invert raises. negative_count
+    reads the inertia of a Hermitian matrix off one LDL^H; it solves
+    nothing.
 
     Symmetry sectors: symmetry_sectors finds the largest group among
     C4h (the 90-degree rotation about z, (i, j, k) -> (n-1-j, i, k) with
@@ -126,6 +128,7 @@ __all__ = [
     "subspace_iteration",
     "cosine_block",
     "smallest_singular_value",
+    "negative_count",
     "default_eval_grid",
 ]
 
@@ -690,6 +693,19 @@ def smallest_singular_value(matrix) -> float:
         return 0.0
     got = subspace_iteration(matrix, 1)
     return np.nan if got is None else float(got[1][-1])
+
+
+def negative_count(H: np.ndarray) -> int:
+    """Number of negative eigenvalues of a Hermitian matrix (its lower
+    triangle is read), by Sylvester's law of inertia: H = L D L^H from one
+    Bunch-Kaufman factorisation (scipy.linalg.ldl, LAPACK zhetrf; J. R.
+    Bunch and L. Kaufman, Math. Comp. 31, 1977) has the inertia of D,
+    whose 1x1 and 2x2 pivot blocks make it tridiagonal, with the
+    eigenvalues of the real tridiagonal of |off-diagonal|.  A non-finite
+    H raises ValueError."""
+    d = sla.ldl(H, hermitian=True)[1]
+    lam = sla.eigvalsh_tridiagonal(d.diagonal().real, np.abs(d.diagonal(-1)))
+    return int(np.count_nonzero(lam < 0.0))
 
 
 def _shift_invert_eigs(fac: Factorization, shift: float, k: int) -> np.ndarray:

@@ -2,9 +2,11 @@
 tests keep every name it relies on, and its three campaigns, working."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import sys
+import types
 
 import pytest
 
@@ -85,6 +87,33 @@ def test_campaign_imports_resolve():
     assert len(names) >= 10
     for module, name in names:
         assert _resolve(module, name) is not None, (module, name)
+
+
+def test_campaign_sweep_plans_use_real_fields_and_accepted_modes():
+    """Every keyword perfbench/campaigns.py passes to SweepPlan(...) is a
+    SweepPlan field, and every constant it gives bound_mode is accepted."""
+    from threshold_dirac.potentials import Grid3, build_potential
+    from threshold_dirac.probes import SweepPlan
+
+    calls = [
+        call
+        for call in ast.walk(_tree("campaigns.py"))
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "SweepPlan"
+    ]
+    assert calls
+    fields = {f.name for f in dataclasses.fields(SweepPlan)}
+    keywords = [kw for call in calls for kw in call.keywords]
+    assert {kw.arg for kw in keywords} <= fields
+    modes = [
+        kw.value.value
+        for kw in keywords
+        if kw.arg == "bound_mode" and isinstance(kw.value, ast.Constant)
+    ]
+    # __post_init__ reads only the shape grid of the critical structure
+    B0 = build_potential(Grid3(1.0, 5), "spherical-well", 1.0, 1.0)
+    crit = types.SimpleNamespace(shape=B0)
+    for mode in modes:
+        assert SweepPlan(crit, B0, mus=(0.1,), ks=(0.1,), bound_mode=mode).bound_mode == mode
 
 
 @pytest.mark.acceptance

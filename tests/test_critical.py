@@ -142,6 +142,26 @@ def test_critical_couplings_outside_spectrum(that9):
         critical_couplings(that9, (1.0, 1.0))
 
 
+def test_inertia_count_certifies_the_couplings_in_a_bracket(that9):
+    """At kappa = 0 and V = g W, the crossing count rises across (0.5, 12)
+    by the number of critical couplings inside with multiplicity: 12,
+    from 5.94 and 7.63 (Kramers doubles) and 8.90 and 10.03 (fourfold).
+    That is what the nev-raising loop of critical_couplings argues; it
+    returns the four couplings, and the dense spectrum of T-hat holds
+    twelve real 1/g in the bracket."""
+    from threshold_dirac.probes import crossing_count
+
+    W = build_potential(Grid3(R, 9), "spherical-well", 1.0, R)
+    lo, hi = 0.5, 12.0
+    rise = crossing_count(W.rescaled(hi), 0.0) - crossing_count(W.rescaled(lo), 0.0)
+    assert rise == 12
+    gs = critical_couplings(that9, (lo, hi))
+    assert np.allclose(gs, [5.94, 7.63, 8.90, 10.03], atol=0.01)
+    mus = scipy.linalg.eigvals(that9)
+    real = mus[np.abs(mus.imag) <= 1e-8 * np.abs(mus)].real
+    assert np.count_nonzero((1.0 / hi < real) & (real < 1.0 / lo)) == rise
+
+
 def test_gstar_matches_sigma_scan_route(crit9, crit9_bound):
     """g* agrees with the values of the sigma_min scan + golden-section
     search that the eigenvalue route replaced, to 1e-10 relative."""

@@ -72,9 +72,17 @@ def test_plan_validation(crit_free, b0):
         SweepPlan(crit_free, b0, mus=(), ks=(0.1,))
     with pytest.raises(ValueError):
         SweepPlan(crit_free, b0, mus=(0.1,), ks=(0.0,))
-    for mode in ("newton", "auto"):
-        with pytest.raises(ValueError):
+    for mode in ("newton", "auto", "sigma-scan"):
+        with pytest.raises(ValueError, match="bound_mode"):
             SweepPlan(crit_free, b0, mus=(0.1,), ks=(0.1,), bound_mode=mode)
+    assert SweepPlan(crit_free, b0, mus=(0.1,), ks=(0.1,), bound_mode="eigen").bound_mode == "eigen"
+    # a reversed, zero or out-of-gap kappa range would read as "no
+    # crossing"; the gap is 0 < kappa < 1, as for BoundStateRecord
+    for span in ((0.3, 0.02), (0.0, 0.3), (0.02, 1.0), (0.02, 1.5), (0.1, 0.1), (0.1,)):
+        with pytest.raises(ValueError, match="kappa_range"):
+            SweepPlan(crit_free, b0, mus=(0.1,), ks=(0.1,), kappa_range=span)
+    got = SweepPlan(crit_free, b0, mus=(0.1,), ks=(0.1,), kappa_range=[0.02, 0.3])
+    assert got.kappa_range == (0.02, 0.3)
     other = build_potential(Grid3(R, 11), "spherical-well", 1.0, R)
     with pytest.raises(ValueError):
         SweepPlan(crit_free, other, mus=(0.1,), ks=(0.1,))
@@ -153,7 +161,12 @@ def test_mu_peak_matches_curvature_prediction(crit_free, b0, gammas):
     assert sup_pk > 50.0
 
 
-def test_boundstate_modes_agree_and_wrong_sign_empty(crit_free, b0, gammas):
+def test_boundstate_track_matches_crossing_count_and_wrong_sign_empty(
+    crit_free, b0, gammas, certify_track
+):
+    """Each attractive-sign mu crosses once in the range, where the
+    inertia count rises by one Kramers pair; the repulsive-shift sign
+    produces no crossing at all, and its count does not move."""
     mus = (-0.004, -0.012)
     plan = SweepPlan(
         crit_free,
@@ -162,26 +175,20 @@ def test_boundstate_modes_agree_and_wrong_sign_empty(crit_free, b0, gammas):
         ks=(0.1,),
         n_kappa=150,
         kappa_range=(0.02, 0.3),
-        bound_mode="eigen",
     )
-    rec_e = boundstate_track(plan)
-    rec_s = boundstate_track(
-        replace(plan, mus=mus, bound_mode="sigma-scan")
-    )
-    # the repulsive-shift sign produces no crossing at all
-    assert all(r.mu in mus for r in rec_e)
+    rec = boundstate_track(plan)
+    assert all(r.mu in mus for r in rec)
+    certify_track(plan, rec)
     for mu in mus:
-        kap_e = sorted(r.kappa for r in rec_e if r.mu == mu)
-        kap_s = sorted(r.kappa for r in rec_s if r.mu == mu)
-        assert kap_e and kap_s
-        assert kap_e[0] == pytest.approx(kap_s[0], rel=1e-3)
+        kap = sorted(r.kappa for r in rec if r.mu == mu)
+        assert kap
         # crossings sit on the curvature line mu = gamma_1 kappa^2 within
         # the coarse-grid budget (mu and gamma_1 are both negative here)
         line = np.sqrt(mu / float(gammas[0]))
-        assert kap_e[0] == pytest.approx(line, rel=0.15)
-    for rec in rec_e + rec_s:
-        assert rec.sigma_min >= 0.0
-        assert rec.E == pytest.approx(np.sqrt(1.0 - rec.kappa_sq), rel=1e-12)
+        assert kap[0] == pytest.approx(line, rel=0.15)
+    for r in rec:
+        assert r.sigma_min >= 0.0
+        assert r.E == pytest.approx(np.sqrt(1.0 - r.kappa_sq), rel=1e-12)
 
 
 def test_branch_derivative_matches_difference_of_branch_values(crit_free, b0):
@@ -201,11 +208,10 @@ def test_branch_derivative_matches_difference_of_branch_values(crit_free, b0):
 
 @pytest.fixture(scope="module")
 def wider_b0_track():
-    """Eigen and sigma-scan tracks for a B0 that is not proportional to
-    the shape: a unit well of radius 1 against a critical well of radius
-    0.8, so B0 also lives on nodes outside A's support.  7^3 grid, short
-    kappa range.  The eigen track runs with assemble_sectors and ARPACK
-    counted."""
+    """The track for a B0 that is not proportional to the shape: a unit
+    well of radius 1 against a critical well of radius 0.8, so B0 also
+    lives on nodes outside A's support.  7^3 grid, short kappa range.
+    The track runs with assemble_sectors and ARPACK counted."""
     grid = Grid3(R, 7)
     crit = find_critical_coupling(build_potential(grid, "spherical-well", 1.0, 0.8), (8.0, 14.0))
     B0 = build_potential(grid, "spherical-well", 1.0, 1.0)
@@ -232,24 +238,20 @@ def wider_b0_track():
         mp.setattr(probes, "assemble_sectors", counted("assemble_sectors", probes.assemble_sectors))
         mp.setattr(scipy.sparse.linalg, "eigs", counted("eigs", scipy.sparse.linalg.eigs))
         rec_e = boundstate_track(plan)
-    rec_s = boundstate_track(replace(plan, bound_mode="sigma-scan"))
-    return plan, rec_e, rec_s, calls
+    return plan, rec_e, calls
 
 
-def test_boundstate_eigen_track_serves_general_b0(wider_b0_track):
-    plan, rec_e, rec_s, _ = wider_b0_track
-    assert plan.bound_mode == "eigen"
+def test_boundstate_eigen_track_serves_general_b0(wider_b0_track, certify_track):
+    plan, rec_e, _ = wider_b0_track
     for mu in plan.mus:
-        kap_e = [r.kappa for r in rec_e if r.mu == mu]
-        kap_s = [r.kappa for r in rec_s if r.mu == mu]
-        assert len(kap_e) == 1 and kap_s
-        assert kap_e[0] == pytest.approx(min(kap_s), rel=1e-3)
+        assert len([r for r in rec_e if r.mu == mu]) == 1
+    certify_track(plan, rec_e)
 
 
 def test_boundstate_eigen_track_counts(wider_b0_track):
     """No ARPACK call, and at most one assembly per curve point, six
     Newton steps per crossing and one sigma_min validation per crossing."""
-    plan, rec_e, _, calls = wider_b0_track
+    plan, rec_e, calls = wider_b0_track
     n_curve = max(16, plan.n_kappa // 10)
     crossings = len(rec_e)
     assert crossings == len(plan.mus)
@@ -262,7 +264,7 @@ def test_boundstate_eigen_failed_lu_gives_no_record(wider_b0_track, monkeypatch)
     poisoning the curve point above a crossing, or the converged
     crossing itself (its Newton steps and its validation), drops that
     record and only that one."""
-    plan, rec_e, _, _ = wider_b0_track
+    plan, rec_e, _ = wider_b0_track
     kmin, kmax = plan.kappa_range
     kappas = np.geomspace(kmin, kmax, max(16, plan.n_kappa // 10))
     target = rec_e[0]

@@ -368,14 +368,12 @@ def test_sector_track_makes_one_row_pass_per_kappa_and_small_lus(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["shifted", "vector"])
-def test_asymmetric_potentials_are_one_sector_and_track(case):
+def test_asymmetric_potentials_are_one_sector_and_track(case, certify_track):
     """A C4h-symmetric well shifted by one lattice cell, and a vector
     potential whose a_1 is nonzero and even (C4h needs it zero, parity
     odd), admit no lattice symmetry: each is one sector of the trivial
-    group, the whole support, and its eigen-mode crossings still agree
-    with the literal sigma-scan."""
-    from dataclasses import replace
-
+    group, the whole support, and its track still finds one crossing per
+    mu, certified by the inertia count."""
     from threshold_dirac import critical, probes
     from threshold_dirac.forms import gamma_spectrum, taylor_form
 
@@ -402,13 +400,10 @@ def test_asymmetric_potentials_are_one_sector_and_track(case):
         crit, B0, mus=tuple(g1 * k * k for k in (0.06, 0.1)), ks=(0.1,),
         n_kappa=20, kappa_range=(0.04, 0.15),
     )
-    rec_e = probes.boundstate_track(plan)
-    rec_s = probes.boundstate_track(replace(plan, bound_mode="sigma-scan"))
+    rec = probes.boundstate_track(plan)
     for mu in plan.mus:
-        kap_e = [r.kappa for r in rec_e if r.mu == mu]
-        kap_s = [r.kappa for r in rec_s if r.mu == mu]
-        assert len(kap_e) == 1 and kap_s
-        assert kap_e[0] == pytest.approx(min(kap_s), rel=1e-3)
+        assert len([r for r in rec if r.mu == mu]) == 1
+    certify_track(plan, rec)
 
 
 def test_system_matrix_bits_match_identity_minus_T():
@@ -958,6 +953,47 @@ def test_smallest_singular_failure_is_nan():
 
     s, _ = sigma_min_at(m, 0.5)
     assert np.isnan(s)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40])
+def test_negative_count_matches_eigvalsh(n):
+    """The inertia read off the Bunch-Kaufman pivots equals the number of
+    negative eigenvalues from eigvalsh: on seeded indefinite Hermitian
+    matrices, where 2x2 pivots occur, and on definite ones of either
+    sign, which count 0 and n."""
+    rng = np.random.default_rng(n)
+    two_by_two = 0
+    for _ in range(10):
+        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        indefinite = X + X.conj().T
+        P = X @ X.conj().T
+        definite = 0.5 * (P + P.conj().T) + 0.1 * np.eye(n)  # an exactly real diagonal
+        for H in (indefinite, definite, -definite):
+            lam = np.linalg.eigvalsh(H)
+            assert np.min(np.abs(lam)) > 1e-8 * np.max(np.abs(lam))
+            assert solver.negative_count(H) == np.count_nonzero(lam < 0.0)
+        assert solver.negative_count(definite) == 0
+        assert solver.negative_count(-definite) == n
+        two_by_two += np.count_nonzero(scipy.linalg.ldl(indefinite, hermitian=True)[1].diagonal(-1))
+    assert (two_by_two > 0) == (n > 1)
+    bad = np.eye(n, dtype=complex)
+    bad[-1, 0] = np.nan
+    with pytest.raises(ValueError):
+        solver.negative_count(bad)
+
+
+def test_crossing_count_rejects_a_singular_potential_node():
+    """A support node where V is singular (a0^2 = |a|^2) has no inverse
+    block: the count raises there, it never skips the node."""
+    from threshold_dirac.probes import crossing_count
+
+    grid = make_grid(5)
+    V = lattice_well(grid, 1.0, R, components=(1.0, 0.3, 0.0, 0.0))
+    assert crossing_count(V, 0.1) >= 0
+    node = V.support_indices()[0]
+    V.values[node] = (0.5, 0.3, 0.4, 0.0)
+    with pytest.raises(ValueError, match="singular"):
+        crossing_count(V, 0.1)
 
 
 def test_failed_factorization_is_flagged_with_nan_rcond(monkeypatch):
