@@ -150,14 +150,15 @@ def potential_from_config(
     """Build the potential a config section describes.
 
     g overrides the config coupling (used after a critical-coupling
-    solve).  A table shape reads its samples from the path in `table`.
+    solve).  A table shape reads its samples from the path in `table`
+    and, like every shape, its support radius from `R`.
     """
     shape = cfg.get(section, "shape")
     if g is None:
         g = cfg.getfloat(section, "g", fallback=1.0)
-    if shape == "table":
-        return build_potential(grid, "table", g, 0.0, table_path=cfg.get(section, "table"))
     R = cfg.getfloat(section, "R")
+    if shape == "table":
+        return build_potential(grid, "table", g, R, table_path=cfg.get(section, "table"))
     w = cfg.getfloat(section, "w", fallback=None)
     components = _floats(cfg.get(section, "components", fallback="1, 0, 0, 0"))
     return build_potential(

@@ -29,16 +29,11 @@ QUADRATURE
     once at every offset of the box that the call's on-lattice targets
     and the sources span (the 5^3 near cells are its centre block), and
     each chunk of on-lattice targets gathers table[i_t - i_s]: the 33^3
-    classify grid at n = 9 has 9.2M pairs but 41^3 offsets. A call whose
-    box has more entries than its on-lattice pairs evaluates the offsets
-    pair by pair instead, with the same bits. So on the lattice T-hat is
-    exactly translation invariant, and where h is a power of two the
-    offset times h is x_t - y_s exactly. Off-lattice targets use x_t - y_s;
-    the same near displacement recurs at many of them, so one pre-pass
-    per kernel call collects the distinct ones by exact bits and each is
-    subdivided once: an explicit off-lattice Grid3(2, 21) at n = 9 has
-    36,816 near pairs but 16,351 distinct displacements. The default
-    evaluation grid (default_eval_grid) lies on the lattice.
+    classify grid at n = 9 has 9.2M pairs but 41^3 offsets. So on the
+    lattice T-hat is exactly translation invariant, and where h is a
+    power of two the offset times h is x_t - y_s exactly. Off-lattice
+    targets use x_t - y_s, one pair at a time. The default evaluation
+    grid (default_eval_grid) lies on the lattice.
 
     Every quadrature block lies in the span of the Clifford basis
     (I, beta, alpha_1, alpha_2, alpha_3) (see the kernel module): the
@@ -221,76 +216,38 @@ def _subdivided_coefficients(k: complex, disp: np.ndarray, h: float, order: int)
     return out
 
 
-def _near_mask(disp: np.ndarray, h: float) -> np.ndarray:
-    """The displacements (..., 3) within Chebyshev distance 2h."""
+def _quadrature_coefficients(k, disp: np.ndarray, h: float, order: int) -> np.ndarray:
+    """Clifford coefficients (..., 5) of the quadrature block at each
+    target-source displacement (..., 3): within Chebyshev distance 2h the
+    sphere rule at zero and 4x4x4 subdivided midpoint elsewhere, one
+    midpoint sample beyond.  disp, a float array, is overwritten."""
     reach = (_NEAR_CELLS + _LATTICE_TOL) * h
     near = np.abs(disp[..., 0]) <= reach
     for l in (1, 2):
         near &= np.abs(disp[..., l]) <= reach
-    return near
-
-
-def _near_coefficients(k, dnear: np.ndarray, h: float, order: int) -> np.ndarray:
-    """Coefficients (m, 5) at near displacements (m, 3): the sphere rule
-    at zero, 4x4x4 subdivided midpoint elsewhere."""
-    vals = np.empty((len(dnear), 5), dtype=np.complex128)
-    centre = np.max(np.abs(dnear), axis=1) <= _LATTICE_TOL * h
-    vals[centre] = self_cell_coefficients(k, h, order)
-    vals[~centre] = _subdivided_coefficients(k, dnear[~centre], h, order)
-    return vals
-
-
-def _quadrature_coefficients(k, disp: np.ndarray, h: float, order: int, near_rule=None):
-    """Clifford coefficients (..., 5) of the quadrature block at each
-    target-source displacement (..., 3): the near-cell rules within
-    Chebyshev distance 2h (near_rule(dnear) when given, else
-    _near_coefficients), one midpoint sample beyond.  disp, a float
-    array, is overwritten."""
-    near = _near_mask(disp, h)
     dnear = disp[near]
     disp[near] = h  # a nonzero stand-in; these entries are replaced below
     out = kernel_coefficients(k, disp, order)
     out *= h**3
     if len(dnear):
-        out[near] = near_rule(dnear) if near_rule else _near_coefficients(k, dnear, h, order)
+        vals = np.empty((len(dnear), 5), dtype=np.complex128)
+        centre = np.max(np.abs(dnear), axis=1) <= _LATTICE_TOL * h
+        vals[centre] = self_cell_coefficients(k, h, order)
+        vals[~centre] = _subdivided_coefficients(k, dnear[~centre], h, order)
+        out[near] = vals
     return out
-
-
-def _bits(disp: np.ndarray) -> np.ndarray:
-    """Each float64 displacement row of (m, 3) as one 24-byte key, equal
-    exactly when the bits are."""
-    return np.ascontiguousarray(disp).view(np.dtype((np.void, 24)))[:, 0]
-
-
-def _distinct_near_rule(k, targets: np.ndarray, sources: np.ndarray, h: float, order: int):
-    """dnear -> coefficients of near displacements between the targets
-    and the sources, from one _near_coefficients row per distinct
-    displacement (by exact bits): off the lattice the same near
-    displacement recurs at many targets.  One pre-pass over target
-    chunks collects them; the table lives as long as the rule."""
-    step = _chunk_rows(len(sources))
-    keys = []
-    for s in range(0, len(targets), step):
-        disp = targets[s : s + step, None] - sources
-        keys.append(np.unique(_bits(disp[_near_mask(disp, h)])))
-    keys = np.unique(np.concatenate(keys))
-    table = _near_coefficients(k, keys.view(np.float64).reshape(-1, 3), h, order)
-    return lambda dnear: table[np.searchsorted(keys, _bits(dnear))]
 
 
 def _lattice_rule(k, lt: np.ndarray, ls: np.ndarray, h: float, order: int):
     """rows -> coefficients (t, ns, 5) of the targets with integer lattice
     indices lt[rows] against the sources with indices ls.
 
-    They depend on the offsets lt - ls only.  When the box of offsets
-    has no more entries than the targets have pairs, they are gathered
-    from one table of the box, built in chunks of _PAIR_BUDGET offsets,
-    else evaluated at the offsets pair by pair; both give the same bits.
+    They depend on the offsets lt - ls only, so they are gathered from
+    one table of the box of offsets that lt and ls span, built in chunks
+    of _PAIR_BUDGET offsets.
     """
     lo = lt.min(axis=0) - ls.max(axis=0)
     dims = lt.max(axis=0) - ls.min(axis=0) - lo + 1
-    if np.prod(dims) > len(lt) * len(ls):
-        return lambda rows: _quadrature_coefficients(k, (lt[rows, None] - ls) * h, h, order)
     offsets = lo + np.indices(dims).reshape(3, -1).T  # row-major over the box
     table = np.empty((len(offsets), 5), dtype=np.complex128)
     for s in range(0, len(offsets), _PAIR_BUDGET):
@@ -306,11 +263,11 @@ def _coefficient_chunks(k, targets, sources, h, order):
 
     Sources are nodes of a lattice of spacing h.  A target within
     _LATTICE_TOL h of one of its nodes is on the lattice, and its
-    coefficients come from the integer offsets i_t - i_s (_lattice_rule);
-    the other targets use their displacements x_t - y_s, with one near
-    rule per distinct displacement (_distinct_near_rule).  Off-lattice
-    chunks come first, so the offset table is not held while they are
-    computed; each chunk holds at most _chunk_rows(ns) targets in order.
+    coefficients are gathered from the offset table of _lattice_rule;
+    the other targets use their displacements x_t - y_s, pair by pair.
+    Off-lattice chunks come first, so the offset table is not held while
+    they are computed; each chunk holds at most _chunk_rows(ns) targets
+    in order.
     """
     k = complex(k)
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
@@ -324,11 +281,9 @@ def _coefficient_chunks(k, targets, sources, h, order):
         if np.all(np.abs(src - ls) <= _LATTICE_TOL):
             on = np.all(np.abs(tgt - lt) <= _LATTICE_TOL, axis=1)
     rows_off, rows_on = np.flatnonzero(~on), np.flatnonzero(on)
-    if len(rows_off):
-        near_rule = _distinct_near_rule(k, targets[rows_off], sources, h, order)
     for s in range(0, len(rows_off), step):
         rows = rows_off[s : s + step]
-        yield rows, _quadrature_coefficients(k, targets[rows, None] - sources, h, order, near_rule)
+        yield rows, _quadrature_coefficients(k, targets[rows, None] - sources, h, order)
     if len(rows_on):
         lattice = _lattice_rule(k, lt[rows_on], ls, h, order)
         for s in range(0, len(rows_on), step):
@@ -701,9 +656,12 @@ def negative_count(H: np.ndarray) -> int:
     Bunch-Kaufman factorisation (scipy.linalg.ldl, LAPACK zhetrf; J. R.
     Bunch and L. Kaufman, Math. Comp. 31, 1977) has the inertia of D,
     whose 1x1 and 2x2 pivot blocks make it tridiagonal, with the
-    eigenvalues of the real tridiagonal of |off-diagonal|.  A non-finite
-    H raises ValueError."""
-    d = sla.ldl(H, hermitian=True)[1]
+    eigenvalues of the real tridiagonal of |off-diagonal|.  ldl's
+    ComplexWarning about round-off imaginary parts on the diagonal is
+    ignored: they are not read.  A non-finite H raises ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+        d = sla.ldl(H, hermitian=True)[1]
     lam = sla.eigvalsh_tridiagonal(d.diagonal().real, np.abs(d.diagonal(-1)))
     return int(np.count_nonzero(lam < 0.0))
 

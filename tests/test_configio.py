@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from threshold_dirac.potentials import Grid3
+from threshold_dirac.potentials import Grid3, build_potential
 from threshold_dirac import configio as cio
 from threshold_dirac.probes import BoundStateRecord, SweepRecord
 
@@ -72,6 +72,28 @@ def test_config_round_trip(tmp_path):
     assert kw["ks"] == (0.1, 0.2) and kw["js"] == (1,)
     assert kw["n_kappa"] == 150
     assert kw["kappa_range"] == (0.02, 0.3)
+
+
+def test_table_config_reads_its_support_radius(tmp_path):
+    """A shape = table section loads like build_potential with its R: a
+    5^3 table of the R = 0.9 well is nonzero on 27 nodes off the origin,
+    which a zero radius would reject."""
+    grid = Grid3(1.0, 5)
+    well = build_potential(grid, "spherical-well", 1.5, 0.9)
+    assert len(well.support_indices()) == 27
+    table = tmp_path / "pot.csv"
+    rows = ["ix,iy,iz,x,y,z,a0,a1,a2,a3"]
+    for i, (x, a) in enumerate(zip(grid.points, well.values)):
+        ix, iy, iz = np.unravel_index(i, (5, 5, 5))
+        rows.append(",".join([f"{ix},{iy},{iz}"] + [repr(float(v)) for v in (*x, *a)]))
+    table.write_text("\n".join(rows) + "\n")
+    path = tmp_path / "table.ini"
+    path.write_text(f"[grid]\nL = 1.0\nn = 5\n\n[potential]\nshape = table\ntable = {table}\ng = 2.0\nR = 0.9\n")
+    got = cio.potential_from_config(cio.load_config(str(path)), grid)
+    want = build_potential(grid, "table", 2.0, 0.9, table_path=str(table))
+    assert (got.shape, got.coupling, got.radius) == (want.shape, want.coupling, want.radius)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.values, 2.0 * well.values)
 
 
 def test_field_csv_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 """Lippmann-Schwinger solver: assembly, defect identity, solves, symmetry."""
 
 import sys
+import warnings
 from collections import Counter
 from types import SimpleNamespace
 
@@ -576,10 +577,11 @@ def _count_kernel_rows(monkeypatch):
     return rows
 
 
-def test_sparse_on_lattice_targets_skip_the_table(monkeypatch):
-    """Two on-lattice targets 40 cells apart span an offset box far larger
-    than their 2 x 99 pairs, so the call evaluates the offsets pair by
-    pair, with the bits of the table rows."""
+def test_sparse_on_lattice_targets_match_the_dense_rows():
+    """Two on-lattice targets 40 cells apart gather from the table of
+    their own offset box, which is neither dense call's box, with the
+    bits of the dense calls' rows: every table entry is the rule at its
+    offset alone."""
     grid = make_grid(7)
     h = grid.spacing
     pts = grid.points[build_potential(grid, "spherical-well", 1.0, R).support_indices()]
@@ -587,9 +589,7 @@ def test_sparse_on_lattice_targets_skip_the_table(monkeypatch):
     cube = far + (np.indices((7, 7, 7)).reshape(3, -1).T - 3) * h  # centred on far
     want_near = assemble_kernel_blocks(0.2, pts, pts, h)[5]
     want_far = assemble_kernel_blocks(0.2, cube, pts, h)[len(cube) // 2]
-    rows = _count_kernel_rows(monkeypatch)
     got = assemble_kernel_blocks(0.2, np.vstack([pts[5], far]), pts, h)
-    assert sum(rows) <= 2 * len(pts) + 124 * 64
     assert np.array_equal(got[0], want_near) and np.array_equal(got[1], want_far)
 
 
@@ -637,36 +637,6 @@ def test_default_extension_evaluates_the_offset_table_once(monkeypatch):
     assert np.max(np.linalg.norm(phi.values[at] - u.reshape(-1, 4), axis=1)) <= 1e-8 * scale
 
 
-def test_off_lattice_extension_subdivides_each_near_displacement_once(monkeypatch):
-    """The explicit Grid3(2, 21) at n = 9 is off the source lattice but
-    for the 125 nodes of integer coordinates, and has 36,816 near
-    target-source pairs, but only 16,351 distinct displacements by
-    exact bits. One kernel call subdivides each of them once (at most
-    16,352 rows; more than the 124 of the offset table alone), and its
-    coefficients equal those of subdividing chunk by chunk, bit for
-    bit."""
-    A = build_potential(make_grid(9), "spherical-well", 1.0, R)
-    spts = A.grid.points[A.support_indices()]
-    h, targets = A.grid.spacing, Grid3(2.0 * A.grid.half_width, 21).points
-    offset = (targets - spts[0]) / h
-    on = np.all(np.abs(offset - np.rint(offset)) <= solver._LATTICE_TOL, axis=1)
-    assert np.count_nonzero(on) == 125
-    rows = []
-    subdivide = solver._subdivided_coefficients
-
-    def spy(k, disp, h, order):
-        rows.append(len(disp))
-        return subdivide(k, disp, h, order)
-
-    monkeypatch.setattr(solver, "_subdivided_coefficients", spy)
-    chunks = list(solver._coefficient_chunks(0.2, targets, spts, h, 0))
-    assert 124 < sum(rows) <= 16_352
-    monkeypatch.setattr(solver, "_subdivided_coefficients", subdivide)
-    for got_rows, got in chunks:
-        want = solver._quadrature_coefficients(0.2, targets[got_rows, None] - spts, h, 0)
-        assert np.array_equal(got.view(np.float64), want.view(np.float64))
-
-
 def test_lattice_shift_permutes_T_exactly():
     """Rolling the well on Grid3(1, 13) (h = 1/6) by one node per axis
     shifts its support, whose sorted order stays the same, so T-hat is
@@ -688,8 +658,8 @@ if HAVE_HYPOTHESIS:
     def test_kernel_blocks_are_adjoint_symmetric(seed, m, kappa):
         """At k = i kappa (kappa >= 0) the kernel is real-phased, so
         G(-z) = G(z)^H and the cell rules are mirror symmetric: on a
-        random support, K_ij = K_ji^H. Sparse supports take the pair by
-        pair offsets, dense ones the table."""
+        random support, K_ij = K_ji^H, from the offset table of any
+        support, sparse or dense."""
         grid = make_grid(7)
         pts = grid.points[np.random.default_rng(seed).choice(grid.n_nodes, m, replace=False)]
         K = assemble_kernel_blocks(1j * kappa, pts, pts, grid.spacing)
@@ -980,6 +950,21 @@ def test_negative_count_matches_eigvalsh(n):
     bad[-1, 0] = np.nan
     with pytest.raises(ValueError):
         solver.negative_count(bad)
+
+
+def test_negative_count_ignores_round_off_on_the_diagonal():
+    """U diag(lam) U^H carries round-off imaginary parts on its diagonal,
+    which ldl(hermitian=True) warns about and never reads: the count is
+    that of lam, and no warning escapes."""
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    U = np.linalg.qr(X)[0]
+    lam = rng.normal(size=40)
+    H = (U * lam) @ U.conj().T
+    assert np.any(H.diagonal().imag != 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solver.negative_count(H) == np.count_nonzero(lam < 0.0) == 21
 
 
 def test_crossing_count_rejects_a_singular_potential_node():
