@@ -84,8 +84,8 @@ __all__ = [
 _CROSSING_REL = 1e-5
 _BRANCH_REL = 1e-12  # block iteration: pencil values steady to this, relative
 _BRANCH_STEPS = 40  # block iteration steps before a kappa counts as failed
-_NEWTON_REL = 1e-12  # crossing Newton: |d kappa| <= this * kappa ends the run
-_NEWTON_STEPS = 30  # crossing Newton: steps before the run counts as not converged
+_SECANT_REL = 1e-12  # crossing secant: |d kappa| <= this * kappa ends the run
+_SECANT_STEPS = 30  # crossing secant: steps before the run counts as not converged
 _SECTOR_REL = 1e-8  # a symmetry sector holds the threshold basis above this weight
 _PEAK_COARSE = 12  # coarse mu samples of mu_peak
 _PEAK_TOL_REL = 1e-5  # mu_peak's xatol is this * max(|mu_hi|, 1): absolute below 1
@@ -432,23 +432,18 @@ def _branch_seeds(A: FourPotential, B0: FourPotential, basis: list) -> list:
     return seeds
 
 
-def _branch(A: FourPotential, B0: FourPotential, kappa: float, shift: float, seeds, derivative=False):
+def _branch(A: FourPotential, B0: FourPotential, kappa: float, shift: float, seeds):
     """Pencil values mu of 1 - T^{A + mu B0} at k = i kappa nearest shift.
 
     seeds holds (sector, block) pairs (see _branch_seeds); each block's
     size is the number of values its sector returns.  One kernel-row
     pass on the orbit representatives serves every sector; per sector,
     one LU of M = 1 - T_A - shift T_B, built in place over T_A, serves
-    the right block inverse iteration X <- M^-1 T_B X and, with
-    derivative, the left one on M^H.  Then dmu/dkappa is the diagonal,
-    in the Ritz basis, of -i (Y^H T_B X)^-1 Y^H T'_{A + mu B0} X (the
-    eigenvalues of that matrix when the block is one degenerate branch),
-    where T' = dT/dk is one order-1 kernel-row pass on the
-    representatives for every sector's fields.  Returns (mus, dmus,
-    seeds) with the Ritz blocks as the new seeds, dmus None without
-    derivative; None when factor fails or an iteration does not settle.
+    the block inverse iteration X <- M^-1 T_B X.  Returns (mus, seeds)
+    with the Ritz blocks as the new seeds; None when factor fails or an
+    iteration does not settle.
     """
-    blocks, lefts = [], []
+    mus, blocks = [], []
     pairs = assemble_sectors([sector for sector, _ in seeds], A, B0, 1j * kappa)
     for (sector, X), (M, TB) in zip(seeds, pairs):  # M holds T_A until turned into M
         M += shift * TB  # T-hat of A + shift B0 first: the crossings' kappa bits depend on this order
@@ -456,86 +451,56 @@ def _branch(A: FourPotential, B0: FourPotential, kappa: float, shift: float, see
         del M  # LAPACK factored a copy: only the LU stays
         if lu is None:
             return None
-        right = _block_iteration(lambda Q: sla.lu_solve(lu, blas_matmul(TB, Q)), X, shift)
-        if right is None:
+        got = _block_iteration(lambda Q: sla.lu_solve(lu, blas_matmul(TB, Q)), X, shift)
+        if got is None:
             return None
-        Q, H = right
+        Q, H = got
         theta, S = np.linalg.eig(H)
-        X = Q @ S
-        blocks.append((sector, X, (shift + 1.0 / theta).real))
-        if not derivative:
-            continue
-        left = _block_iteration(
-            lambda P: sla.lu_solve(lu, blas_matmul(P.conj().T, TB).conj().T, trans=2), X, shift
-        )
-        if left is None:
-            return None
-        lefts.append((left[0], blas_matmul(TB, X)))
-    mus = np.concatenate([m for _, _, m in blocks])
-    seeds = [(sector, X) for sector, X, _ in blocks]
-    if not derivative:
-        return mus, None, seeds
-    first = seeds[0][0]  # every sector shares the support and the representatives
-    va, vb = A.values[first.nodes], B0.values[first.nodes]
-    fields = np.stack([
-        fold_rows(va + m * vb, x.reshape(-1, 4))
-        for sector, X, ms in blocks
-        for m, x in zip(ms, sector.extend(X).T)
-    ])
-    unit = _unit_potential(combine_potentials(A, B0))
-    dT = apply_kernel_rows(
-        1j * kappa, A.grid.points[first.targets], unit, fields, A.grid.spacing, order=1
-    )
-    ends = np.cumsum([len(ms) for _, _, ms in blocks])[:-1]
-    dmus = []
-    for (sector, X, ms), (Y, TBX), part in zip(blocks, lefts, np.split(dT, ends, axis=1)):
-        dTX = sector.restrict(part.transpose(1, 0, 2).reshape(len(ms), -1).T)
-        D = -1j * np.linalg.solve(Y.conj().T @ TBX, Y.conj().T @ dTX)
-        dmus.append(np.diagonal(D).real)
-    return mus, np.concatenate(dmus), seeds
+        mus.append((shift + 1.0 / theta).real)
+        blocks.append((sector, Q @ S))
+    return np.concatenate(mus), blocks
 
 
-def _newton_crossing(A, B0, mu: float, lo: float, hi: float, f_lo: float, f_hi: float, seeds):
+def _secant_crossing(A, B0, mu: float, lo: float, hi: float, f_lo: float, f_hi: float, seeds):
     """The kappa in (lo, hi) where the branch value nearest mu equals mu.
 
     f_lo and f_hi are those values minus mu at the ends, of opposite
-    sign.  Newton on f(kappa) = mu(kappa) - mu with mu itself as the
-    shift, from the secant point; a step that leaves the bracket is
-    replaced by bisection.  Stops when |d kappa| <= _NEWTON_REL kappa
-    and returns the new kappa; None when a step fails or the run does
-    not converge.
+    sign.  Secant steps on f(kappa) = mu(kappa) - mu through the last
+    two iterates, with mu itself as the shift, from the secant point of
+    the ends; a step that leaves the bracket is replaced by bisection
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 3-4).  Stops when |d kappa| <= _SECANT_REL kappa and returns the
+    new kappa; None when a step fails or the run does not converge.
     """
+    last, f_last = hi, f_hi
     kap = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    for _ in range(_NEWTON_STEPS):
-        got = _branch(A, B0, kap, mu, seeds, derivative=True)
+    for _ in range(_SECANT_STEPS):
+        got = _branch(A, B0, kap, mu, seeds)
         if got is None:
             return None
-        mus, dmus, seeds = got
-        j = int(np.argmin(np.abs(mus - mu)))
-        f = mus[j] - mu
+        mus, seeds = got
+        f = mus[np.argmin(np.abs(mus - mu))] - mu
         if f == 0.0:
             return float(kap)
         if (f < 0.0) == (f_lo < 0.0):
             lo, f_lo = kap, f
         else:
             hi = kap
-        new = kap - f / dmus[j]
-        if not lo < new < hi:
+        new = kap - f * (kap - last) / (f - f_last) if f != f_last else math.nan
+        last, f_last = kap, f
+        if not lo < new < hi:  # a NaN from a flat secant bisects too
             new = 0.5 * (lo + hi)
-        if abs(new - kap) <= _NEWTON_REL * kap:
+        if abs(new - kap) <= _SECANT_REL * kap:
             return float(new)
         kap = new
     return None
 
 
 def _sigma_at(A: FourPotential, B0: FourPotential, kappa: float, mu: float) -> tuple:
-    """(sigma_min, 1-norm) of 1 - T_A - mu T_B at k = i kappa, built in
-    place over T_A in _branch's order (T-hat of A + mu B0 first)."""
-    TA, TB = assemble_pair(A, B0, 1j * kappa)
-    TB *= mu
-    TA += TB
-    del TB
-    M = system_matrix(TA, out=TA)
+    """(sigma_min, 1-norm) of 1 - T^{A + mu B0} at k = i kappa on the
+    support of A + mu B0, one assembly turned into the system in place."""
+    M = assemble_T(combine_potentials(A, B0.rescaled(mu)), 1j * kappa)
+    M = system_matrix(M, out=M)
     return smallest_singular_value(M), float(np.linalg.norm(M, 1))
 
 
@@ -549,14 +514,15 @@ def boundstate_track(plan: SweepPlan) -> list:
     over a coarse kappa curve of max(16, plan.n_kappa // 10) log-spaced
     points across plan.kappa_range, one LU per kappa and sector,
     starting from the threshold basis.  Each sign change of
-    mu(kappa) - mu is then solved by safeguarded Newton with the
-    analytic dmu/dkappa, and every crossing is validated against the
-    sigma_min criterion.  crossing_count is the independent check: its
-    difference across a crossing is crit.dim.
+    mu(kappa) - mu is then solved by a bracketed secant on branch values
+    alone, and every crossing is validated against the sigma_min
+    criterion on one full-size assembly of A + mu B0.  crossing_count
+    is the independent check: its difference across a crossing is
+    crit.dim.
 
     A mu of the wrong sign legitimately yields an empty list, and at
     mu = 0 the track sits at the kappa -> 0 boundary and is reported at
-    the first curve point.  A failed factorization or a Newton run that
+    the first curve point.  A failed factorization or a secant run that
     does not converge gives no record, never a crossing.
     """
     if plan.crit.lambda_bar != 0:
@@ -577,7 +543,7 @@ def boundstate_track(plan: SweepPlan) -> list:
         got = _branch(A, B0, kp, shift, seeds)
         curve.append(got)
         if got is not None:
-            mus, _, seeds = got
+            mus, seeds = got
             shift = float(np.mean(mus))
 
     def nearest(got, mu: float) -> float:
@@ -598,7 +564,7 @@ def boundstate_track(plan: SweepPlan) -> list:
                 if not (np.isfinite(d0) and np.isfinite(d1)) or d0 == 0.0:
                     continue
                 if d0 * d1 < 0.0:
-                    kap = _newton_crossing(A, B0, mu, kappas[i], kappas[i + 1], d0, d1, curve[i][2])
+                    kap = _secant_crossing(A, B0, mu, kappas[i], kappas[i + 1], d0, d1, curve[i][1])
                     if kap is not None and all(abs(kap - f) > 1e-6 * kap for f in found):
                         found.append(kap)
         for kap in found:

@@ -433,25 +433,6 @@ class Sector:
     def order(self) -> int:
         return self.images.shape[1]
 
-    @property
-    def targets(self) -> np.ndarray:
-        """The nodes whose rows the sector uses: the representatives."""
-        return self.nodes[self.images[:, 0]]
-
-    def _coordinates(self, at_reps: np.ndarray) -> np.ndarray:
-        """W^H of a block (4 n_o, m) on the representatives."""
-        x = self.basis.conj().transpose(0, 2, 1) @ at_reps.reshape(len(self.basis), 4, -1)
-        return x.reshape(-1, x.shape[-1])[self.index]
-
-    def restrict(self, f: np.ndarray) -> np.ndarray:
-        """Sector coordinates of a sector vector (or block), given on the
-        support or on the targets only."""
-        cols = _columns(f)
-        by_node = cols.reshape(-1, 4, cols.shape[1])
-        if len(by_node) != len(self.basis):
-            by_node = by_node[self.images[:, 0]]
-        return self._coordinates(by_node).reshape((-1,) + f.shape[1:])
-
     def extend(self, x: np.ndarray) -> np.ndarray:
         """The sector vector (or block) on the whole support, V x."""
         y = np.zeros((4 * len(self.basis), _columns(x).shape[1]), dtype=np.complex128)
@@ -476,7 +457,9 @@ class Sector:
         """The sector block V^H T V = W^H (T V) of an operator T that
         commutes with the group, from the rows (T V)[r] on the
         representatives, (rows, n_o, 4) with the padded columns."""
-        return self._coordinates(tv.reshape(len(tv), -1)[:, self.index])
+        at_reps = tv.reshape(len(tv), -1)[:, self.index].reshape(len(self.basis), 4, -1)
+        x = self.basis.conj().transpose(0, 2, 1) @ at_reps
+        return x.reshape(-1, x.shape[-1])[self.index]
 
 
 def _inversion_even(values: np.ndarray, inversion: np.ndarray) -> bool:

@@ -191,27 +191,13 @@ def test_boundstate_track_matches_crossing_count_and_wrong_sign_empty(
         assert r.E == pytest.approx(np.sqrt(1.0 - r.kappa_sq), rel=1e-12)
 
 
-def test_branch_derivative_matches_difference_of_branch_values(crit_free, b0):
-    """The analytic dmu/dkappa (order-1 kernel rows, left and right
-    blocks) against a central difference of converged branch values,
-    which never touch the order-1 rows."""
-    A = crit_free.critical_potential()
-    seed = probes._branch_seeds(A, b0, crit_free.basis)
-    kappa, shift, d = 0.08, -0.007, 1e-5
-    mus, dmus, X = probes._branch(A, b0, kappa, shift, seed, derivative=True)
-    up = probes._branch(A, b0, kappa + d, shift, X)[0]
-    dn = probes._branch(A, b0, kappa - d, shift, X)[0]
-    fd = (np.mean(up) - np.mean(dn)) / (2.0 * d)
-    assert len(mus) == crit_free.dim and np.all(mus < 0.0)
-    assert np.allclose(dmus, fd, rtol=1e-6, atol=0.0)
-
-
 @pytest.fixture(scope="module")
 def wider_b0_track():
     """The track for a B0 that is not proportional to the shape: a unit
     well of radius 1 against a critical well of radius 0.8, so B0 also
     lives on nodes outside A's support.  7^3 grid, short kappa range.
-    The track runs with assemble_sectors and ARPACK counted."""
+    The track runs with assemble_sectors, assemble_pair, assemble_T and
+    ARPACK counted."""
     grid = Grid3(R, 7)
     crit = find_critical_coupling(build_potential(grid, "spherical-well", 1.0, 0.8), (8.0, 14.0))
     B0 = build_potential(grid, "spherical-well", 1.0, 1.0)
@@ -225,7 +211,7 @@ def wider_b0_track():
         n_kappa=20,
         kappa_range=(0.04, 0.15),
     )
-    calls = {"assemble_sectors": 0, "eigs": 0}
+    calls = {"assemble_sectors": 0, "assemble_pair": 0, "assemble_T": 0, "eigs": 0}
 
     def counted(name, fn):
         def spy(*args, **kwargs):
@@ -235,7 +221,8 @@ def wider_b0_track():
         return spy
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(probes, "assemble_sectors", counted("assemble_sectors", probes.assemble_sectors))
+        for name in ("assemble_sectors", "assemble_pair", "assemble_T"):
+            mp.setattr(probes, name, counted(name, getattr(probes, name)))
         mp.setattr(scipy.sparse.linalg, "eigs", counted("eigs", scipy.sparse.linalg.eigs))
         rec_e = boundstate_track(plan)
     return plan, rec_e, calls
@@ -250,19 +237,22 @@ def test_boundstate_eigen_track_serves_general_b0(wider_b0_track, certify_track)
 
 def test_boundstate_eigen_track_counts(wider_b0_track):
     """No ARPACK call, and at most one assembly per curve point, six
-    Newton steps per crossing and one sigma_min validation per crossing."""
+    secant steps per crossing and one sigma_min validation per crossing;
+    each validation is one full-size assemble_T and no assemble_pair."""
     plan, rec_e, calls = wider_b0_track
     n_curve = max(16, plan.n_kappa // 10)
     crossings = len(rec_e)
     assert crossings == len(plan.mus)
     assert calls["eigs"] == 0
+    assert calls["assemble_pair"] == 0
+    assert calls["assemble_T"] == crossings
     assert n_curve < calls["assemble_sectors"] <= n_curve + 6 * crossings + crossings
 
 
 def test_boundstate_eigen_failed_lu_gives_no_record(wider_b0_track, monkeypatch):
     """One NaN in T_A at one kappa is a failure there, never a crossing:
     poisoning the curve point above a crossing, or the converged
-    crossing itself (its Newton steps and its validation), drops that
+    crossing itself (the secant steps that reach it), drops that
     record and only that one."""
     plan, rec_e, _ = wider_b0_track
     kmin, kmax = plan.kappa_range

@@ -245,9 +245,8 @@ def test_symmetry_sector_spectra_make_the_full_spectrum():
 
 
 def test_symmetry_sector_maps_round_trip():
-    """In each of the 8 sectors, extend and restrict are inverse on
-    sector coordinates, and project keeps a sector vector and drops the
-    other sectors' parts."""
+    """In each of the 8 sectors, project inverts extend on sector
+    coordinates, and drops the other sectors' parts."""
     grid = make_grid(7)
     A = lattice_well(grid, 1.0, R)
     sectors = solver.symmetry_sectors(A)
@@ -257,7 +256,6 @@ def test_symmetry_sector_maps_round_trip():
         x = rng.normal(size=(len(sec.index), 3)) + 1j * rng.normal(size=(len(sec.index), 3))
         f = sec.extend(x)
         assert f.shape == (4 * len(A.support_indices()), 3)
-        assert np.allclose(sec.restrict(f), x, rtol=0.0, atol=1e-15 * np.max(np.abs(x)))
         assert np.allclose(sec.project(f), x, rtol=0.0, atol=1e-15 * np.max(np.abs(x)))
         for other in sectors:
             if other is not sec:
@@ -300,8 +298,11 @@ def test_sector_branch_values_are_pencil_eigenvalues():
     """The branch's values at one kappa, one from each of the two odd
     sectors of C4z eigenvalue e^{+-i pi/4} that hold the threshold basis,
     are generalized eigenvalues of the full pencil (1 - T_A, T_B) at
-    k = i kappa (dense QZ on the union support)."""
+    k = i kappa (dense QZ on the union support).  So is each mu of the
+    track at the kappa where it reports that mu's crossing: the secant's
+    root holds on the full pencil."""
     from threshold_dirac import critical, probes
+    from threshold_dirac.forms import gamma_spectrum, taylor_form
 
     grid = make_grid(7)
     crit = critical.find_critical_coupling(lattice_well(grid, 1.0, R), (5.0, 9.0))
@@ -311,18 +312,26 @@ def test_sector_branch_values_are_pencil_eigenvalues():
     assert [x.shape[1] for _, x in seeds] == [1, 1]
     assert all(_odd_quarter(sec) for sec, _ in seeds)
     kappa = 0.05
-    mus, _, _ = probes._branch(A, B0, kappa, 0.0, seeds)
-    TA, TB = solver.assemble_pair(A, B0, 1j * kappa)
-    pencil = scipy.linalg.eigvals(solver.system_matrix(TA), TB)
-    pencil = pencil[np.isfinite(pencil)]
+    mus, _ = probes._branch(A, B0, kappa, 0.0, seeds)
     assert len(mus) == 2
-    for mu in mus:
-        assert np.min(np.abs(pencil - mu)) <= 1e-10 * abs(mu)
+    g1 = float(gamma_spectrum(crit, B0, taylor_form(A, crit, 2)).gammas[0])
+    plan = probes.SweepPlan(
+        crit, B0, mus=tuple(g1 * k * k for k in (0.06, 0.1)), ks=(0.1,),
+        n_kappa=20, kappa_range=(0.04, 0.15),
+    )
+    records = probes.boundstate_track(plan)
+    assert [r.mu for r in records] == list(plan.mus)
+    for kappa, mus in [(kappa, mus)] + [(r.kappa, [r.mu]) for r in records]:
+        TA, TB = solver.assemble_pair(A, B0, 1j * kappa)
+        pencil = scipy.linalg.eigvals(solver.system_matrix(TA), TB)
+        pencil = pencil[np.isfinite(pencil)]
+        for mu in mus:
+            assert np.min(np.abs(pencil - mu)) <= 1e-10 * abs(mu)
 
 
 def test_sector_track_makes_one_row_pass_per_kappa_and_small_lus(monkeypatch):
     """On the C4h lattice wells the eigen track makes one kernel-row pass
-    on the orbit representatives per kappa (curve points and Newton
+    on the orbit representatives per kappa (curve points and secant
     steps), serving both sectors that hold the threshold basis; every LU
     of the branch has at most ceil(4 S / 8) + 8 unknowns, and the
     sigma_min validations stay full size."""
