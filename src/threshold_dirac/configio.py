@@ -66,6 +66,7 @@ RECORD_COLUMNS = (
     "predicted_bound",
     "at_resonance",
 )
+# sigma_min: the crossing's residual bound ||M phi|| / ||phi|| >= sigma_min(M)
 BOUNDSTATE_COLUMNS = ("mu", "kappa", "kappa_sq", "E", "sigma_min")
 DERIVATIVE_COLUMNS = ("mu", "k", "alpha", "sup_m1", "sup_m2")
 INVERSE_COLUMNS = (

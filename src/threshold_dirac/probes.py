@@ -55,7 +55,6 @@ from .solver import (
     free_solution,
     free_spinor,
     negative_count,
-    smallest_singular_value,
     symmetry_sectors,
     system_matrix,
 )
@@ -157,6 +156,10 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class BoundStateRecord:
+    """One crossing.  sigma_min is the residual ||M phi|| / ||phi|| of the
+    crossing's Ritz vector, M = 1 - T^{A + mu B0}(i kappa): an upper
+    bound on the smallest singular value of M."""
+
     mu: float
     kappa: float
     kappa_sq: float
@@ -469,8 +472,10 @@ def _secant_crossing(A, B0, mu: float, lo: float, hi: float, f_lo: float, f_hi: 
     two iterates, with mu itself as the shift, from the secant point of
     the ends; a step that leaves the bracket is replaced by bisection
     (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 3-4).  Stops when |d kappa| <= _SECANT_REL kappa and returns the
-    new kappa; None when a step fails or the run does not converge.
+    ch. 3-4).  Stops when |d kappa| <= _SECANT_REL kappa and returns
+    (kappa, branch): the new kappa and the (mus, Ritz blocks) of the last
+    _branch call, whose vectors certify the crossing; None when a step
+    fails or the run does not converge.
     """
     last, f_last = hi, f_hi
     kap = lo - f_lo * (hi - lo) / (f_hi - f_lo)
@@ -481,7 +486,7 @@ def _secant_crossing(A, B0, mu: float, lo: float, hi: float, f_lo: float, f_hi: 
         mus, seeds = got
         f = mus[np.argmin(np.abs(mus - mu))] - mu
         if f == 0.0:
-            return float(kap)
+            return float(kap), got
         if (f < 0.0) == (f_lo < 0.0):
             lo, f_lo = kap, f
         else:
@@ -491,17 +496,34 @@ def _secant_crossing(A, B0, mu: float, lo: float, hi: float, f_lo: float, f_hi: 
         if not lo < new < hi:  # a NaN from a flat secant bisects too
             new = 0.5 * (lo + hi)
         if abs(new - kap) <= _SECANT_REL * kap:
-            return float(new)
+            return float(new), got
         kap = new
     return None
 
 
-def _sigma_at(A: FourPotential, B0: FourPotential, kappa: float, mu: float) -> tuple:
-    """(sigma_min, 1-norm) of 1 - T^{A + mu B0} at k = i kappa on the
-    support of A + mu B0, one assembly turned into the system in place."""
-    M = assemble_T(combine_potentials(A, B0.rescaled(mu)), 1j * kappa)
-    M = system_matrix(M, out=M)
-    return smallest_singular_value(M), float(np.linalg.norm(M, 1))
+def _certificate(A: FourPotential, B0: FourPotential, kappa: float, mu: float, branch) -> tuple:
+    """(||M phi|| / ||phi||, scale) for M = 1 - T^{A + mu B0}(i kappa) on
+    the support of A + mu B0, phi the Ritz vector of branch = (mus,
+    blocks) nearest mu, off its sector.  The residual bounds sigma_min(M)
+    from above; the scale, the largest 1-norm of the columns M e_j at the
+    node of largest |A + mu B0| (the most central among ties), bounds
+    ||M||_1 from below.  One kernel-row pass on the support nodes applies
+    M to phi and those four columns: no matrix, no LU."""
+    mus, blocks = branch
+    ritz = np.concatenate([sector.extend(X) for sector, X in blocks], axis=1)
+    V = combine_potentials(A, B0.rescaled(mu))
+    sup = V.support_indices()
+    pts = V.grid.points[sup]
+    on_grid = np.zeros((V.grid.n_nodes, 4), dtype=np.complex128)  # mu = 0 drops B0's nodes
+    on_grid[blocks[0][0].nodes] = ritz[:, np.argmin(np.abs(mus - mu))].reshape(-1, 4)
+    fields = np.zeros((5, len(sup), 4), dtype=np.complex128)
+    fields[0] = on_grid[sup]
+    off_centre = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+    fields[1:, np.lexsort((off_centre, -np.linalg.norm(V.values[sup], axis=1)))[0]] = np.eye(4)
+    tf = apply_kernel_rows(1j * kappa, pts, V, fields, V.grid.spacing)
+    mf = fields - tf.transpose(1, 0, 2)
+    scale = float(np.max(np.sum(np.abs(mf[1:]), axis=(1, 2))))
+    return float(np.linalg.norm(mf[0]) / np.linalg.norm(fields[0])), scale
 
 
 def boundstate_track(plan: SweepPlan) -> list:
@@ -515,15 +537,17 @@ def boundstate_track(plan: SweepPlan) -> list:
     points across plan.kappa_range, one LU per kappa and sector,
     starting from the threshold basis.  Each sign change of
     mu(kappa) - mu is then solved by a bracketed secant on branch values
-    alone, and every crossing is validated against the sigma_min
-    criterion on one full-size assembly of A + mu B0.  crossing_count
-    is the independent check: its difference across a crossing is
-    crit.dim.
+    alone.  Each crossing is certified off the sectors by _certificate,
+    the residual of the secant's last Ritz vector: residual <
+    _CROSSING_REL scale implies sigma_min(M) < _CROSSING_REL ||M||_1, and
+    the residual is the record's sigma_min.  crossing_count is the
+    independent check: its difference across a crossing is crit.dim.
 
     A mu of the wrong sign legitimately yields an empty list, and at
     mu = 0 the track sits at the kappa -> 0 boundary and is reported at
-    the first curve point.  A failed factorization or a secant run that
-    does not converge gives no record, never a crossing.
+    the first curve point, certified by its vector nearest 0.  A failed
+    factorization or a secant run that does not converge gives no
+    record, never a crossing.
     """
     if plan.crit.lambda_bar != 0:
         raise ValueError("bound-state tracking needs the lambda-free class")
@@ -555,7 +579,7 @@ def boundstate_track(plan: SweepPlan) -> list:
     records = []
     for mu in plan.mus:
         if mu == 0.0:  # the track sits at the kappa -> 0 boundary
-            found = [float(kappas[0])]
+            found = [] if curve[0] is None else [(float(kappas[0]), curve[0])]
         else:
             dvals = [nearest(got, mu) for got in curve]
             found = []
@@ -564,13 +588,13 @@ def boundstate_track(plan: SweepPlan) -> list:
                 if not (np.isfinite(d0) and np.isfinite(d1)) or d0 == 0.0:
                     continue
                 if d0 * d1 < 0.0:
-                    kap = _secant_crossing(A, B0, mu, kappas[i], kappas[i + 1], d0, d1, curve[i][1])
-                    if kap is not None and all(abs(kap - f) > 1e-6 * kap for f in found):
-                        found.append(kap)
-        for kap in found:
-            sig, scale = _sigma_at(A, B0, kap, mu)
-            if sig < _CROSSING_REL * scale:
-                records.append(_bound_record(mu, kap, sig))
+                    got = _secant_crossing(A, B0, mu, kappas[i], kappas[i + 1], d0, d1, curve[i][1])
+                    if got is not None and all(abs(got[0] - f) > 1e-6 * got[0] for f, _ in found):
+                        found.append(got)
+        for kap, branch in found:
+            residual, scale = _certificate(A, B0, kap, mu, branch)
+            if residual < _CROSSING_REL * scale:
+                records.append(_bound_record(mu, kap, residual))
     return records
 
 
@@ -584,7 +608,7 @@ def crossing_count(V: FourPotential, kappa: float) -> int:
     crossings there, with multiplicity.  At kappa = 0, V = g W with
     a0 > |a| on W, its rise across a bracket on one side of g = 0 is the
     number of critical couplings inside.  Full size, off the sectors,
-    the branch and sigma_min, so an independent check of
+    the branch and its residual certificate, so an independent check of
     boundstate_track.  Raises ValueError where V is singular at a
     support node (a0^2 = |a|^2); no node is skipped.
     """

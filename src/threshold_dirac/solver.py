@@ -56,12 +56,14 @@ SOLVES
     |M x - rhs| (node sup norm), and an unflagged solve whose residual
     exceeds 1e-8 sup|rhs| raises RuntimeError, so a wrong solution never
     reads as physics. sigma_min and null spaces come from one
-    subspace_iteration on an LU from factor; at a critical coupling or a
-    crossing its estimate is at the round-off floor from the first step,
-    and it stops after two steps (four solves). A failed LU (LAPACK raised,
-    or the LU is not finite) has lu None and rcond NaN; then solve gives
-    NaN for the solution and the residual, sigma_min NaN,
-    subspace_iteration None, and shift-invert raises. negative_count
+    subspace_iteration on an LU from factor; at a critical coupling its
+    estimate is at the round-off floor from the first step, and it stops
+    after two steps (four solves). A bound-state crossing needs no LU of
+    its own: the residual of the branch's Ritz vector under one
+    apply_kernel_rows pass bounds sigma_min from above. A failed LU
+    (LAPACK raised, or the LU is not finite) has lu None and rcond NaN;
+    then solve gives NaN for the solution and the residual, sigma_min
+    NaN, subspace_iteration None, and shift-invert raises. negative_count
     reads the inertia of a Hermitian matrix off one LDL^H; it solves
     nothing.
 

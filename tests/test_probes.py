@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from threshold_dirac import probes, solver
@@ -196,8 +197,8 @@ def wider_b0_track():
     """The track for a B0 that is not proportional to the shape: a unit
     well of radius 1 against a critical well of radius 0.8, so B0 also
     lives on nodes outside A's support.  7^3 grid, short kappa range.
-    The track runs with assemble_sectors, assemble_pair, assemble_T and
-    ARPACK counted."""
+    The track runs with assemble_sectors, assemble_pair, assemble_T,
+    apply_kernel_rows and ARPACK counted."""
     grid = Grid3(R, 7)
     crit = find_critical_coupling(build_potential(grid, "spherical-well", 1.0, 0.8), (8.0, 14.0))
     B0 = build_potential(grid, "spherical-well", 1.0, 1.0)
@@ -211,7 +212,8 @@ def wider_b0_track():
         n_kappa=20,
         kappa_range=(0.04, 0.15),
     )
-    calls = {"assemble_sectors": 0, "assemble_pair": 0, "assemble_T": 0, "eigs": 0}
+    names = ("assemble_sectors", "assemble_pair", "assemble_T", "apply_kernel_rows")
+    calls = dict.fromkeys(names + ("eigs",), 0)
 
     def counted(name, fn):
         def spy(*args, **kwargs):
@@ -221,7 +223,7 @@ def wider_b0_track():
         return spy
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("assemble_sectors", "assemble_pair", "assemble_T"):
+        for name in names:
             mp.setattr(probes, name, counted(name, getattr(probes, name)))
         mp.setattr(scipy.sparse.linalg, "eigs", counted("eigs", scipy.sparse.linalg.eigs))
         rec_e = boundstate_track(plan)
@@ -236,17 +238,61 @@ def test_boundstate_eigen_track_serves_general_b0(wider_b0_track, certify_track)
 
 
 def test_boundstate_eigen_track_counts(wider_b0_track):
-    """No ARPACK call, and at most one assembly per curve point, six
-    secant steps per crossing and one sigma_min validation per crossing;
-    each validation is one full-size assemble_T and no assemble_pair."""
+    """No ARPACK call, one sector assembly per curve point and at most six
+    secant steps per crossing, and one residual certificate per crossing:
+    one kernel-row pass, with no full-size assemble_T or assemble_pair."""
     plan, rec_e, calls = wider_b0_track
     n_curve = max(16, plan.n_kappa // 10)
     crossings = len(rec_e)
     assert crossings == len(plan.mus)
     assert calls["eigs"] == 0
     assert calls["assemble_pair"] == 0
-    assert calls["assemble_T"] == crossings
-    assert n_curve < calls["assemble_sectors"] <= n_curve + 6 * crossings + crossings
+    assert calls["assemble_T"] == 0
+    assert calls["apply_kernel_rows"] == crossings
+    assert n_curve < calls["assemble_sectors"] <= n_curve + 6 * crossings
+
+
+def test_boundstate_certificate_bounds_sigma_min_and_refuses_wrong_kappa(
+    wider_b0_track, monkeypatch
+):
+    """Each record's residual certificate is at least sigma_min of the
+    dense M = 1 - T^{A + mu B0} at its kappa and its scale at most
+    ||M||_1, so every record passes the sigma_min gate.  The scale is a
+    column sum of 4 N_s terms that the dense assembly sums in another
+    order, so it may exceed ||M||_1 by that sum's round-off, about
+    4 N_s eps (measured: 1.6e-15 relative).  The same Ritz vector at a
+    kappa 25% off fails the gate, and a secant that returns that kappa
+    gives no record for its mu, leaving the other mu's.  The gate is a
+    near-singularity test, not a kappa tolerance: 1e-5 ||M||_1 lets the
+    vector through up to about 9% and 3% off at these two crossings."""
+    plan, rec_e, _ = wider_b0_track
+    A, B0 = plan.crit.critical_potential(), plan.B0
+    secant, crossings = probes._secant_crossing, {}
+
+    def spy(A, B0, mu, *args):
+        crossings[mu] = got = secant(A, B0, mu, *args)
+        return got
+
+    monkeypatch.setattr(probes, "_secant_crossing", spy)
+    assert boundstate_track(plan) == rec_e
+    assert [r.mu for r in rec_e] == list(plan.mus)
+    for r in rec_e:
+        kap, branch = crossings[r.mu]
+        assert kap == r.kappa
+        residual, scale = probes._certificate(A, B0, kap, r.mu, branch)
+        assert residual == r.sigma_min
+        V = solver.combine_potentials(A, B0.rescaled(r.mu))
+        M = solver.system_matrix(solver.assemble_T(V, 1j * kap))
+        assert residual >= scipy.linalg.svdvals(M).min()
+        assert scale <= np.linalg.norm(M, 1) * (1 + 1e-13)
+        for off in (0.75, 1.25):
+            residual, scale = probes._certificate(A, B0, kap * off, r.mu, branch)
+            assert residual > probes._CROSSING_REL * scale
+
+    wrong = rec_e[0].mu
+    monkeypatch.setattr(probes, "_secant_crossing", lambda A, B0, mu, *args: (
+        (crossings[mu][0] * 1.25, crossings[mu][1]) if mu == wrong else crossings[mu]))
+    assert boundstate_track(plan) == rec_e[1:]
 
 
 def test_boundstate_eigen_failed_lu_gives_no_record(wider_b0_track, monkeypatch):

@@ -333,8 +333,10 @@ def test_sector_track_makes_one_row_pass_per_kappa_and_small_lus(monkeypatch):
     """On the C4h lattice wells the eigen track makes one kernel-row pass
     on the orbit representatives per kappa (curve points and secant
     steps), serving both sectors that hold the threshold basis; every LU
-    of the branch has at most ceil(4 S / 8) + 8 unknowns, and the
-    sigma_min validations stay full size."""
+    of the branch has at most ceil(4 S / 8) + 8 unknowns, and no LU is
+    full size.  Each crossing's residual certificate is one more
+    kernel-row pass, targeting every support node of A + mu B0, so it
+    stays off the sectors."""
     from threshold_dirac import critical, probes
     from threshold_dirac.forms import gamma_spectrum, taylor_form
 
@@ -348,7 +350,7 @@ def test_sector_track_makes_one_row_pass_per_kappa_and_small_lus(monkeypatch):
         crit, B0, mus=tuple(g1 * k * k for k in (0.06, 0.1)), ks=(0.1,),
         n_kappa=20, kappa_range=(0.04, 0.15),
     )
-    kappas, passes, branch_sizes, full_sizes = [], [], [], []
+    kappas, passes, branch_sizes, full_sizes, certified = [], [], [], [], []
 
     def spy(record, fn):
         def wrapped(*args, **kwargs):
@@ -364,6 +366,8 @@ def test_sector_track_makes_one_row_pass_per_kappa_and_small_lus(monkeypatch):
         lambda k, grid, nodes, *vals, rows=None: passes.append((k, rows)), solver._assembled))
     monkeypatch.setattr(probes, "factor", spy(lambda M: branch_sizes.append(len(M)), probes.factor))
     monkeypatch.setattr(solver, "factor", spy(lambda M: full_sizes.append(len(M)), solver.factor))
+    monkeypatch.setattr(probes, "apply_kernel_rows", spy(
+        lambda k, targets, V, *args: certified.append((k, targets, V)), probes.apply_kernel_rows))
     records = probes.boundstate_track(plan)
     assert len(records) == len(plan.mus)
     assert all(n == 2 for _, n in kappas)
@@ -374,7 +378,12 @@ def test_sector_track_makes_one_row_pass_per_kappa_and_small_lus(monkeypatch):
     assert all(np.array_equal(rows, reps) for _, rows in row_passes)
     assert len(branch_sizes) == 2 * len(kappas)
     assert max(branch_sizes) <= -(-n_unknowns // 8) + 8
-    assert full_sizes == [n_unknowns] * len(records)
+    assert full_sizes == []
+    assert len(certified) == len(records)
+    for r, (k, targets, V) in zip(records, certified):
+        assert k == 1j * r.kappa
+        assert np.array_equal(V.values, combine_potentials(A, B0.rescaled(r.mu)).values)
+        assert np.array_equal(targets, grid.points[V.support_indices()])
 
 
 @pytest.mark.parametrize("case", ["shifted", "vector"])
