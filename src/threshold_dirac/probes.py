@@ -46,7 +46,6 @@ from .potentials import FourPotential, Grid3, SpinorField, fold_rows, norms, pse
 from .kernel import blas_matmul
 from .solver import (
     apply_kernel_rows,
-    assemble_pair,
     assemble_sectors,
     assemble_T,
     combine_potentials,
@@ -55,6 +54,7 @@ from .solver import (
     free_solution,
     free_spinor,
     negative_count,
+    sector_solve,
     symmetry_sectors,
     system_matrix,
 )
@@ -236,37 +236,73 @@ def _unit_potential(V: FourPotential) -> FourPotential:
 # resonance sweep
 
 
-def _sweep_column(crit, V: FourPotential, k: float, kvec, systems, js, eval_points) -> list:
+def _reached(sectors, X: np.ndarray) -> list:
+    """(sector, sector.project(X)) for each sector where X, a vector or a
+    block of columns on the sectors' nodes, has a part whose largest
+    singular value exceeds _SECTOR_REL of X's norm; its parts in the
+    other sectors are round-off."""
+    cut = _SECTOR_REL * np.linalg.norm(X)
+    parts = [(sector, sector.project(X)) for sector in sectors]
+    return [(sector, part) for sector, part in parts if np.linalg.norm(part, 2) > cut]
+
+
+def _coupling_scan(sectors, A: FourPotential, B: FourPotential | None, k: float, rhs):
+    """mu -> [(sector, factor of 1 - T-hat of A + mu B there)] on those
+    of the sectors (symmetry_sectors(A, B)) that rhs reaches (see
+    _reached), the systems that sector_solve takes; with B None,
+    1 - T-hat of A.
+
+    The sector blocks come from one assemble_sectors pass at k, at unit
+    couplings, and are recombined per mu (the contraction is exactly
+    linear in the potential), so each mu costs one small LU per reached
+    sector.
+    """
+    reached = [sector for sector, _ in _reached(sectors, rhs)]
+    blocks = assemble_sectors(reached, A, B, k)
+    return lambda mu: [
+        (sector, factor(system_matrix(*pair, mu=mu))) for sector, pair in zip(reached, blocks)
+    ]
+
+
+def _sweep_column(crit, sectors, A: FourPotential, B, k: float, kvec, mus, js, eval_points):
     """Every (coupling, j) cell at one k: solve, extend, project.
 
-    systems yields (mu, M, V_mu rows) per coupling, with M = 1 - T-hat of
-    V_mu on the support of V and the rows of V_mu there.  phi = chi + T phi
-    is extended by one stacked kernel pass: the cells' (V_mu u) rows are
-    applied through the unit potential on the support.  Returns one
-    SweepRecord per cell, predicted_bound left 0.
+    The cells solve (1 - T^{A + mu B}) u = chi(j, kvec) on the support of
+    A + B (of A alone when B is None, mus then (0.0,)), whose symmetry
+    sectors are sectors: one _coupling_scan from every j's plane wave,
+    and per mu one sector_solve of each chi.  A cell is flagged when a
+    block of its coupling is.  phi = chi + T phi is extended by one
+    stacked kernel pass: the cells' (V_mu u) rows are applied through
+    the unit potential on the support.  Returns one SweepRecord per
+    cell, predicted_bound left 0.
     """
+    V = combine_potentials(A, B)
     grid = V.grid
     union = V.support_indices()
     pts = grid.points[union]
-    unit = _unit_potential(V)
-    A = crit.critical_potential()
+    va = A.values[union]
+    vb = None if B is None else B.values[union]
+    chis = [free_solution(j, kvec) for j in js]
+    rhs = np.stack([chi.values_at(pts).reshape(-1) for chi in chis], axis=1)
+    scan = _coupling_scan(sectors, A, B, k, rhs)
+    crit_A = crit.critical_potential()
     cells = []
     folded = []
-    for mu, M, vmu_rows in systems:
-        fac = factor(M)
-        for j in js:
-            chi = free_solution(j, kvec)
-            u = fac.solve(chi.values_at(pts).reshape(-1))[0].reshape(-1, 4)
-            cells.append((mu, j, fac.at_resonance, chi, u))
+    for mu in mus:
+        systems = scan(mu)
+        vmu_rows = va if vb is None else va + mu * vb
+        for j, chi, b in zip(js, chis, rhs.T):
+            u, _, flagged = sector_solve(systems, b)
+            u = u.reshape(-1, 4)
+            cells.append((mu, j, flagged, chi, u))
             folded.append(fold_rows(vmu_rows, u))
-        del M, fac  # this coupling's matrix and LU go before the next is built
-    exts = apply_kernel_rows(k, eval_points, unit, np.stack(folded), grid.spacing)
+    exts = apply_kernel_rows(k, eval_points, _unit_potential(V), np.stack(folded), grid.spacing)
     out = []
     for (mu, j, flagged, chi, u), tail in zip(cells, exts.transpose(1, 0, 2)):
         ext = chi.values_at(eval_points) + tail
         phi = SpinorField.on_nodes(grid, union, u)
         npar = crit.project("N_par", phi)
-        coeffs = crit.coordinates([pseudo_inner(p, A, phi) for p in crit.basis])
+        coeffs = crit.coordinates([pseudo_inner(p, crit_A, phi) for p in crit.basis])
         resid = phi.values[union] - npar.values[union] - chi.values_at(pts)
         out.append(
             SweepRecord(
@@ -290,26 +326,29 @@ def _sweep_column(crit, V: FourPotential, k: float, kvec, systems, js, eval_poin
 def resonance_sweep(plan: SweepPlan) -> SweepResult:
     """Solve every (mu, k, j) cell, project onto the span, fit the law.
 
-    The operator pair is assembled once per k at unit couplings and
-    recombined per mu (the contraction is exactly linear in the
-    potential), so a mu scan costs one LU per cell and one kernel pass
-    per k.  A flagged factorization (at resonance, or a failed LU) gives
-    a flagged record; an unflagged solve that misses the residual
-    contract raises RuntimeError (Factorization.solve).
+    Each k makes one _sweep_column: the blocks of T_A and T_B on the
+    symmetry sectors that the plane waves reach come from one
+    assemble_sectors pass at unit couplings and are recombined per mu
+    (the contraction is exactly linear in the potential), so a mu costs
+    one small LU per reached sector (4 of 129 unknowns on the z axis of
+    the n = 9 C4h well, 8 off it) and a k one kernel pass.  A potential
+    pair with no common symmetry is one sector, the whole support, on
+    the same path.  A cell is flagged when one of its blocks is (at
+    resonance, or a failed LU); an unflagged cell whose solution misses
+    the residual contract on the full support raises RuntimeError
+    (solver.sector_solve).
     """
     crit = plan.crit
     A = crit.critical_potential()
     gammas = gamma_spectrum(crit, plan.B0, taylor_form(A, crit, 2)).gammas
-    V = combine_potentials(A, plan.B0)
-    union = V.support_indices()
-    va, vb = A.values[union], plan.B0.values[union]
     eval_grid = plan.eval_grid or default_eval_grid(A.grid)
+    sectors = symmetry_sectors(A, plan.B0)
 
     def run_k(k: float) -> list:
-        TA, TB = assemble_pair(A, plan.B0, k)
-        systems = ((mu, system_matrix(TA, TB, mu), va + mu * vb) for mu in plan.mus)
         kvec = k * np.asarray(plan.khat)
-        cells = _sweep_column(crit, V, k, kvec, systems, plan.js, eval_grid.points)
+        cells = _sweep_column(
+            crit, sectors, A, plan.B0, k, kvec, plan.mus, plan.js, eval_grid.points
+        )
         return [replace(r, predicted_bound=resonance_prediction(r.mu, k, gammas)) for r in cells]
 
     records = [r for k in plan.ks for r in run_k(k)]
@@ -350,17 +389,18 @@ def mu_peak(crit: CriticalStructure, B0: FourPotential, k: float, bracket: tuple
 
     The objective is the solution sup norm over the support nodes; the
     divergent span part lives there, so the peak location matches the
-    full-grid sup.  Assembles the operator pair once, so each mu costs
-    one LU.  Returns (mu_peak, sup_at_peak).
+    full-grid sup.  One _coupling_scan assembles the sector blocks that
+    the plane wave reaches once, so each mu costs one small LU per
+    reached sector and one sector_solve, held to the residual contract.
+    Returns (mu_peak, sup_at_peak).
     """
     A = crit.critical_potential()
-    union = combine_potentials(A, B0).support_indices()
-    pts = A.grid.points[union]
-    TA, TB = assemble_pair(A, B0, float(k))
+    pts = A.grid.points[combine_potentials(A, B0).support_indices()]
     chi_rhs = free_solution(1, (0.0, 0.0, float(k))).values_at(pts).reshape(-1)
+    scan = _coupling_scan(symmetry_sectors(A, B0), A, B0, float(k), chi_rhs)
 
     def sup_at(mu: float) -> float:
-        u = factor(system_matrix(TA, TB, mu)).solve(chi_rhs)[0].reshape(-1, 4)
+        u = sector_solve(scan(mu), chi_rhs)[0].reshape(-1, 4)
         return float(np.max(np.linalg.norm(u, axis=1)))
 
     mu_lo, mu_hi = float(bracket[0]), float(bracket[1])
@@ -428,10 +468,9 @@ def _branch_seeds(A: FourPotential, B0: FourPotential, basis: list) -> list:
     X = np.stack([f.values[union].reshape(-1) for f in basis], axis=1)
     cut = _SECTOR_REL * np.linalg.norm(X)
     seeds = []
-    for sector in symmetry_sectors(A, B0):
-        u, s, _ = np.linalg.svd(sector.project(X), full_matrices=False)
-        if s[0] > cut:
-            seeds.append((sector, u[:, s > cut]))
+    for sector, part in _reached(symmetry_sectors(A, B0), X):
+        u, s, _ = np.linalg.svd(part, full_matrices=False)
+        seeds.append((sector, u[:, s > cut]))
     return seeds
 
 
@@ -847,24 +886,26 @@ def derivative_bound(
 def lambda1_probe(crit: CriticalStructure, B: FourPotential | None, ks) -> list:
     """Records of the divergence law for the 1/r-tail class.
 
-    For each k: solve for chi(1, k e_z) at A (+ B if given), extend to
-    the default evaluation grid, project onto the span, and record the
-    sup norm, the span-part norms and the denominator
-    inf |<Psi, B, Psi>| + k of the resonance-class bound.
+    For each k: solve for chi(1, k e_z) at V = A (+ B if given) on the
+    symmetry sectors of V that the plane wave reaches (one _sweep_column
+    at mu = 0: one assemble_sectors pass and one small LU per reached
+    sector), extend to the default evaluation grid, project onto the
+    span, and record the sup norm, the span-part norms and the
+    denominator inf |<Psi, B, Psi>| + k of the resonance-class bound.
     """
     if crit.lambda_bar != 1:
         raise ValueError("lambda1 probe needs a resonance-class structure")
     V = combine_potentials(crit.critical_potential(), B)
     eval_grid = default_eval_grid(V.grid)
     pinf = pairing_inf(crit, B)
-    vrows = V.values[V.support_indices()]
+    sectors = symmetry_sectors(V)
 
     out = []
     for k in ks:
         k = float(k)
-        TV = assemble_T(V, k)
-        system = (0.0, system_matrix(TV, out=TV), vrows)
-        (r,) = _sweep_column(crit, V, k, (0.0, 0.0, k), [system], (1,), eval_grid.points)
+        (r,) = _sweep_column(
+            crit, sectors, V, None, k, (0.0, 0.0, k), (0.0,), (1,), eval_grid.points
+        )
         out.append(
             {
                 "k": k,

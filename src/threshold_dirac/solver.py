@@ -46,16 +46,23 @@ QUADRATURE
     assembly expands coefficients into 4x4 blocks.
 
 SOLVES
-    One path: assemble_T (assemble_pair for a coupling scan), then
-    system_matrix (1 - T_A - mu T_B), then factor: dense LU with partial
-    pivoting, the package's only LU, and a reciprocal condition estimate.
-    Systems whose estimate falls below 1e-10 are flagged "at-resonance"
-    and solved in the least-squares sense instead (sweeps cross
-    resonances on purpose). Factorization.solve is the one solve of a
-    right-hand side: it returns the solution with its residual
-    |M x - rhs| (node sup norm), and an unflagged solve whose residual
-    exceeds 1e-8 sup|rhs| raises RuntimeError, so a wrong solution never
-    reads as physics. sigma_min and null spaces come from one
+    One path: assemble_T, then system_matrix (1 - T_A - mu T_B), then
+    factor: dense LU with partial pivoting, the package's only LU, and a
+    reciprocal condition estimate.  Systems whose estimate falls below
+    1e-10 are flagged "at-resonance" and solved in the least-squares
+    sense instead (sweeps cross resonances on purpose).
+    Factorization.solve is the one solve of a right-hand side on the
+    full support: it returns the solution with its residual |M x - rhs|
+    (node sup norm), and an unflagged solve whose residual exceeds 1e-8
+    sup|rhs| raises RuntimeError, so a wrong solution never reads as
+    physics.  A coupling scan (the resonance sweep, mu_peak, the
+    resonance-class probe) solves on the symmetry sectors instead:
+    sector_solve takes the factorizations of the blocks M_s on the
+    sectors that the right-hand side reaches and holds the joined
+    solution to the same contract on the full support, r = sum_s V_s
+    M_s x_s - rhs, so the part of rhs in a sector left out counts; the
+    solve is flagged when any block is, and each flagged block is solved
+    by least squares.  sigma_min and null spaces come from one
     subspace_iteration on an LU from factor; at a critical coupling its
     estimate is at the round-off floor from the first step, and it stops
     after two steps (four solves). A bound-state crossing needs no LU of
@@ -78,12 +85,16 @@ SOLVES
     2 for inversion, the whole support for the trivial group.  A Sector
     maps vectors to and from the coordinates of an orthonormal basis,
     one 4x4 SVD of the stabiliser projector per orbit type, so the
-    centre node and the z axis need no special case.  assemble_sectors
+    centre node and the z axis need no special case; for the trivial
+    group both maps are the identity, bit for bit.  assemble_sectors
     builds a pair's blocks on several sectors from one kernel-row pass
     over the orbit representatives (40 of the 251 nodes of the n = 9
     well), folding the columns at their images with the characters.
     The bound-state branch runs on the sectors that hold the threshold
-    basis: at n = 9 two LUs of 129 unknowns per kappa.
+    basis: at n = 9 two LUs of 129 unknowns per kappa.  The coupling
+    scans run on the sectors that their plane waves reach: at n = 9 four
+    LUs of 129 unknowns per (mu, k) on the z axis and all eight off it,
+    instead of one of 1004.
 
     Matrix-sized products go through kernel.blas_matmul, scipy's BLAS,
     so numpy's separate OpenBLAS thread pool never spins beside an LU.
@@ -92,7 +103,7 @@ SOLVES
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 import warnings
 
 import numpy as np
@@ -118,6 +129,7 @@ __all__ = [
     "apply_kernel_rows",
     "Factorization",
     "factor",
+    "sector_solve",
     "system_matrix",
     "solve_generalized",
     "symmetry_probe",
@@ -381,8 +393,9 @@ def assemble_pair(A: FourPotential, B: FourPotential, k) -> tuple:
     """(T-hat of A, T-hat of B) on the support of A + B, one kernel pass.
 
     The contraction is linear in the potential, so T-hat of A + mu B is
-    TA + mu TB for every mu: a coupling scan recombines this pair instead
-    of assembling again.
+    TA + mu TB for every mu.  The coupling scans recombine the pair's
+    sector blocks (assemble_sectors); this full-size pair is their
+    dense reference.
     """
     union = combine_potentials(A, B).support_indices()
     return tuple(_assembled(k, A.grid, union, A.values, B.values))
@@ -540,11 +553,11 @@ def symmetry_sectors(A: FourPotential, B: FourPotential | None = None) -> tuple:
     return tuple(sectors)
 
 
-def assemble_sectors(sectors: tuple, A: FourPotential, B: FourPotential, k) -> list:
+def assemble_sectors(sectors: tuple, A: FourPotential, B: FourPotential | None, k) -> list:
     """(T-hat of A, T-hat of B) on each of some sectors of one
     symmetry_sectors(A, B) call, from one kernel-row pass over the orbit
     representatives (about 1/8 of the support for C4h, all of it for
-    the trivial group).
+    the trivial group); (T-hat of A,) when B is None.
 
     The rows of T V for every sector come from one product per matrix:
     the columns at the images of each representative, gathered once,
@@ -552,12 +565,13 @@ def assemble_sectors(sectors: tuple, A: FourPotential, B: FourPotential, k) -> l
     its own columns.
     """
     images = sectors[0].images
-    pair = _assembled(k, A.grid, sectors[0].nodes, A.values, B.values, rows=images[:, 0])
+    values = [P.values for P in (A, B) if P is not None]
+    mats = _assembled(k, A.grid, sectors[0].nodes, *values, rows=images[:, 0])
     if sectors[0].order == 1:  # the trivial group: V = 1, the blocks are the matrices
-        return [tuple(pair)]
+        return [tuple(mats)]
     spreads = np.concatenate([sector.spread for sector in sectors], axis=2)
     folded = []
-    for rows in pair:
+    for rows in mats:
         cols = np.take(rows.reshape(len(rows), -1, 4), images, axis=1)  # (m, n_o, G, 4)
         cols = cols.reshape(len(rows), len(images), -1).transpose(1, 0, 2) @ spreads
         tv = cols.transpose(1, 0, 2).reshape(len(rows), len(images), len(sectors), 4)
@@ -751,19 +765,30 @@ class Factorization:
         misses it. LAPACK's least-squares routine does not return on a
         non-finite matrix, so a failed factorization yields NaN instead.
         """
+        x = self._solution(rhs)
         if self.lu is None:
-            return np.full(rhs.shape, np.nan, dtype=np.complex128), np.nan
+            return x, np.nan
+        return x, _residual(blas_matmul(self.matrix, x) - rhs, rhs, self.at_resonance)
+
+    def _solution(self, rhs: np.ndarray) -> np.ndarray:
+        """x alone, unchecked: solve and sector_solve check it."""
+        if self.lu is None:
+            return np.full(rhs.shape, np.nan, dtype=np.complex128)
         if self.at_resonance:
-            x, *_ = np.linalg.lstsq(self.matrix, rhs, rcond=None)
-        else:
-            x = sla.lu_solve(self.lu, rhs)
-        res, scale = (float(np.max(np.linalg.norm(v.reshape(-1, 4), axis=1)))
-                      for v in (blas_matmul(self.matrix, x) - rhs, rhs))
-        if not self.at_resonance and res > _RESIDUAL_REL * max(scale, 1e-300):
-            raise RuntimeError(
-                f"residual contract violated: {res:.3e} > {_RESIDUAL_REL:.0e} * {scale:.3e}"
-            )
-        return x, res
+            return np.linalg.lstsq(self.matrix, rhs, rcond=None)[0]
+        return sla.lu_solve(self.lu, rhs)
+
+
+def _residual(r: np.ndarray, rhs: np.ndarray, flagged: bool) -> float:
+    """The node sup norm of r = M x - rhs (vectors of node-wise 4-spinors).
+    Unless flagged, x is held to the residual contract r <= _RESIDUAL_REL
+    sup|rhs|: RuntimeError when it misses it."""
+    res, scale = (float(np.max(np.linalg.norm(v.reshape(-1, 4), axis=1))) for v in (r, rhs))
+    if not flagged and res > _RESIDUAL_REL * max(scale, 1e-300):
+        raise RuntimeError(
+            f"residual contract violated: {res:.3e} > {_RESIDUAL_REL:.0e} * {scale:.3e}"
+        )
+    return res
 
 
 def factor(M: np.ndarray) -> Factorization:
@@ -776,6 +801,32 @@ def factor(M: np.ndarray) -> Factorization:
         except (ValueError, np.linalg.LinAlgError):
             return Factorization(M, None)
     return Factorization(M, lu if np.all(np.isfinite(lu[0])) else None)
+
+
+def sector_solve(systems: list, rhs: np.ndarray) -> tuple:
+    """Solve M x = rhs on the support of a symmetry group's sectors, M
+    block diagonal over them, from the factorizations of the blocks M_s
+    on the sectors that rhs reaches.
+
+    systems holds (sector, factorization of M_s) pairs, rhs is a (4 n,)
+    vector on the sectors' nodes.  Each block solves the sector
+    coordinates of rhs (Sector.project), by least squares when its
+    factorization is flagged, and the pieces join as x = sum_s V_s x_s
+    (Sector.extend).  Returns (x, residual, flagged): flagged when any
+    block is; residual the node sup norm of sum_s V_s M_s x_s - rhs on
+    the full support, which counts rhs's part in every sector left out.
+    Unless flagged it is held to the residual contract of
+    Factorization.solve.  One trivial sector maps by the identity, so
+    there x is that of factor(M).solve(rhs) bit for bit.
+    """
+    flagged = any(fac.at_resonance for _, fac in systems)
+    parts, applied = [], []
+    for sector, fac in systems:
+        x = fac._solution(sector.project(rhs))
+        parts.append(sector.extend(x))
+        applied.append(sector.extend(blas_matmul(fac.matrix, x)))
+    x, mx = (reduce(np.add, v) for v in (parts, applied))
+    return x, _residual(mx - rhs, rhs, flagged), flagged
 
 
 def cosine_block(n: int, b: int) -> np.ndarray:

@@ -197,8 +197,9 @@ def wider_b0_track():
     """The track for a B0 that is not proportional to the shape: a unit
     well of radius 1 against a critical well of radius 0.8, so B0 also
     lives on nodes outside A's support.  7^3 grid, short kappa range.
-    The track runs with assemble_sectors, assemble_pair, assemble_T,
-    apply_kernel_rows and ARPACK counted."""
+    The track runs with assemble_sectors, assemble_T, apply_kernel_rows,
+    ARPACK and full-size assemblies (solver._assembled on every row)
+    counted."""
     grid = Grid3(R, 7)
     crit = find_critical_coupling(build_potential(grid, "spherical-well", 1.0, 0.8), (8.0, 14.0))
     B0 = build_potential(grid, "spherical-well", 1.0, 1.0)
@@ -212,8 +213,13 @@ def wider_b0_track():
         n_kappa=20,
         kappa_range=(0.04, 0.15),
     )
-    names = ("assemble_sectors", "assemble_pair", "assemble_T", "apply_kernel_rows")
-    calls = dict.fromkeys(names + ("eigs",), 0)
+    names = ("assemble_sectors", "assemble_T", "apply_kernel_rows")
+    calls = dict.fromkeys(names + ("eigs", "full_assembly"), 0)
+    assembled = solver._assembled
+
+    def full_assembly(k, grid, nodes, *values, rows=None):
+        calls["full_assembly"] += rows is None
+        return assembled(k, grid, nodes, *values, rows=rows)
 
     def counted(name, fn):
         def spy(*args, **kwargs):
@@ -226,6 +232,7 @@ def wider_b0_track():
         for name in names:
             mp.setattr(probes, name, counted(name, getattr(probes, name)))
         mp.setattr(scipy.sparse.linalg, "eigs", counted("eigs", scipy.sparse.linalg.eigs))
+        mp.setattr(solver, "_assembled", full_assembly)
         rec_e = boundstate_track(plan)
     return plan, rec_e, calls
 
@@ -240,13 +247,14 @@ def test_boundstate_eigen_track_serves_general_b0(wider_b0_track, certify_track)
 def test_boundstate_eigen_track_counts(wider_b0_track):
     """No ARPACK call, one sector assembly per curve point and at most six
     secant steps per crossing, and one residual certificate per crossing:
-    one kernel-row pass, with no full-size assemble_T or assemble_pair."""
+    one kernel-row pass, with no full-size assembly (assemble_T,
+    assemble_pair or any other)."""
     plan, rec_e, calls = wider_b0_track
     n_curve = max(16, plan.n_kappa // 10)
     crossings = len(rec_e)
     assert crossings == len(plan.mus)
     assert calls["eigs"] == 0
-    assert calls["assemble_pair"] == 0
+    assert calls["full_assembly"] == 0
     assert calls["assemble_T"] == 0
     assert calls["apply_kernel_rows"] == crossings
     assert n_curve < calls["assemble_sectors"] <= n_curve + 6 * crossings
@@ -480,6 +488,187 @@ def test_unflagged_solves_hold_the_residual_contract(monkeypatch, crit_free, cri
         )
     with pytest.raises(RuntimeError, match="residual"):
         lambda1_probe(crit_res, None, (0.1,))
+
+
+_OFF_AXIS = (0.3, 0.5, 0.8)
+
+
+def _record_rows(result) -> np.ndarray:
+    return np.array(
+        [[r.sup_norm, r.n_part_norm, r.residual_part, r.predicted_bound, r.n_part_l2]
+         for r in result.records]
+    )
+
+
+def test_sector_sweep_matches_a_dense_full_size_reference(monkeypatch, crit_free, b0):
+    """On the C4h-exact n = 9 well the sweep's records, for the z axis and
+    for an off-axis khat, match those of a dense full-size solve of each
+    cell (assemble_pair, scipy.linalg.solve) to 1e-11 relative, and no
+    cell is flagged."""
+    assert len(solver.symmetry_sectors(crit_free.critical_potential(), b0)) == 8
+    plans = [
+        SweepPlan(crit_free, b0, mus=(0.005, 0.03), ks=(0.1, 0.2), js=(1, 2), khat=khat)
+        for khat in ((0.0, 0.0, 1.0), _OFF_AXIS)
+    ]
+    got = [resonance_sweep(plan) for plan in plans]
+
+    def dense_scan(sectors, A, B, k, rhs):
+        TA, TB = solver.assemble_pair(A, B, k)
+        return lambda mu: solver.system_matrix(TA, TB, mu)
+
+    monkeypatch.setattr(probes, "_coupling_scan", dense_scan)
+    monkeypatch.setattr(
+        probes, "sector_solve", lambda M, rhs: (scipy.linalg.solve(M, rhs), 0.0, False)
+    )
+    for plan, res in zip(plans, got):
+        want = _record_rows(resonance_sweep(plan))
+        assert not any(r.at_resonance for r in res.records)
+        np.testing.assert_allclose(_record_rows(res), want, rtol=1e-11, atol=0.0)
+
+
+def test_trivial_group_sweep_solutions_are_the_full_lu_bit_for_bit(monkeypatch):
+    """A well with only the trivial group (the n = 7 linspace well) is one
+    sector whose maps are the identity: every cell's solution is that of
+    factor(system_matrix(*assemble_pair(...), mu)) on the full support,
+    bit for bit."""
+    grid = Grid3(R, 7)
+    shape = build_potential(grid, "spherical-well", 1.0, R)
+    crit = find_critical_coupling(shape, (5.0, 9.0))
+    A = crit.critical_potential()
+    assert [sec.order for sec in solver.symmetry_sectors(A, shape)] == [1]
+    plan = SweepPlan(crit, shape, mus=(0.01, 0.03), ks=(0.1, 0.2), js=(1, 2), khat=_OFF_AXIS)
+    solved = []
+    real = probes.sector_solve
+
+    def spy(systems, rhs):
+        got = real(systems, rhs)
+        solved.append((rhs, got[0]))
+        return got
+
+    monkeypatch.setattr(probes, "sector_solve", spy)
+    resonance_sweep(plan)
+    cells = [(k, mu, j) for k in plan.ks for mu in plan.mus for j in plan.js]
+    assert len(solved) == len(cells)
+    pts = grid.points[shape.support_indices()]
+    for (k, mu, j), (rhs, x) in zip(cells, solved):
+        chi = solver.free_solution(j, k * np.asarray(plan.khat)).values_at(pts).reshape(-1)
+        assert chi.tobytes() == rhs.tobytes()
+        TA, TB = solver.assemble_pair(A, shape, k)
+        want = solver.factor(solver.system_matrix(TA, TB, mu)).solve(chi)[0]
+        assert want.tobytes() == x.tobytes()
+
+
+def _count_lus(monkeypatch):
+    """Spy on the LUs of probes and on full-size assemblies (solver._assembled
+    on every row, as assemble_T and assemble_pair make)."""
+    sizes, full = [], []
+    real_factor, real_assembled = probes.factor, solver._assembled
+
+    def factor(M):
+        sizes.append(len(M))
+        return real_factor(M)
+
+    def assembled(k, grid, nodes, *values, rows=None):
+        if rows is None:
+            full.append(len(nodes))
+        return real_assembled(k, grid, nodes, *values, rows=rows)
+
+    monkeypatch.setattr(probes, "factor", factor)
+    monkeypatch.setattr(solver, "_assembled", assembled)
+    return sizes, full
+
+
+def test_coupling_scans_make_only_sector_lus(monkeypatch, crit_free, crit_res, b0):
+    """On the n = 9 C4h well the sweep makes one LU per reached sector and
+    (mu, k): 4 on the z axis, 8 off it, none larger than the largest
+    sector block, and no full-size assembly (assemble_pair is gone from
+    probes).  mu_peak and the resonance-class probe make no full-size LU
+    either."""
+    assert not hasattr(probes, "assemble_pair")
+    A = crit_free.critical_potential()
+    largest = max(len(sec.index) for sec in solver.symmetry_sectors(A, b0))
+    sizes, full = _count_lus(monkeypatch)
+    for khat, per_cell in (((0.0, 0.0, 1.0), 4), (_OFF_AXIS, 8)):
+        del sizes[:]
+        plan = SweepPlan(crit_free, b0, mus=(0.01, 0.03), ks=(0.1, 0.2), js=(1, 2), khat=khat)
+        resonance_sweep(plan)
+        assert len(sizes) == per_cell * len(plan.mus) * len(plan.ks)
+        assert max(sizes) <= largest
+    del sizes[:]
+    mu_peak(crit_free, b0, 0.2, (0.01, 0.05))
+    assert sizes and max(sizes) <= largest
+    del sizes[:]
+    lambda1_probe(crit_res, None, (0.1,))
+    assert sizes and max(sizes) <= max(
+        len(sec.index) for sec in solver.symmetry_sectors(crit_res.critical_potential())
+    )
+    assert full == []
+
+
+def test_a_wrongly_skipped_sector_breaks_the_residual_contract(
+    monkeypatch, crit_free, crit_res, b0
+):
+    """The contract is checked on the full support, so the part of a
+    right-hand side in a reached sector that is skipped (its projection
+    made zero) raises in the sweep, mu_peak and the resonance-class
+    probe instead of passing."""
+    A = crit_free.critical_potential()
+    pts = A.grid.points[b0.support_indices()]
+    chi = solver.free_solution(1, (0.0, 0.0, 0.2)).values_at(pts).reshape(-1)
+    weights = [np.linalg.norm(sec.project(chi)) for sec in solver.symmetry_sectors(A, b0)]
+    reached = [w for w in weights if w > 1e-8 * np.linalg.norm(chi)]
+    assert len(reached) == 4
+    skip = weights.index(min(reached))  # a smaller reached part, about 1/8 of the largest
+    project = solver.Sector.project
+    character = solver.symmetry_sectors(A, b0)[skip].character
+
+    def dropped(sector, f):
+        part = project(sector, f)
+        return 0.0 * part if sector.character == character else part
+
+    monkeypatch.setattr(solver.Sector, "project", dropped)
+    with pytest.raises(RuntimeError, match="residual"):
+        resonance_sweep(SweepPlan(crit_free, b0, mus=(0.05,), ks=(0.2,), js=(1,)))
+    with pytest.raises(RuntimeError, match="residual"):
+        mu_peak(crit_free, b0, 0.2, (0.01, 0.05))
+    with pytest.raises(RuntimeError, match="residual"):
+        lambda1_probe(crit_res, None, (0.1,))
+
+
+def test_a_flagged_sector_flags_its_cell_only(monkeypatch, crit_free, b0):
+    """A sector factorization that reads as at resonance flags the cells
+    of its (mu, k) and its block is solved by least squares, still close
+    to the LU solution of that well-conditioned block; every other cell
+    is bit-identical to the unflagged run."""
+    plan = SweepPlan(crit_free, b0, mus=(0.01, 0.03), ks=(0.2,), js=(1, 2))
+    clean = resonance_sweep(plan)
+    calls, lstsq = [], []
+    real_factor, real_lstsq = probes.factor, np.linalg.lstsq
+
+    class Flagged(solver.Factorization):
+        rcond = 0.0
+
+    def factor(M):
+        calls.append(len(M))
+        fac = real_factor(M)
+        return Flagged(M, fac.lu) if len(calls) == 5 else fac  # the first block of mu = 0.03
+
+    def counted(*args, **kwargs):
+        lstsq.append(1)
+        return real_lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(probes, "factor", factor)
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    flagged = resonance_sweep(plan)
+    assert len(calls) == 8 and len(lstsq) == len(plan.js)
+    assert [r.at_resonance for r in flagged.records] == [r.mu == 0.03 for r in clean.records]
+    fields = ("sup_norm", "n_part_norm", "residual_part", "n_part_l2")
+    for a, b in zip(clean.records, flagged.records):
+        for name in fields:
+            if b.at_resonance:
+                assert getattr(b, name) == pytest.approx(getattr(a, name), rel=1e-9)
+            else:
+                assert getattr(b, name) == getattr(a, name)
 
 
 def test_lambda1_probe_gating_and_decay(crit_free, crit_res):
