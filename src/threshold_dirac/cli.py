@@ -161,6 +161,8 @@ def _cmd_find_critical(args) -> int:
         shape_pot = build_potential(grid, args.shape or "spherical-well", 1.0, 1.0)
     lo, hi = (float(t) for t in args.bracket.replace(",", " ").split())
     crit = _search(shape_pot, (lo, hi))
+    # sigma_min: the winner's residual bound ||(1 - g* T-hat) phi|| / ||phi||
+    # >= sigma_min(1 - g* T-hat), not a singular value
     lines = [
         "g_star,sigma_min,dim,lambda_bar",
         f"{cio.fmt_float(crit.g_star)},{cio.fmt_float(crit.sigma_min)},{crit.dim},{crit.lambda_bar}",

@@ -15,22 +15,16 @@ PHYSICS SCOPE
     measures.
 
 CONVENTIONS
-    Eigenvalues locate g*, sigma_min certifies it. 1 - g T-hat is
-    singular exactly when 1/g is an eigenvalue of T-hat, so one
-    shift-invert Arnoldi run on T-hat (one LU at a shift inside the
-    bracket's image in 1/g) yields every candidate coupling at once; the
-    Kramers pair appears as a double eigenvalue and counts once. The
-    run is complete when its farthest eigenvalue lies beyond both ends
-    of that image. Eigenvalues of a non-normal matrix can be far more
-    sensitive than its singular values, and the object of interest is
-    the null space, not the eigenvalue: so a candidate is accepted only
-    when sigma_min(1 - g T-hat) < 1e-8 |1 - g T-hat|_1, and a failed
-    factorization (NaN) never passes. One LU and one
-    solver.subspace_iteration per candidate give the certificate (the
-    smallest Ritz value, an upper bound on sigma_min) and the null space
-    (right Ritz vectors below ten times the threshold), without a dense
-    SVD. The operator is assembled once at unit coupling. Matrix norms
-    in thresholds are 1-norms.
+    Eigenvalues locate g*, a residual certifies it. 1 - g T-hat is
+    singular exactly when 1/g is an eigenvalue of T-hat = K W (k = 0; K
+    Hermitian, W the node-wise shape). Where W is definite node by node
+    T-hat is similar to a Hermitian matrix (Birman-Schwinger; M. Klaus,
+    Helv. Phys. Acta 53, 1980), so every 1/g* is a real, well-conditioned
+    eigenvalue of the Hermitian-definite pencil (W T-hat, W), solved
+    densely on each symmetry sector. A candidate counts only when the
+    residual of its eigenvector under 1 - g T-hat on the whole support,
+    an upper bound on sigma_min, is below 1e-8 times a lower bound on
+    |1 - g T-hat|_1 (a NaN never passes). No LU is made.
 
     gram_n[p, q] = <Phi_p, A, Phi_q>, gram_m[p, q] = <Phi_p, A, A Phi_q>;
     with Hermitian A these are the Gram matrices of N and of the span
@@ -54,18 +48,16 @@ from .algebra import one_plus_beta
 from .potentials import FourPotential, Grid3, SpinorField, norms, pseudo_inner
 from .solver import (
     apply_kernel_rows,
-    assemble_T,
+    assemble_sectors,
     cosine_block,
-    factor,
+    residual_certificate,
     smallest_singular_value,
-    subspace_iteration,
+    symmetry_sectors,
     system_matrix,
-    _shift_invert_eigs,
 )
 
 __all__ = [
     "CriticalStructure",
-    "critical_couplings",
     "find_critical_coupling",
     "lambda_of",
     "lambda_vanishes",
@@ -76,10 +68,6 @@ __all__ = [
 ]
 
 _CRITICAL_REL = 1e-8
-_SUBSPACE_FACTOR = 10.0
-_REAL_REL = 1e-8  # |Im mu| <= this * |mu|: a real eigenvalue
-_KRAMERS_REL = 1e-8  # eigenvalues closer than this (relative) are one coupling
-_BLOCK = 4
 _COLLAPSE_REL = 1e-6  # tail-moment tolerance of lambda_vanishes
 
 
@@ -94,7 +82,7 @@ class CriticalStructure:
     lambda_bar: int
     gram_n: np.ndarray
     gram_m: np.ndarray
-    sigma_records: list = field(default_factory=list)  # (g, sigma_rel) per candidate
+    sigma_records: list = field(default_factory=list)  # (g, residual / scale) per coupling
     sigma_min: float = 0.0
     matrix_scale: float = 0.0
 
@@ -148,87 +136,73 @@ def sigma_min_at(that: np.ndarray, g: float) -> tuple[float, float]:
     return smallest_singular_value(m), float(np.linalg.norm(m, 1))
 
 
-def critical_couplings(that: np.ndarray, bracket: tuple) -> list:
-    """Every real g in the open bracket with 1/g an eigenvalue of T-hat.
-
-    Shift-invert Arnoldi on one LU of T-hat - s0 I, s0 the midpoint of
-    the bracket's image in 1/g (clipped at +-|T-hat|_1, which bounds
-    every eigenvalue). k starts at 6 and doubles until the farthest
-    returned eigenvalue lies farther from s0 than both ends of the image,
-    which proves that none in the image was missed. Eigenvalues with
-    |Im mu| <= 1e-8 |mu| count as real; a Kramers double eigenvalue gives
-    one coupling. Ascending order.
-    """
-    g_lo, g_hi = float(bracket[0]), float(bracket[1])
-    if not g_lo < g_hi:
-        raise ValueError("bracket must satisfy g_lo < g_hi")
-    if g_lo < 0.0 < g_hi:
-        return critical_couplings(that, (g_lo, 0.0)) + critical_couplings(that, (0.0, g_hi))
-    n = that.shape[0]
-    clip = float(np.linalg.norm(that, 1))
-    side = np.sign(g_lo + g_hi)
-    ends = [np.clip(1.0 / g, -clip, clip) if g != 0.0 else side * clip for g in (g_lo, g_hi)]
-    shift, radius = 0.5 * (ends[0] + ends[1]), 0.5 * abs(ends[0] - ends[1])
-    if radius == 0.0:
-        return []
-    fac = factor(that - shift * np.eye(n, dtype=np.complex128))
-    k = 6
-    while True:
-        if k >= n - 1:  # ARPACK needs k < n - 1; take the whole spectrum
-            mus = sla.eigvals(that)
-            break
-        mus = _shift_invert_eigs(fac, shift, k)
-        if np.max(np.abs(mus - shift)) > radius:
-            break
-        k *= 2
-    real = np.sort(mus[np.abs(mus.imag) <= _REAL_REL * np.abs(mus)].real)
-    groups = []
-    for mu in real[real != 0.0]:
-        if groups and mu - groups[-1][-1] <= _KRAMERS_REL * abs(mu):
-            groups[-1].append(mu)
-        else:
-            groups.append([mu])
-    gs = (1.0 / float(np.mean(grp)) for grp in groups)
-    return sorted(g for g in gs if g_lo < g < g_hi)
-
-
 def find_critical_coupling(
     shape: FourPotential,
     bracket: tuple,
 ) -> CriticalStructure:
     """Locate the coupling in the bracket where 1 - T^{gA}_1 is singular.
 
-    Candidates come from critical_couplings, in order of |g|. Each gets
-    one LU of 1 - g T-hat; its certificate (all are kept in
-    sigma_records) is the smallest Ritz value of the null-basis run up
-    to the first certified one, which wins with that run's basis, and
-    of a one-column run after it. The certificates of genuine couplings
-    are all round-off, so ranking by them would make the pick depend on
-    round-off when a bracket holds several. Raises ValueError("not
-    critical in range") when no candidate is certified.
+    One assemble_sectors pass gives the sector blocks T_s of T-hat at
+    k = 0 (a shape without symmetry is one full-size block), and one
+    scipy.linalg.eigh of (W_s T_s, W_s), W_s = V^H W V, per sector gives
+    every theta = 1/g in the bracket's image.  The candidates are taken
+    in order of |g| and certified by one residual_certificate pass for
+    all of them.  The first certified one wins, and every eigenvector
+    certified at its g joins its null space: a Kramers pair, one
+    eigenvalue in each of two conjugate sectors, is one coupling of dim
+    2.  sigma_records holds (g, residual / scale) once per coupling; the
+    pick goes by |g|, since the certificates of genuine couplings are
+    all round-off.  ValueError when the shape is not definite
+    (_definite_sign) or no candidate is certified ("not critical in
+    range").
     """
-    that = assemble_T(shape, 0.0)
-    records, winner = [], None
-    for g in sorted(critical_couplings(that, bracket), key=abs):
-        m = system_matrix(g * that)
-        scale = float(np.linalg.norm(m, 1))
-        fac = factor(m)
-        if winner is None:
-            sigma, vecs = _null_basis(fac, _SUBSPACE_FACTOR * _CRITICAL_REL * scale)
-            if sigma < _CRITICAL_REL * scale:  # NaN never passes
-                winner = (g, sigma, scale, vecs)
-        else:  # past the winner only the certificate counts: one column
-            sigma = smallest_singular_value(fac)
-        del m, fac  # one LU at a time
-        records.append((g, sigma / scale))
+    g_lo, g_hi = float(bracket[0]), float(bracket[1])
+    if not g_lo < g_hi:
+        raise ValueError("bracket must satisfy g_lo < g_hi")
+    # (a, b] of theta = 1/g over the bracket, infinite at a zero end
+    ends = sorted(1.0 / g if g else np.copysign(np.inf, g_lo + g_hi) for g in (g_lo, g_hi))
+    image = (-np.inf, np.inf) if g_lo < 0.0 < g_hi else tuple(ends)
+    sup = shape.support_indices()
+    rows = _definite_sign(shape) * shape.values[sup]
+    sectors = symmetry_sectors(shape)
+    gs, vecs = [], []
+    for sector, (block,) in zip(sectors, assemble_sectors(sectors, shape, None, 0.0)):
+        if not len(block):
+            continue
+        weight = sector.weigh(rows, np.eye(len(block), dtype=np.complex128))
+        theta, x = sla.eigh(sector.weigh(rows, block), weight, subset_by_value=image)
+        g = 1.0 / theta
+        keep = (g_lo < g) & (g < g_hi)
+        if keep.any():
+            gs.extend(g[keep])
+            vecs.append(sector.extend(x[:, keep]))
+    if not gs:
+        raise ValueError("not critical in range")
+    fields = np.concatenate(vecs, axis=1).T.reshape(len(gs), -1, 4)
+    residuals, scales = residual_certificate(0.0, shape, fields, gs)
+    passed = residuals < _CRITICAL_REL * scales[:, None]  # NaN never passes
+    records, left, winner = [], np.ones(len(gs), dtype=bool), None
+    for c in sorted(range(len(gs)), key=lambda c: abs(gs[c])):
+        if not left[c]:
+            continue
+        members = left & passed[c]
+        left &= ~members
+        left[c] = False
+        records.append((float(gs[c]), float(residuals[c, c] / scales[c])))
+        if winner is None and passed[c, c]:
+            winner = c, np.flatnonzero(members)
     if winner is None:
         raise ValueError("not critical in range")
-    g_star, sigma, scale, basis_vecs = winner
+    c, members = winner
+    g_star = float(gs[c])
 
+    # pin the gauge: round-off picks the rotation within a degenerate
+    # null space, its projector does not
+    null = np.linalg.qr(fields[members].reshape(len(members), -1).T)[0]
+    pinned = null @ (null.conj().T @ cosine_block(len(null), len(members)))
     grid = shape.grid
-    sup = shape.support_indices()
     basis = []
-    for vec in basis_vecs:
+    for vec in np.linalg.qr(pinned)[0].T:
         f = SpinorField.on_nodes(grid, sup, vec.reshape(-1, 4))
         phase = f.values.reshape(-1)[np.argmax(np.abs(f.values))]
         basis.append(f.scaled(abs(phase) / (phase * f.sup_norm())))
@@ -239,48 +213,37 @@ def find_critical_coupling(
     gram_m = _pairing(basis, A, [SpinorField(grid, A.apply(f.values)) for f in basis])
     crit = CriticalStructure(
         shape=shape,
-        g_star=float(g_star),
+        g_star=g_star,
         basis=basis,
         lambda_values=lam,
         lambda_bar=0,
         gram_n=gram_n,
         gram_m=gram_m,
         sigma_records=sorted(records),
-        sigma_min=sigma,
-        matrix_scale=scale,
+        sigma_min=float(residuals[c, c]),
+        matrix_scale=float(scales[c]),
     )
     crit.lambda_bar = classify_lambda_bar(crit)
     return crit
 
 
-def _null_basis(fac, cut: float) -> tuple:
-    """(smallest Ritz value, orthonormal rows spanning the right singular
-    space below cut) of a factorization's matrix; (NaN, None) on failure.
-
-    subspace_iteration with a block of 4. Ritz values never undercut the
-    true singular values, so only a block filled entirely below the cut
-    can hide more of the null space; then the block doubles. The basis
-    is the QR orthonormalization of the projections of the first start
-    columns onto that space, so it depends on the space only and not on
-    how round-off rotated the singular vectors inside it (a Kramers pair
-    is degenerate).
-    """
-    n = fac.matrix.shape[0]
-    b = min(_BLOCK, n)
-    while True:
-        got = subspace_iteration(fac, b)
-        if got is None:
-            return np.nan, None
-        q, svals, wh = got
-        n_dim = int(np.sum(svals < cut))
-        if n_dim < b or b == n:
-            # svd orders descending: the last rows of Wh are the smallest
-            null = q @ wh[b - n_dim :].conj().T
-            # pin the gauge: round-off picks the rotation within a
-            # degenerate null space, its projector does not
-            pinned = null @ (null.conj().T @ cosine_block(n, b)[:, :n_dim])
-            return float(svals[-1]), np.linalg.qr(pinned)[0].T
-        b = min(2 * b, n)
+def _definite_sign(shape: FourPotential) -> float:
+    """+1 when a0 > |a| at every support node, -1 when a0 < -|a| at every
+    one (the sign of a0 where |a0| - |a| is largest): then the search's
+    pencil is Hermitian-definite.  ValueError naming the first support
+    node where the shape is not definite with that sign."""
+    sup = shape.support_indices()
+    rows = shape.values[sup]
+    size = np.linalg.norm(rows[:, 1:], axis=1)
+    sign = 1.0 if rows[np.argmax(np.abs(rows[:, 0]) - size), 0] > 0.0 else -1.0
+    bad = np.flatnonzero(sign * rows[:, 0] <= size)
+    if len(bad):
+        node = sup[bad[0]]
+        raise ValueError(
+            f"shape is not definite at support node {node} (x = {shape.grid.points[node]}, "
+            f"a = {rows[bad[0]]}): no Hermitian coupling search"
+        )
+    return sign
 
 
 def lambda_of(phi: SpinorField, A: FourPotential) -> np.ndarray:

@@ -216,9 +216,10 @@ def build_potential(
     """Construct a sampled potential from a builtin shape or a table file.
 
     components scales the common radial profile into the (a0, a1, a2, a3)
-    slots; the default is pure electric. With cell_average=True the
-    profile is averaged over each cell by subsampling (useful when a
-    profile feature is thinner than a cell).
+    slots; the default is pure electric. The profile is sampled at the
+    lattice radii (_lattice_radii); with cell_average=True it is averaged
+    over m^3 subcells (m = subsamples), summed in ascending order, and
+    nodes beyond R stay zero (for profile features thinner than a cell).
     """
     if shape == "table":
         if table_path is None:
@@ -233,21 +234,30 @@ def build_potential(
     comp = np.asarray(components, dtype=np.float64)
     if comp.shape != (4,):
         raise ValueError("components must be a 4-vector")
+    radii = _lattice_radii(grid, 1)[:, 0]
     if cell_average:
-        m = int(subsamples)
-        offs = (np.arange(m) + 0.5) / m - 0.5
-        ox, oy, oz = np.meshgrid(offs, offs, offs, indexing="ij")
-        shifts = np.stack([ox, oy, oz], axis=-1).reshape(-1, 3) * grid.spacing
-        acc = np.zeros(grid.n_nodes)
-        for s in shifts:
-            acc += profile(np.linalg.norm(grid.points + s, axis=1))
-        prof = acc / len(shifts)
-        # keep the declared support exact
-        prof[grid.radii() > R] = 0.0
+        # keep the declared support exact: nodes beyond R stay zero
+        inside = radii <= R
+        sub = profile(_lattice_radii(grid, int(subsamples), inside))
+        sub.sort(axis=1)  # one summation order for every node
+        prof = np.zeros(grid.n_nodes)
+        prof[inside] = sub.sum(axis=1) / sub.shape[1]
     else:
-        prof = profile(grid.radii())
+        prof = profile(radii)
     vals = g * prof[:, None] * comp[None, :]
     return FourPotential(grid, shape, g, R, vals, edge_width=w)
+
+
+def _lattice_radii(grid: Grid3, m: int, nodes=slice(None)) -> np.ndarray:
+    """(nodes, m^3) radii (h / 2m) |q| of the subcell centres of each
+    node's cell, q = 2m i + 2a + 1 - m (i the node's lattice offset, 0 <=
+    a < m): functions of integers, so symmetric nodes get the same radii
+    bit for bit.  m = 1 gives the node radii h |i|."""
+    n = grid.nodes_per_axis
+    offsets = np.indices((n, n, n)).reshape(3, -1)[:, nodes] - (n - 1) // 2
+    q2 = (2 * m * offsets[..., None] + 2 * np.arange(m) + 1 - m) ** 2  # (3, nodes, m)
+    total = q2[0][:, :, None, None] + q2[1][:, None, :, None] + q2[2][:, None, None, :]
+    return grid.spacing / (2 * m) * np.sqrt(total.reshape(len(total), -1))
 
 
 def _read_table(grid: Grid3, path: str) -> np.ndarray:

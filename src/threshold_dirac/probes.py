@@ -54,6 +54,7 @@ from .solver import (
     free_solution,
     free_spinor,
     negative_count,
+    residual_certificate,
     sector_solve,
     symmetry_sectors,
     system_matrix,
@@ -541,28 +542,15 @@ def _secant_crossing(A, B0, mu: float, lo: float, hi: float, f_lo: float, f_hi: 
 
 
 def _certificate(A: FourPotential, B0: FourPotential, kappa: float, mu: float, branch) -> tuple:
-    """(||M phi|| / ||phi||, scale) for M = 1 - T^{A + mu B0}(i kappa) on
-    the support of A + mu B0, phi the Ritz vector of branch = (mus,
-    blocks) nearest mu, off its sector.  The residual bounds sigma_min(M)
-    from above; the scale, the largest 1-norm of the columns M e_j at the
-    node of largest |A + mu B0| (the most central among ties), bounds
-    ||M||_1 from below.  One kernel-row pass on the support nodes applies
-    M to phi and those four columns: no matrix, no LU."""
+    """residual_certificate of 1 - T^{A + mu B0}(i kappa) for the Ritz
+    vector of branch = (mus, blocks) nearest mu, off its sector."""
     mus, blocks = branch
     ritz = np.concatenate([sector.extend(X) for sector, X in blocks], axis=1)
     V = combine_potentials(A, B0.rescaled(mu))
-    sup = V.support_indices()
-    pts = V.grid.points[sup]
     on_grid = np.zeros((V.grid.n_nodes, 4), dtype=np.complex128)  # mu = 0 drops B0's nodes
     on_grid[blocks[0][0].nodes] = ritz[:, np.argmin(np.abs(mus - mu))].reshape(-1, 4)
-    fields = np.zeros((5, len(sup), 4), dtype=np.complex128)
-    fields[0] = on_grid[sup]
-    off_centre = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
-    fields[1:, np.lexsort((off_centre, -np.linalg.norm(V.values[sup], axis=1)))[0]] = np.eye(4)
-    tf = apply_kernel_rows(1j * kappa, pts, V, fields, V.grid.spacing)
-    mf = fields - tf.transpose(1, 0, 2)
-    scale = float(np.max(np.sum(np.abs(mf[1:]), axis=(1, 2))))
-    return float(np.linalg.norm(mf[0]) / np.linalg.norm(fields[0])), scale
+    residuals, scales = residual_certificate(1j * kappa, V, on_grid[None, V.support_indices()])
+    return float(residuals[0, 0]), float(scales[0])
 
 
 def boundstate_track(plan: SweepPlan) -> list:

@@ -62,17 +62,16 @@ SOLVES
     solution to the same contract on the full support, r = sum_s V_s
     M_s x_s - rhs, so the part of rhs in a sector left out counts; the
     solve is flagged when any block is, and each flagged block is solved
-    by least squares.  sigma_min and null spaces come from one
-    subspace_iteration on an LU from factor; at a critical coupling its
-    estimate is at the round-off floor from the first step, and it stops
-    after two steps (four solves). A bound-state crossing needs no LU of
-    its own: the residual of the branch's Ritz vector under one
-    apply_kernel_rows pass bounds sigma_min from above. A failed LU
-    (LAPACK raised, or the LU is not finite) has lu None and rcond NaN;
-    then solve gives NaN for the solution and the residual, sigma_min
-    NaN, subspace_iteration None, and shift-invert raises. negative_count
-    reads the inertia of a Hermitian matrix off one LDL^H; it solves
-    nothing.
+    by least squares.  Neither a critical coupling nor a bound-state
+    crossing needs an LU: residual_certificate applies 1 - c T^V to
+    candidate vectors in one apply_kernel_rows pass, and their residuals
+    bound sigma_min from above.  smallest_singular_value, one
+    subspace_iteration on an LU from factor, is the dense reference the
+    tests and sigma_min_at use. A failed LU (LAPACK raised, or the LU is
+    not finite) has lu None and rcond NaN; then solve gives NaN for the
+    solution and the residual, sigma_min NaN and subspace_iteration
+    None. negative_count reads the inertia of a Hermitian matrix off one
+    LDL^H; it solves nothing.
 
     Symmetry sectors: symmetry_sectors finds the largest group among
     C4h (the 90-degree rotation about z, (i, j, k) -> (n-1-j, i, k) with
@@ -90,14 +89,17 @@ SOLVES
     builds a pair's blocks on several sectors from one kernel-row pass
     over the orbit representatives (40 of the 251 nodes of the n = 9
     well), folding the columns at their images with the characters.
+    The critical-coupling search solves one dense Hermitian pencil per
+    sector, Sector.weigh giving the block W_s of the node-wise shape.
     The bound-state branch runs on the sectors that hold the threshold
     basis: at n = 9 two LUs of 129 unknowns per kappa.  The coupling
     scans run on the sectors that their plane waves reach: at n = 9 four
     LUs of 129 unknowns per (mu, k) on the z axis and all eight off it,
     instead of one of 1004.
 
-    Matrix-sized products go through kernel.blas_matmul, scipy's BLAS,
-    so numpy's separate OpenBLAS thread pool never spins beside an LU.
+    Matrix-sized products go through scipy's BLAS (kernel.blas_matmul,
+    or zgemm for the kernel rows), so numpy's separate OpenBLAS thread
+    pool never spins beside an LU.
 """
 
 from __future__ import annotations
@@ -108,7 +110,6 @@ import warnings
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from .algebra import alpha_stack, beta, identity4
 from .kernel import CLIFFORD_BASIS, blas_matmul, expand, self_cell_coefficients
@@ -137,6 +138,7 @@ __all__ = [
     "subspace_iteration",
     "cosine_block",
     "smallest_singular_value",
+    "residual_certificate",
     "negative_count",
     "default_eval_grid",
 ]
@@ -468,6 +470,20 @@ class Sector:
         x = self.spread.conj().transpose(0, 2, 1) @ stacked
         return x.reshape(-1, x.shape[-1])[self.index].reshape((-1,) + f.shape[1:])
 
+    def weigh(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """V^H W V x for sector coordinates x (n_s, m), W the node-wise
+        multiplication by a0 + a.alpha of (n_support, 4) potential rows
+        that the group leaves invariant.  W V = V W_s, and W_s is block
+        diagonal over the orbits: basis^H W_r basis over the orbit size at
+        the representative r, so no support-sized vector is made."""
+        reps = self.images[:, 0]
+        mats = rows[reps, 0, None, None] * _I4 + np.einsum("sl,lij->sij", rows[reps, 1:], _ALPHA)
+        sizes = 1 + np.count_nonzero(np.diff(np.sort(self.images, axis=1), axis=1), axis=1)
+        blocks = self.basis.conj().transpose(0, 2, 1) @ mats @ self.basis / sizes[:, None, None]
+        padded = np.zeros((4 * len(reps), x.shape[1]), dtype=np.complex128)
+        padded[self.index] = x
+        return (blocks @ padded.reshape(len(reps), 4, -1)).reshape(padded.shape)[self.index]
+
     def fold(self, tv: np.ndarray) -> np.ndarray:
         """The sector block V^H T V = W^H (T V) of an operator T that
         commutes with the group, from the rows (T V)[r] on the
@@ -595,17 +611,24 @@ def apply_kernel_rows(
     coefficients are computed once and applied to every field as one
     complex GEMM against Y[s, c] = B_c (A f)_s, so memory stays bounded
     regardless of the number of targets.
+
+    The sources are padded to a multiple of 8 by copies of the first with
+    zero rows of Y: at a contraction length that is a multiple of 8 the
+    zgemm's bits do not depend on the BLAS thread count.
     """
     sup = A.support_indices()
     spts = A.grid.points[sup]
+    spts = np.concatenate([spts, np.repeat(spts[:1], -len(spts) % 8, axis=0)])
     f = np.asarray(f_support)
     stack = f if f.ndim == 3 else f[None]
-    af = np.stack([fold_rows(A.values[sup], g) for g in stack])
+    af = np.zeros((len(stack), len(spts), 4), dtype=np.complex128)
+    af[:, : len(sup)] = [fold_rows(A.values[sup], g) for g in stack]
     y = np.einsum("cij,msj->scmi", CLIFFORD_BASIS, af).reshape(5 * len(spts), 4 * len(stack))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     out = np.empty((len(targets), y.shape[1]), dtype=np.complex128)
     for rows, coeffs in _coefficient_chunks(k, targets, spts, h, order):
-        out[rows] = blas_matmul(coeffs.reshape(len(rows), y.shape[0]), y)
+        # zgemm even for a one-row chunk: zgemv's bits depend on the threads
+        out[rows] = sla.blas.zgemm(1.0, y.T, coeffs.reshape(len(rows), y.shape[0]).T).T
     return out.reshape((len(targets),) + f.shape[:-2] + (4,))
 
 
@@ -649,6 +672,31 @@ def smallest_singular_value(matrix) -> float:
     return np.nan if got is None else float(got[1][-1])
 
 
+def residual_certificate(k, V: FourPotential, fields: np.ndarray, couplings=(1.0,)) -> tuple:
+    """(residuals, scales) of M_c = 1 - c T^V_k on the support of V for
+    each coupling c: residuals[c, i] = ||M_c f_i|| / ||f_i|| for the
+    (m, n_support, 4) fields, each an upper bound on sigma_min(M_c), and
+    scales[c] the largest 1-norm of the columns M_c e_j at the node of
+    largest |V| (the most central among ties), a lower bound on
+    ||M_c||_1.  One apply_kernel_rows pass on the support applies T^V to
+    the fields and those four columns: no matrix, no LU."""
+    sup = V.support_indices()
+    pts = V.grid.points[sup]
+    stack = np.zeros((len(fields) + 4, len(sup), 4), dtype=np.complex128)
+    stack[: len(fields)] = fields
+    off_centre = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+    node = np.lexsort((off_centre, -np.linalg.norm(V.values[sup], axis=1)))[0]
+    stack[len(fields) :, node] = np.eye(4)
+    tf = apply_kernel_rows(k, pts, V, stack, V.grid.spacing).transpose(1, 0, 2)
+    residuals = np.empty((len(couplings), len(fields)))
+    scales = np.empty(len(couplings))
+    for c, coupling in enumerate(couplings):
+        mf = stack - coupling * tf
+        residuals[c] = [np.linalg.norm(m) / np.linalg.norm(f) for m, f in zip(mf, fields)]
+        scales[c] = np.max(np.sum(np.abs(mf[len(fields) :]), axis=(1, 2)))
+    return residuals, scales
+
+
 def negative_count(H: np.ndarray) -> int:
     """Number of negative eigenvalues of a Hermitian matrix (its lower
     triangle is read), by Sylvester's law of inertia: H = L D L^H from one
@@ -663,24 +711,6 @@ def negative_count(H: np.ndarray) -> int:
         d = sla.ldl(H, hermitian=True)[1]
     lam = sla.eigvalsh_tridiagonal(d.diagonal().real, np.abs(d.diagonal(-1)))
     return int(np.count_nonzero(lam < 0.0))
-
-
-def _shift_invert_eigs(fac: Factorization, shift: float, k: int) -> np.ndarray:
-    """The k eigenvalues of T nearest ``shift``, by shift-invert ARPACK.
-
-    fac = factor(T - shift I) serves every call; ARPACK's start vector is
-    fixed (all ones), so repeated calls give the same eigenvalues bit for
-    bit. Raises RuntimeError when the factorization failed.
-    """
-    if fac.lu is None:
-        raise RuntimeError(f"shift-invert factorization of T - {shift} I failed")
-    n = fac.matrix.shape[0]
-    op = spla.LinearOperator(
-        (n, n), matvec=lambda x: sla.lu_solve(fac.lu, x), dtype=np.complex128
-    )
-    v0 = np.ones(n, dtype=np.complex128)
-    w = spla.eigs(op, k=k, which="LM", return_eigenvectors=False, v0=v0)
-    return shift + 1.0 / w
 
 
 def solve_generalized(

@@ -21,7 +21,6 @@ from threshold_dirac.potentials import (
 from threshold_dirac import critical
 from threshold_dirac.critical import (
     classify_lambda_bar,
-    critical_couplings,
     decay_decomposition,
     extend_to_grid,
     find_critical_coupling,
@@ -29,7 +28,7 @@ from threshold_dirac.critical import (
     sigma_min_at,
 )
 from threshold_dirac.radial import RadialWell, critical_coupling, tail_ratio
-from threshold_dirac.solver import assemble_T, factor, system_matrix
+from threshold_dirac.solver import assemble_T, residual_certificate, symmetry_sectors, system_matrix
 
 R = 1.0
 
@@ -109,53 +108,42 @@ def that9():
     return assemble_T(build_potential(grid, "spherical-well", 1.0, R), 0.0)
 
 
-def test_critical_couplings_two_in_one_bracket(that9):
+def _couplings(shape, bracket) -> list:
+    """The couplings of a search's records, ascending."""
+    return [g for g, _ in find_critical_coupling(shape, bracket).sigma_records]
+
+
+def test_critical_couplings_two_in_one_bracket():
     # two Kramers doubles in the bracket: each coupling comes back once
-    gs = critical_couplings(that9, (-4.0, -1.5))
+    shape = build_potential(Grid3(R, 9), "spherical-well", 1.0, R)
+    gs = _couplings(shape, (-4.0, -1.5))
     assert len(gs) == 2
     assert abs(gs[0] - (-3.6128926565)) < 1e-9
     assert abs(gs[1] - (-1.8980231788)) < 1e-9
 
 
-def test_critical_couplings_completeness_loop(that9, monkeypatch):
-    # the image of (-6, -1.5) in 1/g holds eight eigenvalues (two Kramers
-    # doubles and a fourfold one), more than the first eigs call returns
-    ks = []
-    shift_invert = critical._shift_invert_eigs
-
-    def spy(fac, shift, k):
-        ks.append(k)
-        return shift_invert(fac, shift, k)
-
-    monkeypatch.setattr(critical, "_shift_invert_eigs", spy)
-    gs = critical_couplings(that9, (-6.0, -1.5))
-    assert ks[0] == 6 and max(ks) > 6
-    want = (-5.1478784274, -3.6128926565, -1.8980231788)
-    assert len(gs) == 3
-    assert all(abs(g - w) < 1e-9 for g, w in zip(gs, want))
-
-
-def test_critical_couplings_outside_spectrum(that9):
-    # |mu| <= |T-hat|_1 bounds every eigenvalue: nothing below |g| = 1/|T|_1
-    assert critical_couplings(that9, (-0.4, -0.05)) == []
+def test_critical_couplings_outside_spectrum():
+    # no eigenvalue of T-hat in the image of (-0.4, -0.05): not critical
+    shape = build_potential(Grid3(R, 9), "spherical-well", 1.0, R)
+    with pytest.raises(ValueError, match="not critical in range"):
+        find_critical_coupling(shape, (-0.4, -0.05))
     with pytest.raises(ValueError, match="bracket"):
-        critical_couplings(that9, (1.0, 1.0))
+        find_critical_coupling(shape, (1.0, 1.0))
 
 
 def test_inertia_count_certifies_the_couplings_in_a_bracket(that9):
     """At kappa = 0 and V = g W, the crossing count rises across (0.5, 12)
     by the number of critical couplings inside with multiplicity: 12,
     from 5.94 and 7.63 (Kramers doubles) and 8.90 and 10.03 (fourfold).
-    That is what the nev-raising loop of critical_couplings argues; it
-    returns the four couplings, and the dense spectrum of T-hat holds
-    twelve real 1/g in the bracket."""
+    The search's sector eigensolves return the four couplings, and the
+    dense spectrum of T-hat holds twelve real 1/g in the bracket."""
     from threshold_dirac.probes import crossing_count
 
     W = build_potential(Grid3(R, 9), "spherical-well", 1.0, R)
     lo, hi = 0.5, 12.0
     rise = crossing_count(W.rescaled(hi), 0.0) - crossing_count(W.rescaled(lo), 0.0)
     assert rise == 12
-    gs = critical_couplings(that9, (lo, hi))
+    gs = _couplings(W, (lo, hi))
     assert np.allclose(gs, [5.94, 7.63, 8.90, 10.03], atol=0.01)
     mus = scipy.linalg.eigvals(that9)
     real = mus[np.abs(mus.imag) <= 1e-8 * np.abs(mus)].real
@@ -195,8 +183,8 @@ def test_bracket_with_several_couplings_returns_smallest_magnitude():
 
 
 def test_fourfold_null_space_widens_block():
-    """At g* = -5.1479 the null space is four-dimensional: the first block
-    of four fills up below the cut, so the block widens and finds all four
+    """At g* = -5.1479 the null space is four-dimensional: four sector
+    eigenvectors are certified at the winner's g and all join its basis
     (the dense SVD gave dim 4 as well)."""
     grid = Grid3(R, 9)
     shape = build_potential(grid, "spherical-well", 1.0, R)
@@ -213,66 +201,86 @@ def test_fourfold_null_space_widens_block():
 def test_failed_certificate_never_certifies(monkeypatch):
     grid = Grid3(R, 9)
     shape = build_potential(grid, "spherical-well", 1.0, R)
-    # a failed certificate iteration (failed LU or breakdown) gives NaN
-    monkeypatch.setattr(critical, "subspace_iteration", lambda fac, b: None)
+
+    # a certificate that comes out NaN (a kernel row that is not finite)
+    def nan_certificate(k, V, fields, couplings):
+        return np.full((len(couplings), len(fields)), np.nan), np.ones(len(couplings))
+
+    monkeypatch.setattr(critical, "residual_certificate", nan_certificate)
     with pytest.raises(ValueError, match="not critical in range"):
         find_critical_coupling(shape, (-2.2, -0.4))
 
 
-def _count_lu_factor(monkeypatch) -> list:
+def test_search_makes_no_lu_and_no_eigs_call(monkeypatch):
+    """The search solves dense Hermitian eigenproblems on the sector
+    blocks (or one full-size block) and certifies by kernel rows: no
+    lu_factor, no lu_solve and no ARPACK call, on a C4h well and on a
+    well with no symmetry."""
     calls = []
-    lu_factor = scipy.linalg.lu_factor
+    for module, name in ((scipy.linalg, "lu_factor"), (scipy.linalg, "lu_solve"),
+                         (scipy.sparse.linalg, "eigs")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, name=name, real=real, **k: calls.append(name) or real(*a, **k)
+        )
+    grid = Grid3(R, 7)
+    for components, bracket in (((1.0, 0.0, 0.0, 0.0), (5.0, 9.0)),
+                                ((1.0, 0.2, -0.1, 0.3), (5.0, 9.0))):
+        shape = build_potential(grid, "spherical-well", 1.0, R, components=components)
+        assert find_critical_coupling(shape, bracket).dim == 2
+    assert calls == []
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return lu_factor(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
-    return calls
-
-
-def test_one_lu_per_candidate(monkeypatch):
-    """A one-candidate search at n = 7 makes exactly two LUs: T-hat - s0 I
-    for the eigenvalues, and 1 - g T-hat, whose one subspace iteration
-    gives both the certificate and the null basis. Its lu_solves are
-    ARPACK's matvecs plus 4: that iteration stops after two steps at the
-    round-off floor. Counts do not drift with machine load, so running
-    all _ITER_STEPS there fails here."""
+def test_indefinite_shape_raises_naming_the_node():
+    """The pencil needs +-W positive definite at every support node: a
+    shape with one node where |a| > a0 raises ValueError naming that
+    node, and a shape whose a0 changes sign names the first node of the
+    minority sign. No node is skipped and nothing falls back."""
     grid = Grid3(R, 7)
     shape = build_potential(grid, "spherical-well", 1.0, R)
-    calls = _count_lu_factor(monkeypatch)
-    solves, matvecs = [], []
-    lu_solve, eigs = scipy.linalg.lu_solve, scipy.sparse.linalg.eigs
+    sup = shape.support_indices()
+    for node, row in ((sup[5], (0.5, 0.0, 0.6, 0.0)), (sup[-3], (-0.2, 0.0, 0.0, 0.0))):
+        values = shape.values.copy()
+        values[node] = row
+        bad = dataclasses.replace(shape, values=values)
+        with pytest.raises(ValueError, match=f"not definite at support node {node} "):
+            find_critical_coupling(bad, (5.0, 9.0))
 
-    def solve_spy(*args, **kwargs):
-        solves.append(1)
-        return lu_solve(*args, **kwargs)
 
-    def eigs_spy(op, **kwargs):
-        def matvec(x):
-            matvecs.append(1)
-            return op.matvec(x)
+def test_trivial_group_shape_is_one_block_matching_dense_eigvals(monkeypatch):
+    """A vector shape with components (1, 0.2, -0.1, 0.3) admits no lattice
+    symmetry: the search solves one full-size pencil, and its g* is 1/mu
+    for the dense eigenvalue mu of T-hat (scipy.linalg.eigvals) nearest
+    it, to 1e-12 relative."""
+    grid = Grid3(R, 7)
+    shape = build_potential(grid, "spherical-well", 1.0, R, components=(1.0, 0.2, -0.1, 0.3))
+    assert len(symmetry_sectors(shape)) == 1
+    sizes = []
+    eigh = scipy.linalg.eigh
 
-        counted = scipy.sparse.linalg.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
-        return eigs(counted, **kwargs)
+    def spy(a, b, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, b, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "lu_solve", solve_spy)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", eigs_spy)
+    monkeypatch.setattr(critical.sla, "eigh", spy)
     crit = find_critical_coupling(shape, (5.0, 9.0))
-    assert len(crit.sigma_records) == 1 and crit.dim == 2
-    assert len(calls) == 2
-    assert len(matvecs) > 0 and len(solves) == len(matvecs) + 4
+    n = 4 * len(shape.support_indices())
+    assert sizes == [n] and crit.dim == 2
+    mus = scipy.linalg.eigvals(assemble_T(shape, 0.0))
+    mu = mus[np.argmin(np.abs(mus - 1.0 / crit.g_star))]
+    assert abs(mu.imag) <= 1e-12 * abs(mu)
+    assert abs(crit.g_star - 1.0 / mu.real) <= 1e-12 * abs(crit.g_star)
 
 
 def test_null_basis_matches_dense_svd_projector():
     """At n = 7 the projector onto span(basis) at g* is the projector
-    onto the right singular vectors of 1 - g* T-hat below the search's
-    cut (numpy's dense SVD, no subspace iteration) to 1e-12, dim 2."""
+    onto the right singular vectors of 1 - g* T-hat below ten times the
+    certificate's gate (numpy's dense SVD) to 1e-12, dim 2."""
     grid = Grid3(R, 7)
     shape = build_potential(grid, "spherical-well", 1.0, R)
     crit = find_critical_coupling(shape, (5.0, 9.0))
     m = system_matrix(crit.g_star * assemble_T(shape, 0.0))
-    cut = critical._SUBSPACE_FACTOR * critical._CRITICAL_REL * np.linalg.norm(m, 1)
+    cut = 10 * critical._CRITICAL_REL * np.linalg.norm(m, 1)
     _, svals, vh = np.linalg.svd(m)
     null = vh[svals < cut].conj().T
     assert null.shape[1] == crit.dim == 2
@@ -281,64 +289,26 @@ def test_null_basis_matches_dense_svd_projector():
     assert np.max(np.abs(q @ q.conj().T - null @ null.conj().T)) <= 1e-12
 
 
-def _unitary(rng, n):
-    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-@pytest.mark.parametrize(
-    "lead, dim, blocks",
-    [((0.0, 0.0, 10.0), 2, [4]), ((0.0, 0.0, 1e-3), 3, [4]), ((0.0,) * 4, 4, [4, 8])],
-)
-def test_early_stop_cannot_undercount_null_space(monkeypatch, lead, dim, blocks):
-    """M = U diag(s) V^H, n = 200, seeded random unitary U and V, s the
-    leading values (in units of the cut) followed by ones. The iteration
-    stops after two steps at the round-off floor, yet every singular
-    value below the cut is found: a third one 1e-3 cut is kept, one at
-    10 cut is not, and four zeros fill the first block, which doubles.
-    Each basis spans the dense SVD null space to 1e-10."""
-    n, cut = 200, 1e-6
-    rng = np.random.default_rng(5)
-    s = np.ones(n)
-    s[: len(lead)] = np.array(lead) * cut
-    m = (_unitary(rng, n) * s) @ _unitary(rng, n).conj().T
-    widths = []
-    iterate = critical.subspace_iteration
-
-    def spy(fac, b):
-        widths.append(b)
-        return iterate(fac, b)
-
-    monkeypatch.setattr(critical, "subspace_iteration", spy)
-    _, basis = critical._null_basis(factor(m), cut)
-    _, svals, vh = np.linalg.svd(m)
-    null = vh[svals < cut].conj().T
-    assert len(basis) == null.shape[1] == dim
-    assert widths == blocks
-    assert np.max(np.abs(basis.T @ basis.conj() - null @ null.conj().T)) <= 1e-10
-
-
-def test_arpack_restarts_share_one_lu(that9, monkeypatch):
-    # (-6, -1.5) makes k grow past 6 (see the completeness loop test)
-    calls = _count_lu_factor(monkeypatch)
-    assert len(critical_couplings(that9, (-6.0, -1.5))) == 3
-    assert len(calls) == 1
-
-
 def test_certificate_bounds_sigma_min_from_above(crit9_bound):
-    """The certificate is the smallest Ritz value of the null-basis run,
-    an upper bound on sigma_min (interlacing), so it never certifies what
-    the dense SVD would reject. At g* it is round-off and the run gives
-    the Kramers pair; at 0.9 g* it matches the dense SVD from above."""
-    that = assemble_T(crit9_bound.shape, 0.0)
-    for g, dim in ((crit9_bound.g_star, 2), (0.9 * crit9_bound.g_star, 0)):
-        m = np.eye(that.shape[0], dtype=np.complex128) - g * that
-        scale = np.linalg.norm(m, 1)
-        sigma, basis = critical._null_basis(factor(m), 1e-7 * scale)
-        assert len(basis) == dim
-        assert (sigma < 1e-8 * scale) == (dim > 0)
-    true = np.linalg.svd(m, compute_uv=False)[-1]
-    assert (1.0 - 1e-10) * true <= sigma <= (1.0 + 1e-4) * true
+    """The certificate is the residual ||(1 - g T-hat) phi|| / ||phi|| of a
+    unit-coupling kernel-row pass, an upper bound on sigma_min(1 - g
+    T-hat): for each basis state it is at or above the dense SVD's
+    sigma_min both at g* (round-off, below the gate) and at 0.9 g* (far
+    above it), and the winner's certificate is the record's."""
+    shape = crit9_bound.shape
+    sup = shape.support_indices()
+    fields = np.stack([phi.values[sup] for phi in crit9_bound.basis])
+    g_star = crit9_bound.g_star
+    residuals, scales = residual_certificate(0.0, shape, fields, [g_star, 0.9 * g_star])
+    that = assemble_T(shape, 0.0)
+    for row, scale, g in zip(residuals, scales, (g_star, 0.9 * g_star)):
+        m = system_matrix(g * that)
+        true = np.linalg.svd(m, compute_uv=False)[-1]
+        assert np.all(row >= (1.0 - 1e-10) * true)
+        assert scale <= (1.0 + 1e-12) * np.linalg.norm(m, 1)
+    assert np.all(residuals[0] < critical._CRITICAL_REL * scales[0])
+    assert np.all(residuals[1] > 1e-3 * scales[1])
+    assert crit9_bound.sigma_min < critical._CRITICAL_REL * crit9_bound.matrix_scale
 
 
 _THREAD_PROBE = """
@@ -578,20 +548,23 @@ def test_class_c_report(crit9, crit9_bound):
 
 
 def test_null_basis_gauge_pinned_against_roundoff(crit9_bound):
-    """A Kramers pair is degenerate, so round-off in the matrix used to
-    rotate the returned vectors inside their plane by O(1). The pinned
-    basis depends on the null space only: a 1e-14 relative perturbation
-    moves each vector by far less than 1e-10."""
-    that = assemble_T(crit9_bound.shape, 0.0)
-    m = np.eye(that.shape[0], dtype=np.complex128) - crit9_bound.g_star * that
-    cut = 10 * 1e-8 * np.linalg.norm(m, 1)
+    """A Kramers pair is degenerate, so round-off used to rotate the
+    returned vectors inside their plane by O(1). The pinned basis depends
+    on the null space only: a 1e-14 relative perturbation of the shape's
+    values, which also breaks its symmetry (one full-size block instead
+    of eight sectors), moves each vector by far less than 1e-10."""
+    shape = crit9_bound.shape
     rng = np.random.default_rng(11)
-    e = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
-    e *= 1e-14 * np.linalg.norm(m) / np.linalg.norm(e)
-    _, base = critical._null_basis(factor(m), cut)
-    _, moved = critical._null_basis(factor(m + e), cut)
-    assert base.shape == moved.shape == (2, m.shape[0])
-    assert np.allclose(base.conj() @ base.T, np.eye(2), atol=1e-13)
-    assert np.max(np.linalg.norm(m @ base.T, axis=0)) < cut
-    for a, b in zip(base, moved):
+    values = shape.values * (1.0 + 1e-14 * rng.normal(size=shape.values.shape))
+    moved = find_critical_coupling(dataclasses.replace(shape, values=values), (5.0, 7.0))
+    assert len(symmetry_sectors(moved.shape)) == 1 < len(symmetry_sectors(shape))
+    sup = shape.support_indices()
+    base = np.stack([phi.values[sup].reshape(-1) for phi in crit9_bound.basis])
+    other = np.stack([phi.values[sup].reshape(-1) for phi in moved.basis])
+    assert base.shape == other.shape == (2, 4 * len(sup))
+    gram = base.conj() @ base.T
+    assert np.allclose(gram, np.diag(np.diag(gram)), atol=1e-13)
+    m = system_matrix(crit9_bound.g_star * assemble_T(shape, 0.0))
+    assert np.max(np.linalg.norm(m @ base.T, axis=0)) < 1e-7 * np.linalg.norm(m, 1)
+    for a, b in zip(base, other):
         assert np.linalg.norm(a - b) <= 1e-10

@@ -78,6 +78,26 @@ def test_coupling_monotone():
     assert nb["linf"] == pytest.approx(2 * na["linf"], rel=1e-14)
 
 
+def test_lattice_radii_make_wells_symmetric_and_positive():
+    """Profiles sampled at lattice radii, and cell averages summed after
+    sorting, are invariant bit for bit under the lattice symmetries: the
+    smooth and the cell-averaged wells admit C4h (8 sectors) at n = 7, 9
+    and 13, and no support node of the smooth well is round-off
+    negative (linspace radii put 6 and 14 such nodes at n = 7 and 13:
+    supports of 99 and 909 nodes instead of 93 and 895)."""
+    from threshold_dirac.solver import symmetry_sectors
+
+    for n, size in ((7, 93), (9, 251), (13, 895)):
+        grid = make_grid(n, 1.0)
+        smooth = build_potential(grid, "spherical-well", 1.0, 1.0)
+        cell = build_potential(
+            grid, "spherical-well", 1.0, 1.0, w=0.12, cell_average=True, subsamples=5
+        )
+        assert len(smooth.support_indices()) == size
+        assert np.all(smooth.values[smooth.support_indices(), 0] > 0.0)
+        assert len(symmetry_sectors(smooth)) == len(symmetry_sectors(cell)) == 8
+
+
 def test_support_enforced():
     g = make_grid(9, 1.0)
     vals = np.ones((g.n_nodes, 4))

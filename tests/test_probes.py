@@ -197,9 +197,9 @@ def wider_b0_track():
     """The track for a B0 that is not proportional to the shape: a unit
     well of radius 1 against a critical well of radius 0.8, so B0 also
     lives on nodes outside A's support.  7^3 grid, short kappa range.
-    The track runs with assemble_sectors, assemble_T, apply_kernel_rows,
-    ARPACK and full-size assemblies (solver._assembled on every row)
-    counted."""
+    The track runs with assemble_sectors, assemble_T, the kernel-row
+    passes (solver.apply_kernel_rows), ARPACK and full-size assemblies
+    (solver._assembled on every row) counted."""
     grid = Grid3(R, 7)
     crit = find_critical_coupling(build_potential(grid, "spherical-well", 1.0, 0.8), (8.0, 14.0))
     B0 = build_potential(grid, "spherical-well", 1.0, 1.0)
@@ -213,8 +213,8 @@ def wider_b0_track():
         n_kappa=20,
         kappa_range=(0.04, 0.15),
     )
-    names = ("assemble_sectors", "assemble_T", "apply_kernel_rows")
-    calls = dict.fromkeys(names + ("eigs", "full_assembly"), 0)
+    names = ("assemble_sectors", "assemble_T")
+    calls = dict.fromkeys(names + ("apply_kernel_rows", "eigs", "full_assembly"), 0)
     assembled = solver._assembled
 
     def full_assembly(k, grid, nodes, *values, rows=None):
@@ -231,6 +231,7 @@ def wider_b0_track():
     with pytest.MonkeyPatch.context() as mp:
         for name in names:
             mp.setattr(probes, name, counted(name, getattr(probes, name)))
+        mp.setattr(solver, "apply_kernel_rows", counted("apply_kernel_rows", solver.apply_kernel_rows))
         mp.setattr(scipy.sparse.linalg, "eigs", counted("eigs", scipy.sparse.linalg.eigs))
         mp.setattr(solver, "_assembled", full_assembly)
         rec_e = boundstate_track(plan)
@@ -527,13 +528,13 @@ def test_sector_sweep_matches_a_dense_full_size_reference(monkeypatch, crit_free
 
 
 def test_trivial_group_sweep_solutions_are_the_full_lu_bit_for_bit(monkeypatch):
-    """A well with only the trivial group (the n = 7 linspace well) is one
-    sector whose maps are the identity: every cell's solution is that of
-    factor(system_matrix(*assemble_pair(...), mu)) on the full support,
-    bit for bit."""
+    """A well with only the trivial group (a vector potential whose a_1 is
+    nonzero and even) is one sector whose maps are the identity: every
+    cell's solution is that of factor(system_matrix(*assemble_pair(...),
+    mu)) on the full support, bit for bit."""
     grid = Grid3(R, 7)
-    shape = build_potential(grid, "spherical-well", 1.0, R)
-    crit = find_critical_coupling(shape, (5.0, 9.0))
+    shape = build_potential(grid, "spherical-well", 1.0, R, components=(1.0, 0.3, 0.0, 0.0))
+    crit = find_critical_coupling(shape, (12.5, 13.3))
     A = crit.critical_potential()
     assert [sec.order for sec in solver.symmetry_sectors(A, shape)] == [1]
     plan = SweepPlan(crit, shape, mus=(0.01, 0.03), ks=(0.1, 0.2), js=(1, 2), khat=_OFF_AXIS)

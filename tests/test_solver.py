@@ -18,6 +18,7 @@ from threshold_dirac.potentials import (
     Grid3,
     SpinorField,
     build_potential,
+    fold_rows,
     smoothstep_profile,
 )
 from threshold_dirac.solver import (
@@ -182,17 +183,6 @@ if HAVE_HYPOTHESIS:
             assert np.linalg.norm(P @ T @ P - T) <= 1e-13 * np.linalg.norm(T)
 
 
-def lattice_well(grid, g, radius, components=(1.0, 0.0, 0.0, 0.0)):
-    """Spherical well sampled at lattice radii h sqrt(i^2 + j^2 + k^2),
-    mirror symmetric bit for bit; build_potential's linspace radii are
-    not at n = 7 (h = 1/3)."""
-    n = grid.nodes_per_axis
-    offsets = np.indices((n, n, n)).reshape(3, -1) - (n - 1) // 2
-    r = grid.spacing * np.sqrt(np.sum(offsets**2, axis=0))
-    prof = g * smoothstep_profile(r, radius - 2.0 * grid.spacing, radius)
-    return FourPotential(grid, "lattice-well", g, radius, prof[:, None] * np.asarray(components))
-
-
 def _matched_gap(a: np.ndarray, b: np.ndarray) -> float:
     """Largest distance between two equally long spectra, paired as multisets."""
     from scipy.optimize import linear_sum_assignment
@@ -223,8 +213,8 @@ def test_symmetry_sector_spectra_make_the_full_spectrum():
     from threshold_dirac import critical
 
     grid = make_grid(7)
-    A = lattice_well(grid, 1.3, R)
-    B = lattice_well(grid, 0.7, 0.7)
+    A = build_potential(grid, "spherical-well", 1.3, R)
+    B = build_potential(grid, "spherical-well", 0.7, 0.7)
     sectors = solver.symmetry_sectors(A, B)
     assert len(sectors) == 8
     assert sum(len(sec.index) for sec in sectors) == 4 * len(sectors[0].nodes)
@@ -236,7 +226,7 @@ def test_symmetry_sector_spectra_make_the_full_spectrum():
             want = np.linalg.eigvals(full)
             got = np.concatenate([np.linalg.eigvals(m) for m in part])
             assert _matched_gap(want, got) <= 1e-12 * np.max(np.abs(want))
-    crit = critical.find_critical_coupling(lattice_well(grid, 1.0, R), (5.0, 9.0))
+    crit = critical.find_critical_coupling(build_potential(grid, "spherical-well", 1.0, R), (5.0, 9.0))
     for sec, w in zip(sectors, _weights(sectors, crit)):
         if _odd_quarter(sec):
             assert w == pytest.approx(np.sqrt(0.5), rel=1e-10)
@@ -246,17 +236,21 @@ def test_symmetry_sector_spectra_make_the_full_spectrum():
 
 def test_symmetry_sector_maps_round_trip():
     """In each of the 8 sectors, project inverts extend on sector
-    coordinates, and drops the other sectors' parts."""
+    coordinates, and drops the other sectors' parts; weigh applies
+    V^H W V for the node-wise multiplication W by the potential."""
     grid = make_grid(7)
-    A = lattice_well(grid, 1.0, R)
+    A = build_potential(grid, "spherical-well", 1.0, R)
     sectors = solver.symmetry_sectors(A)
     assert len(sectors) == 8
+    rows = A.values[A.support_indices()]
     rng = np.random.default_rng(5)
     for sec in sectors:
         x = rng.normal(size=(len(sec.index), 3)) + 1j * rng.normal(size=(len(sec.index), 3))
         f = sec.extend(x)
         assert f.shape == (4 * len(A.support_indices()), 3)
         assert np.allclose(sec.project(f), x, rtol=0.0, atol=1e-15 * np.max(np.abs(x)))
+        wf = np.stack([fold_rows(rows, col.reshape(-1, 4)).reshape(-1) for col in f.T], axis=1)
+        assert np.allclose(sec.weigh(rows, x), sec.project(wf), rtol=0.0, atol=1e-14 * np.max(np.abs(x)))
         for other in sectors:
             if other is not sec:
                 assert np.max(np.abs(other.project(f))) <= 1e-15 * np.max(np.abs(x))
@@ -271,7 +265,7 @@ def test_symmetry_group_level_and_rotation_sense():
     r(i, j, k) = (n-1-j, i, k); the opposite sense does not."""
     grid = make_grid(7)
     n = grid.nodes_per_axis
-    well = lattice_well(grid, 1.0, R)
+    well = build_potential(grid, "spherical-well", 1.0, R)
     assert len(solver.symmetry_sectors(well)) == 8
     i, j, k = np.indices((n, n, n)).reshape(3, -1) - (n - 1) // 2
     r = grid.spacing * np.sqrt(2 * i**2 + j**2 + k**2)
@@ -279,7 +273,7 @@ def test_symmetry_group_level_and_rotation_sense():
     values[:, 0] = smoothstep_profile(r, 0.3, 0.9)
     oblong = FourPotential(grid, "oblong-well", 1.0, R, values)
     assert len(solver.symmetry_sectors(oblong)) == 2
-    vector = lattice_well(grid, 1.0, R, components=(1.0, 0.3, 0.0, 0.0))
+    vector = build_potential(grid, "spherical-well", 1.0, R, components=(1.0, 0.3, 0.0, 0.0))
     assert [sec.order for sec in solver.symmetry_sectors(vector)] == [1]
 
     nodes = well.support_indices()
@@ -305,9 +299,9 @@ def test_sector_branch_values_are_pencil_eigenvalues():
     from threshold_dirac.forms import gamma_spectrum, taylor_form
 
     grid = make_grid(7)
-    crit = critical.find_critical_coupling(lattice_well(grid, 1.0, R), (5.0, 9.0))
+    crit = critical.find_critical_coupling(build_potential(grid, "spherical-well", 1.0, R), (5.0, 9.0))
     A = crit.critical_potential()
-    B0 = lattice_well(grid, 1.0, 0.7)
+    B0 = build_potential(grid, "spherical-well", 1.0, 0.7)
     seeds = probes._branch_seeds(A, B0, crit.basis)
     assert [x.shape[1] for _, x in seeds] == [1, 1]
     assert all(_odd_quarter(sec) for sec, _ in seeds)
@@ -341,9 +335,9 @@ def test_sector_track_makes_one_row_pass_per_kappa_and_small_lus(monkeypatch):
     from threshold_dirac.forms import gamma_spectrum, taylor_form
 
     grid = make_grid(7)
-    crit = critical.find_critical_coupling(lattice_well(grid, 1.0, R), (5.0, 9.0))
+    crit = critical.find_critical_coupling(build_potential(grid, "spherical-well", 1.0, R), (5.0, 9.0))
     A = crit.critical_potential()
-    B0 = lattice_well(grid, 1.0, R)
+    B0 = build_potential(grid, "spherical-well", 1.0, R)
     n_unknowns = 4 * len(combine_potentials(A, B0).support_indices())
     g1 = float(gamma_spectrum(crit, B0, taylor_form(A, crit, 2)).gammas[0])
     plan = probes.SweepPlan(
@@ -366,8 +360,8 @@ def test_sector_track_makes_one_row_pass_per_kappa_and_small_lus(monkeypatch):
         lambda k, grid, nodes, *vals, rows=None: passes.append((k, rows)), solver._assembled))
     monkeypatch.setattr(probes, "factor", spy(lambda M: branch_sizes.append(len(M)), probes.factor))
     monkeypatch.setattr(solver, "factor", spy(lambda M: full_sizes.append(len(M)), solver.factor))
-    monkeypatch.setattr(probes, "apply_kernel_rows", spy(
-        lambda k, targets, V, *args: certified.append((k, targets, V)), probes.apply_kernel_rows))
+    monkeypatch.setattr(solver, "apply_kernel_rows", spy(
+        lambda k, targets, V, *args: certified.append((k, targets, V)), solver.apply_kernel_rows))
     records = probes.boundstate_track(plan)
     assert len(records) == len(plan.mus)
     assert all(n == 2 for _, n in kappas)
@@ -398,19 +392,19 @@ def test_asymmetric_potentials_are_one_sector_and_track(case, certify_track):
 
     grid = make_grid(7)
     if case == "shifted":
-        well = lattice_well(grid, 1.0, 0.6)
+        well = build_potential(grid, "spherical-well", 1.0, 0.6)
         assert len(solver.symmetry_sectors(well)) == 8
         moved = np.roll(well.values.reshape(7, 7, 7, 4), 1, axis=0).reshape(-1, 4)
         shape = FourPotential(grid, "shifted-well", 1.0, R, moved)
         bracket = (20.0, 30.0)
     else:
-        assert len(solver.symmetry_sectors(lattice_well(grid, 1.0, R))) == 8
-        shape = lattice_well(grid, 1.0, R, components=(1.0, 0.3, 0.0, 0.0))
+        assert len(solver.symmetry_sectors(build_potential(grid, "spherical-well", 1.0, R))) == 8
+        shape = build_potential(grid, "spherical-well", 1.0, R, components=(1.0, 0.3, 0.0, 0.0))
         bracket = (12.5, 13.3)
     crit = critical.find_critical_coupling(shape, bracket)
     assert crit.lambda_bar == 0
     A = crit.critical_potential()
-    B0 = lattice_well(grid, 1.0, R)
+    B0 = build_potential(grid, "spherical-well", 1.0, R)
     sectors = solver.symmetry_sectors(A, B0)
     assert len(sectors) == 1 and sectors[0].order == 1
     assert np.array_equal(sectors[0].nodes, combine_potentials(A, B0).support_indices())
@@ -991,7 +985,7 @@ def test_crossing_count_rejects_a_singular_potential_node():
     from threshold_dirac.probes import crossing_count
 
     grid = make_grid(5)
-    V = lattice_well(grid, 1.0, R, components=(1.0, 0.3, 0.0, 0.0))
+    V = build_potential(grid, "spherical-well", 1.0, R, components=(1.0, 0.3, 0.0, 0.0))
     assert crossing_count(V, 0.1) >= 0
     node = V.support_indices()[0]
     V.values[node] = (0.5, 0.3, 0.4, 0.0)
@@ -1024,24 +1018,13 @@ def test_non_finite_lu_is_a_failed_factorization():
     """[[1, 1e308], [1, -1e308]] is finite, but its U_22 overflows to
     -inf. factor's one failure rule reads that as failed, and so does
     every consumer: a NaN solve (not a least-squares answer), a NaN
-    sigma_min (not 0.0), no iteration, a NaN certificate and no basis
-    from the null basis, and a RuntimeError from the coupling search's
-    eigenvalues (not an empty coupling list)."""
-    from threshold_dirac import critical
-
+    sigma_min (not 0.0) and no iteration."""
     m = np.array([[1.0, 1e308], [1.0, -1e308]])
     fac = solver.factor(m)
     assert fac.lu is None and np.isnan(fac.rcond) and fac.at_resonance
     assert np.all(np.isnan(fac.solve(np.ones(2))[0]))
     assert np.isnan(smallest_singular_value(m))
     assert solver.subspace_iteration(fac, 1) is None
-    sigma, basis = critical._null_basis(fac, 1e-8)
-    assert np.isnan(sigma) and basis is None
-
-    broken = assemble_T(build_potential(make_grid(5), "spherical-well", 1.0, R), 0.0)
-    broken[0, 1] = np.nan
-    with pytest.raises(RuntimeError, match="factorization"):
-        critical.critical_couplings(broken, (-2.2, -0.4))
 
 
 def test_solve_returns_its_residual():
@@ -1068,9 +1051,10 @@ def test_solve_returns_its_residual():
 
 def test_every_lu_goes_through_factor(monkeypatch):
     """solver.factor is the package's only LU, so its failure rule is the
-    only one. Each caller factors each distinct matrix once: the coupling
-    search T-hat - s0 I once and 1 - g T-hat once per candidate (one here),
-    the bound-state branch once, sigma_min_at once."""
+    only one. Each caller factors each distinct matrix once: the
+    bound-state branch once per sector that holds the threshold basis
+    (two on this C4h well), sigma_min_at once. The coupling search makes
+    no LU."""
     from threshold_dirac import critical, probes
 
     callers, users = [], Counter()
@@ -1093,9 +1077,7 @@ def test_every_lu_goes_through_factor(monkeypatch):
     assert probes._branch(A, B0, 0.05, 0.0, X) is not None
     critical.sigma_min_at(assemble_T(shape, 0.0), 0.5 * crit.g_star)
     assert users == {
-        ("threshold_dirac.critical", "critical_couplings"): 1,
-        ("threshold_dirac.critical", "find_critical_coupling"): 1,
-        ("threshold_dirac.probes", "_branch"): 1,
+        ("threshold_dirac.probes", "_branch"): 2,
         ("threshold_dirac.solver", "smallest_singular_value"): 1,
     }
     assert set(callers) == {("threshold_dirac.solver", "factor")}
