@@ -227,7 +227,8 @@ def resonance_prediction(mu: float, k: float, gammas: np.ndarray) -> float:
 
 def _unit_potential(V: FourPotential) -> FourPotential:
     """Unit scalar potential on the support of V: kernel rows through it
-    apply the kernel to already folded (V f) rows and fold nothing."""
+    apply the kernel to already folded (V f) rows and fold nothing, and
+    its T-hat is the kernel matrix K, so T-hat of any W there is K W."""
     values = np.zeros_like(V.values)
     values[V.support_indices(), 0] = 1.0
     return FourPotential(V.grid, "unit", 1.0, V.radius, values)
@@ -475,21 +476,68 @@ def _branch_seeds(A: FourPotential, B0: FourPotential, basis: list) -> list:
     return seeds
 
 
-def _branch(A: FourPotential, B0: FourPotential, kappa: float, shift: float, seeds):
+def _kramers_kept(A: FourPotential, B0: FourPotential, seeds) -> list:
+    """seeds less the second of each pair of sectors (lambda, p) and
+    (conj(lambda), p) when A and B0 are purely electric: at k = i kappa
+    time reversal maps one onto the other, so they have the same
+    spectrum (Kramers).  Any vector part keeps every seed."""
+    if np.any(A.values[:, 1:]) or np.any(B0.values[:, 1:]):
+        return list(seeds)
+    kept = []
+    for sector, X in seeds:
+        lam, p = sector.character
+        if not any(t.character[1] == p and abs(np.conj(lam) - t.character[0]) < 1e-8 for t, _ in kept):
+            kept.append((sector, X))
+    return kept
+
+
+def _kernels(A: FourPotential, B0: FourPotential, sectors, kappa: float) -> list:
+    """The blocks K_s of the kernel at i kappa on some sectors of
+    symmetry_sectors(A, B0), from one assemble_sectors pass."""
+    unit = _unit_potential(combine_potentials(A, B0))
+    return [K for (K,) in assemble_sectors(sectors, unit, None, 1j * kappa)]
+
+
+def _sector_count(sector, K: np.ndarray, V: FourPotential):
+    """crossing_count of V in one sector, from its kernel block K: the
+    negative eigenvalues of (V^-1)_s - K, V^-1 the node-wise rows
+    (a0, -a) / (a0^2 - |a|^2); None where V is singular at a node or
+    the block is not finite."""
+    rows = V.values[sector.nodes]
+    det = rows[:, 0] ** 2 - np.sum(rows[:, 1:] ** 2, axis=1)
+    if np.any(det == 0.0):
+        return None
+    H = sector.weigh(rows * [1.0, -1.0, -1.0, -1.0] / det[:, None], np.eye(len(K))) - K
+    return negative_count(H) if np.all(np.isfinite(H)) else None
+
+
+def _count_steady(A: FourPotential, B0: FourPotential, mu: float, sectors, lo, hi) -> bool:
+    """mu is nonzero and its count in each sector is known and equal at
+    the kernel blocks lo and hi: the count never falls as kappa grows,
+    so no branch there crosses mu between their kappas."""
+    V = combine_potentials(A, B0.rescaled(mu))
+    counts = [[_sector_count(s, K, V) for s, K in zip(sectors, Ks)] for Ks in (lo, hi)]
+    return mu != 0.0 and None not in counts[0] and counts[0] == counts[1]
+
+
+def _branch(A: FourPotential, B0: FourPotential, kappa: float, shift: float, seeds, kernels=None):
     """Pencil values mu of 1 - T^{A + mu B0} at k = i kappa nearest shift.
 
     seeds holds (sector, block) pairs (see _branch_seeds); each block's
-    size is the number of values its sector returns.  One kernel-row
-    pass on the orbit representatives serves every sector; per sector,
-    one LU of M = 1 - T_A - shift T_B, built in place over T_A, serves
-    the block inverse iteration X <- M^-1 T_B X.  Returns (mus, seeds)
-    with the Ritz blocks as the new seeds; None when factor fails or an
-    iteration does not settle.
+    size is the number of values its sector returns.  kernels holds the
+    sectors' kernel blocks K_s at i kappa (see _kernels), assembled here
+    when None: one kernel-row pass on the orbit representatives serves
+    every sector.  Per sector, T_B = K_s B0_s and one LU of M = 1 -
+    K_s (A + shift B0)_s serve the block inverse iteration X <- M^-1 T_B
+    X.  Returns (mus, seeds) with the Ritz blocks as the new seeds; None
+    when factor fails or an iteration does not settle.
     """
+    if kernels is None:
+        kernels = _kernels(A, B0, [sector for sector, _ in seeds], kappa)
+    V = combine_potentials(A, B0.rescaled(shift))
     mus, blocks = [], []
-    pairs = assemble_sectors([sector for sector, _ in seeds], A, B0, 1j * kappa)
-    for (sector, X), (M, TB) in zip(seeds, pairs):  # M holds T_A until turned into M
-        M += shift * TB  # T-hat of A + shift B0 first: the crossings' kappa bits depend on this order
+    for (sector, X), K in zip(seeds, kernels):  # K_s W_s = (W_s K_s^H)^H, W_s Hermitian
+        TB, M = (sector.weigh(P.values[sector.nodes], K.conj().T).conj().T for P in (B0, V))
         lu = factor(system_matrix(M, out=M)).lu
         del M  # LAPACK factored a copy: only the LU stays
         if lu is None:
@@ -561,14 +609,19 @@ def boundstate_track(plan: SweepPlan) -> list:
     the eigenvalues mu of the pencil (1 - T_A, T_B); the branch that
     leaves mu = 0 at kappa = 0 is followed by block inverse iteration
     over a coarse kappa curve of max(16, plan.n_kappa // 10) log-spaced
-    points across plan.kappa_range, one LU per kappa and sector,
-    starting from the threshold basis.  Each sign change of
-    mu(kappa) - mu is then solved by a bracketed secant on branch values
-    alone.  Each crossing is certified off the sectors by _certificate,
-    the residual of the secant's last Ritz vector: residual <
-    _CROSSING_REL scale implies sigma_min(M) < _CROSSING_REL ||M||_1, and
-    the residual is the record's sigma_min.  crossing_count is the
-    independent check: its difference across a crossing is crit.dim.
+    points across plan.kappa_range, starting from the threshold basis:
+    one kernel block and one LU per kappa and sector that holds the
+    basis, one sector per conjugate pair when A and B0 are purely
+    electric (_kramers_kept).  Each sign change of mu(kappa) - mu is
+    then solved by a bracketed secant on branch values alone.  Each
+    crossing is certified off the sectors by _certificate, the residual
+    of the secant's last Ritz vector: residual < _CROSSING_REL scale
+    implies sigma_min(M) < _CROSSING_REL ||M||_1, and the residual is
+    the record's sigma_min.  The curve's end blocks come first: when
+    every mu's count in those sectors stays put between them
+    (_count_steady), nothing crosses and the curve is skipped.  The
+    full-size crossing_count is the independent check: its difference
+    across a crossing is crit.dim.
 
     A mu of the wrong sign legitimately yields an empty list, and at
     mu = 0 the track sits at the kappa -> 0 boundary and is reported at
@@ -587,11 +640,15 @@ def boundstate_track(plan: SweepPlan) -> list:
     # (zero on nodes of B0's support outside A's), in the symmetry sectors
     # that hold it; each kappa is shifted at the branch value of the one
     # before
-    seeds = _branch_seeds(A, B0, crit.basis)
+    seeds = _kramers_kept(A, B0, _branch_seeds(A, B0, crit.basis))
+    sectors = [sector for sector, _ in seeds]
+    ends = [_kernels(A, B0, sectors, kp) for kp in (kappas[0], kappas[-1])]
+    if all(_count_steady(A, B0, mu, sectors, *ends) for mu in plan.mus):
+        return []
     shift = 0.0
     curve = []
-    for kp in kappas:
-        got = _branch(A, B0, kp, shift, seeds)
+    for kp, kernels in zip(kappas, ends[:1] + [None] * (len(kappas) - 2) + ends[1:]):
+        got = _branch(A, B0, kp, shift, seeds, kernels=kernels)
         curve.append(got)
         if got is not None:
             mus, seeds = got

@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from threshold_dirac import probes, solver
-from threshold_dirac.potentials import Grid3, SpinorField, build_potential
+from threshold_dirac.potentials import FourPotential, Grid3, SpinorField, build_potential
 from threshold_dirac.critical import find_critical_coupling
 from threshold_dirac.forms import gamma_spectrum, taylor_form
 from threshold_dirac.solver import free_spinor, solve_generalized
@@ -246,7 +246,8 @@ def test_boundstate_eigen_track_serves_general_b0(wider_b0_track, certify_track)
 
 
 def test_boundstate_eigen_track_counts(wider_b0_track):
-    """No ARPACK call, one sector assembly per curve point and at most six
+    """No ARPACK call, one sector assembly per curve point (the two ends
+    once each, shared by the count gate and the curve) and at most six
     secant steps per crossing, and one residual certificate per crossing:
     one kernel-row pass, with no full-size assembly (assemble_T,
     assemble_pair or any other)."""
@@ -259,6 +260,149 @@ def test_boundstate_eigen_track_counts(wider_b0_track):
     assert calls["assemble_T"] == 0
     assert calls["apply_kernel_rows"] == crossings
     assert n_curve < calls["assemble_sectors"] <= n_curve + 6 * crossings
+
+
+@pytest.fixture(scope="module")
+def c4h_pair_plan():
+    """The track of a 7^3 C4h pair: the critical unit well of radius R
+    and B0 the same well, both purely electric."""
+    grid = Grid3(R, 7)
+    crit = find_critical_coupling(build_potential(grid, "spherical-well", 1.0, R), (5.0, 9.0))
+    B0 = build_potential(grid, "spherical-well", 1.0, R)
+    g1 = float(gamma_spectrum(crit, B0, taylor_form(crit.critical_potential(), crit, 2)).gammas[0])
+    return SweepPlan(
+        crit, B0, mus=tuple(g1 * k * k for k in (0.06, 0.1)), ks=(0.1,),
+        n_kappa=20, kappa_range=(0.04, 0.15),
+    )
+
+
+@pytest.mark.parametrize("case", ["wider", "c4h"])
+def test_sector_count_rise_is_the_full_count_rise(case, wider_b0_track, c4h_pair_plan):
+    """The count gate's soundness: for mu of both signs, the inertia
+    count in the kept sector (one of the Kramers pair that holds the
+    threshold basis) rises between the range ends by half the rise of
+    the full-size crossing_count, and the counts of all the sectors add
+    up to the full-size count at each end."""
+    plan = wider_b0_track[0] if case == "wider" else c4h_pair_plan
+    A, B0 = plan.crit.critical_potential(), plan.B0
+    seeds = probes._branch_seeds(A, B0, plan.crit.basis)
+    kept = [sector for sector, _ in probes._kramers_kept(A, B0, seeds)]
+    assert len(seeds) == 2 and len(kept) == 1
+    every = solver.symmetry_sectors(A, B0)
+    rises = []
+    for mu in plan.mus + tuple(-m for m in plan.mus):
+        V = solver.combine_potentials(A, B0.rescaled(mu))
+        counts = []
+        for kappa in plan.kappa_range:
+            full = probes.crossing_count(V, kappa)
+            blocks = probes._kernels(A, B0, every, kappa)
+            assert sum(probes._sector_count(s, K, V) for s, K in zip(every, blocks)) == full
+            (K,) = probes._kernels(A, B0, kept, kappa)
+            counts.append((probes._sector_count(kept[0], K, V), full))
+        (lo, full_lo), (hi, full_hi) = counts
+        assert 2 * (hi - lo) == full_hi - full_lo
+        rises.append(hi - lo)
+    assert rises == [1, 1, 0, 0]
+
+
+def _counted_track(plan, monkeypatch):
+    """(records, calls) of one track with assemble_sectors, _branch and
+    every LU counted."""
+    calls = dict.fromkeys(("assemble_sectors", "_branch", "lu_factor"), 0)
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return spy
+
+    for module, name in ((probes, "assemble_sectors"), (probes, "_branch"), (scipy.linalg, "lu_factor")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    records = boundstate_track(plan)
+    monkeypatch.undo()
+    return records, calls
+
+
+@pytest.mark.parametrize("case", ["wider", "c4h"])
+def test_count_gate_ends_a_steady_ladder_at_the_range_ends(
+    case, wider_b0_track, c4h_pair_plan, monkeypatch
+):
+    """A ladder whose counts do not move between the range ends (the
+    opposite sign) returns no record after the two end assemblies, with
+    no branch and no LU; mu = 0, or a mu that makes A + mu B0 vanish at
+    a node (no count there), runs the whole curve.  On the c4h pair
+    A + 0 B0 has the whole support, so its count exists there too."""
+    plan = wider_b0_track[0] if case == "wider" else c4h_pair_plan
+    A, B0 = plan.crit.critical_potential(), plan.B0
+    n_curve = max(16, plan.n_kappa // 10)
+    opposite = tuple(-m for m in plan.mus)
+    records, calls = _counted_track(replace(plan, mus=opposite), monkeypatch)
+    assert records == []
+    assert calls == {"assemble_sectors": 2, "_branch": 0, "lu_factor": 0}
+
+    node = np.flatnonzero((B0.values[:, 0] == 1.0) & (A.values[:, 0] != 0.0))[0]
+    singular = -float(A.values[node, 0])
+    assert not np.any(solver.combine_potentials(A, B0.rescaled(singular)).values[node])
+    near = singular * (1 + 1e-9)  # the same count as the singular mu, and steady
+    records, calls = _counted_track(replace(plan, mus=opposite + (near,)), monkeypatch)
+    assert records == [] and calls["_branch"] == 0
+    for ladder in (opposite + (0.0,), opposite + (singular,)):
+        records, calls = _counted_track(replace(plan, mus=ladder), monkeypatch)
+        assert calls["_branch"] == n_curve and calls["assemble_sectors"] == n_curve
+        assert calls["lu_factor"] == n_curve
+        assert not [r for r in records if r.mu in opposite]
+
+
+def test_kramers_partner_sector_gives_the_same_branch(c4h_pair_plan):
+    """At k = i kappa time reversal maps the kept sector onto its
+    conjugate partner: _branch on both seeds gives the same value in
+    each, at three kappas."""
+    plan = c4h_pair_plan
+    A, B0 = plan.crit.critical_potential(), plan.B0
+    seeds = probes._branch_seeds(A, B0, plan.crit.basis)
+    (kept, _), (dropped, _) = seeds
+    assert probes._kramers_kept(A, B0, seeds) == seeds[:1]
+    assert dropped.character[0] == pytest.approx(np.conj(kept.character[0]), abs=1e-14)
+    assert dropped.character[1] == kept.character[1]
+    for kappa in (0.03, 0.1, 0.25):
+        mus, _ = probes._branch(A, B0, kappa, 0.0, seeds)
+        assert len(mus) == 2
+        assert mus[1] == pytest.approx(mus[0], rel=1e-12)
+
+
+def test_a_vector_part_keeps_both_sectors_and_tracks(certify_track):
+    """A C4h-admissible pair that is not purely electric, a3 = 0.3 a0
+    sign(z) on the unit well (odd in z, as inversion needs), keeps both
+    sectors that hold the threshold basis, its track passes the
+    inertia-count certificate, and its sector counts add up to the
+    full-size count."""
+    grid = Grid3(R, 7)
+    well = build_potential(grid, "spherical-well", 1.0, R)
+    values = well.values.copy()
+    z = np.indices((7, 7, 7))[2].reshape(-1) - 3
+    values[:, 3] = 0.3 * values[:, 0] * np.sign(z)
+    shape = FourPotential(grid, "odd-a3-well", 1.0, R, values)
+    assert len(solver.symmetry_sectors(shape, well)) == 8
+    crit = find_critical_coupling(shape, (5.0, 9.0))
+    assert crit.lambda_bar == 0 and crit.dim == 2
+    A = crit.critical_potential()
+    seeds = probes._branch_seeds(A, well, crit.basis)
+    assert len(seeds) == 2 and probes._kramers_kept(A, well, seeds) == seeds
+    g1 = float(gamma_spectrum(crit, well, taylor_form(A, crit, 2)).gammas[0])
+    plan = SweepPlan(
+        crit, well, mus=tuple(g1 * k * k for k in (0.06, 0.1)), ks=(0.1,),
+        n_kappa=20, kappa_range=(0.04, 0.15),
+    )
+    records = boundstate_track(plan)
+    assert [r.mu for r in records] == list(plan.mus)
+    certify_track(plan, records)
+    every = solver.symmetry_sectors(A, well)
+    V = solver.combine_potentials(A, well.rescaled(plan.mus[0]))
+    for kappa in plan.kappa_range:
+        blocks = probes._kernels(A, well, every, kappa)
+        count = sum(probes._sector_count(s, K, V) for s, K in zip(every, blocks))
+        assert count == probes.crossing_count(V, kappa)
 
 
 def test_boundstate_certificate_bounds_sigma_min_and_refuses_wrong_kappa(

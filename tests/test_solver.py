@@ -326,7 +326,10 @@ def test_sector_branch_values_are_pencil_eigenvalues():
 def test_sector_track_makes_one_row_pass_per_kappa_and_small_lus(monkeypatch):
     """On the C4h lattice wells the eigen track makes one kernel-row pass
     on the orbit representatives per kappa (curve points and secant
-    steps), serving both sectors that hold the threshold basis; every LU
+    steps), of the unit potential only: the wells are electric, so one
+    sector of the Kramers pair that holds the threshold basis serves
+    the branch, with one LU per kappa.  The curve's two ends are
+    assembled first, for the inertia-count gate, and reused.  Every LU
     of the branch has at most ceil(4 S / 8) + 8 unknowns, and no LU is
     full size.  Each crossing's residual certificate is one more
     kernel-row pass, targeting every support node of A + mu B0, so it
@@ -354,23 +357,26 @@ def test_sector_track_makes_one_row_pass_per_kappa_and_small_lus(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(probes, "_branch", spy(
-        lambda A, B0, kappa, shift, seeds, **kw: kappas.append((kappa, len(seeds))),
+        lambda A, B0, kappa, shift, seeds, kernels=None: kappas.append((kappa, len(seeds))),
         probes._branch))
     monkeypatch.setattr(solver, "_assembled", spy(
-        lambda k, grid, nodes, *vals, rows=None: passes.append((k, rows)), solver._assembled))
+        lambda k, grid, nodes, *vals, rows=None: passes.append((k, rows, vals[0][nodes], len(vals))),
+        solver._assembled))
     monkeypatch.setattr(probes, "factor", spy(lambda M: branch_sizes.append(len(M)), probes.factor))
     monkeypatch.setattr(solver, "factor", spy(lambda M: full_sizes.append(len(M)), solver.factor))
     monkeypatch.setattr(solver, "apply_kernel_rows", spy(
         lambda k, targets, V, *args: certified.append((k, targets, V)), solver.apply_kernel_rows))
     records = probes.boundstate_track(plan)
     assert len(records) == len(plan.mus)
-    assert all(n == 2 for _, n in kappas)
-    row_passes = [(k, rows) for k, rows in passes if rows is not None]
-    assert [k for k, _ in row_passes] == [1j * kappa for kappa, _ in kappas]
+    assert all(n == 1 for _, n in kappas)
+    row_passes = [(k, rows) for k, rows, _, _ in passes if rows is not None]
+    assert sorted(k.imag for k, _ in row_passes) == sorted(kappa for kappa, _ in kappas)
+    unit = [1.0, 0.0, 0.0, 0.0]
+    assert all(n == 1 and np.all(v == unit) for _, rows, v, n in passes if rows is not None)
     reps = solver.symmetry_sectors(A, B0)[0].images[:, 0]
     assert 8 * len(reps) < 2 * n_unknowns // 4
     assert all(np.array_equal(rows, reps) for _, rows in row_passes)
-    assert len(branch_sizes) == 2 * len(kappas)
+    assert len(branch_sizes) == len(kappas)
     assert max(branch_sizes) <= -(-n_unknowns // 8) + 8
     assert full_sizes == []
     assert len(certified) == len(records)
