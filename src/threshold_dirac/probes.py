@@ -45,6 +45,9 @@ from .forms import gamma_spectrum, taylor_form
 from .potentials import FourPotential, Grid3, SpinorField, fold_rows, norms, pseudo_inner
 from .kernel import blas_matmul
 from .solver import (
+    _SECTOR_REL,
+    _coupling_scan,
+    _reached,
     apply_kernel_rows,
     assemble_sectors,
     assemble_T,
@@ -86,7 +89,6 @@ _BRANCH_REL = 1e-12  # block iteration: pencil values steady to this, relative
 _BRANCH_STEPS = 40  # block iteration steps before a kappa counts as failed
 _SECANT_REL = 1e-12  # crossing secant: |d kappa| <= this * kappa ends the run
 _SECANT_STEPS = 30  # crossing secant: steps before the run counts as not converged
-_SECTOR_REL = 1e-8  # a symmetry sector holds the threshold basis above this weight
 _PEAK_COARSE = 12  # coarse mu samples of mu_peak
 _PEAK_TOL_REL = 1e-5  # mu_peak's xatol is this * max(|mu_hi|, 1): absolute below 1
 _BAND = 10.0  # a clean sweep record counts as inside the law within this factor of the fit
@@ -236,34 +238,6 @@ def _unit_potential(V: FourPotential) -> FourPotential:
 
 # ---------------------------------------------------------------------------
 # resonance sweep
-
-
-def _reached(sectors, X: np.ndarray) -> list:
-    """(sector, sector.project(X)) for each sector where X, a vector or a
-    block of columns on the sectors' nodes, has a part whose largest
-    singular value exceeds _SECTOR_REL of X's norm; its parts in the
-    other sectors are round-off."""
-    cut = _SECTOR_REL * np.linalg.norm(X)
-    parts = [(sector, sector.project(X)) for sector in sectors]
-    return [(sector, part) for sector, part in parts if np.linalg.norm(part, 2) > cut]
-
-
-def _coupling_scan(sectors, A: FourPotential, B: FourPotential | None, k: float, rhs):
-    """mu -> [(sector, factor of 1 - T-hat of A + mu B there)] on those
-    of the sectors (symmetry_sectors(A, B)) that rhs reaches (see
-    _reached), the systems that sector_solve takes; with B None,
-    1 - T-hat of A.
-
-    The sector blocks come from one assemble_sectors pass at k, at unit
-    couplings, and are recombined per mu (the contraction is exactly
-    linear in the potential), so each mu costs one small LU per reached
-    sector.
-    """
-    reached = [sector for sector, _ in _reached(sectors, rhs)]
-    blocks = assemble_sectors(reached, A, B, k)
-    return lambda mu: [
-        (sector, factor(system_matrix(*pair, mu=mu))) for sector, pair in zip(reached, blocks)
-    ]
 
 
 def _sweep_column(crit, sectors, A: FourPotential, B, k: float, kvec, mus, js, eval_points):
@@ -741,32 +715,33 @@ def inverse_bound_probe(
     Solves (1 - T^{A+B}) u = A phi and (1 - T^{A+B}) v = m_perp on the
     union support and reports the span-parallel and span-perpendicular
     sup norms of both solutions together with the shared denominator
-    and the perturbation norm factor.
+    and the perturbation norm factor.  One _coupling_scan at mu = 0 on
+    the symmetry sectors of A + B that the two right-hand sides together
+    reach, one sector_solve each.  rcond is the smallest block estimate
+    (NaN when a block's LU failed), at_resonance sector_solve's flag.
     """
     A = crit.critical_potential()
     V = combine_potentials(A, B)
     union = V.support_indices()
     grid = A.grid
     k = float(np.linalg.norm(np.asarray(kvec, dtype=np.float64)))
-    TV = assemble_T(V, k)
-    fac = factor(system_matrix(TV, out=TV))
-
     rhs1 = fold_rows(A.values[union], phi.values[union]).reshape(-1)
     rhs2 = m_perp.values[union].reshape(-1)
-    u = fac.solve(rhs1)[0].reshape(-1, 4)
-    v = fac.solve(rhs2)[0].reshape(-1, 4)
+    systems = _coupling_scan(symmetry_sectors(V), V, None, k, np.stack([rhs1, rhs2], axis=1))(0.0)
+    u, _, flagged = sector_solve(systems, rhs1)
+    v = sector_solve(systems, rhs2)[0]
 
     bn = norms(B) if B is not None else {"l1": 0.0, "linf": 0.0}
     report = {
         "k": k,
-        "rcond": fac.rcond,
-        "at_resonance": fac.at_resonance,
+        "rcond": np.min([fac.rcond for _, fac in systems]),
+        "at_resonance": flagged,
         "denominator": resonance_denominator(crit, B, k),
         "b_l1": bn["l1"],
         "b_linf": bn["linf"],
     }
     for name, sol in (("aphi", u), ("mperp", v)):
-        f = SpinorField.on_nodes(grid, union, sol)
+        f = SpinorField.on_nodes(grid, union, sol.reshape(-1, 4))
         npar = crit.project("N_par", f)
         nperp = f.values[union] - npar.values[union]
         report[f"n_par_{name}"] = npar.sup_norm()
@@ -825,13 +800,16 @@ def derivative_recursion(
 
     Differentiating (1 - T) phi = chi in k gives
     (1 - T) phi^(m) = d^m chi + sum_{l=1..m} C(m,l) [d^l T] phi^(m-l),
-    solved with one LU shared across orders (Factorization.solve holds
-    each solve to the residual contract); the derivative
-    kernels are the closed forms the forms module uses, here at real k.
-    The extension to the evaluation grid makes one stacked kernel pass
-    per kernel order l.  With A None (no potential at all), phi^(m) =
-    d^m chi exactly.  Returns the field, the weighted sup norms
-    ||(1+|x|)^-l phi^(l)||_inf per order, and flags.
+    one sector_solve per order on one _coupling_scan at mu = 0, whose
+    symmetry sectors of A + B are those that d^l chi, l = 0..m, reach:
+    T commutes with the group, so the [d^l T] phi terms stay in them.
+    The derivative kernels are the closed forms the forms module uses,
+    here at real k.  The extension to the evaluation grid makes one
+    stacked kernel pass per kernel order l.  With A None (no potential
+    at all), phi^(m) = d^m chi exactly.  Returns the field, the weighted
+    sup norms ||(1+|x|)^-l phi^(l)||_inf per order, rcond, the smallest
+    block estimate (NaN when a block's LU failed), and at_resonance,
+    sector_solve's flag (set when any block is).
     """
     if m not in (1, 2):
         raise ValueError("derivative recursion implemented for m = 1, 2")
@@ -858,17 +836,17 @@ def derivative_recursion(
     pts = V.grid.points[union]
     h = V.grid.spacing
     eval_grid = eval_grid or default_eval_grid(V.grid)
-    TV = assemble_T(V, k)
-    fac = factor(system_matrix(TV, out=TV))
-
     chis_sup = _free_derivatives(j, k, khat, m, pts)
+    rhs = np.stack([chi.reshape(-1) for chi in chis_sup], axis=1)
+    systems = _coupling_scan(symmetry_sectors(V), V, None, k, rhs)(0.0)
     phis = []
     for order in range(m + 1):
         f = chis_sup[order].copy()
         for l in range(1, order + 1):
             dT = apply_kernel_rows(k, pts, V, phis[order - l], h, order=l)
             f += math.comb(order, l) * dT
-        phis.append(fac.solve(f.reshape(-1))[0].reshape(-1, 4))
+        x, _, flagged = sector_solve(systems, f.reshape(-1))  # one flag for all: same blocks
+        phis.append(x.reshape(-1, 4))
 
     targets = eval_grid.points
     # pass l applies [d^l T] to phi^(o - l) for every order o >= max(l, 1)
@@ -889,8 +867,8 @@ def derivative_recursion(
         "phi_m": SpinorField(eval_grid, ext),
         "weighted_sup": orders[m],
         "orders": orders,
-        "rcond": fac.rcond,
-        "at_resonance": fac.at_resonance,
+        "rcond": np.min([fac.rcond for _, fac in systems]),
+        "at_resonance": flagged,
     }
 
 

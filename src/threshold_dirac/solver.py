@@ -46,32 +46,30 @@ QUADRATURE
     assembly expands coefficients into 4x4 blocks.
 
 SOLVES
-    One path: assemble_T, then system_matrix (1 - T_A - mu T_B), then
-    factor: dense LU with partial pivoting, the package's only LU, and a
-    reciprocal condition estimate.  Systems whose estimate falls below
-    1e-10 are flagged "at-resonance" and solved in the least-squares
-    sense instead (sweeps cross resonances on purpose).
-    Factorization.solve is the one solve of a right-hand side on the
-    full support: it returns the solution with its residual |M x - rhs|
-    (node sup norm), and an unflagged solve whose residual exceeds 1e-8
-    sup|rhs| raises RuntimeError, so a wrong solution never reads as
-    physics.  A coupling scan (the resonance sweep, mu_peak, the
-    resonance-class probe) solves on the symmetry sectors instead:
-    sector_solve takes the factorizations of the blocks M_s on the
-    sectors that the right-hand side reaches and holds the joined
-    solution to the same contract on the full support, r = sum_s V_s
-    M_s x_s - rhs, so the part of rhs in a sector left out counts; the
-    solve is flagged when any block is, and each flagged block is solved
-    by least squares.  Neither a critical coupling nor a bound-state
-    crossing needs an LU: residual_certificate applies 1 - c T^V to
-    candidate vectors in one apply_kernel_rows pass, and their residuals
-    bound sigma_min from above.  smallest_singular_value, one
-    subspace_iteration on an LU from factor, is the dense reference the
-    tests and sigma_min_at use. A failed LU (LAPACK raised, or the LU is
-    not finite) has lu None and rcond NaN; then solve gives NaN for the
-    solution and the residual, sigma_min NaN and subspace_iteration
-    None. negative_count reads the inertia of a Hermitian matrix off one
-    LDL^H; it solves nothing.
+    One path: _coupling_scan assembles T-hat's blocks on the symmetry
+    sectors (below) that the right-hand sides reach (_reached) in one
+    assemble_sectors pass, forms 1 - T_A - mu T_B (system_matrix) per
+    coupling mu and factors each block; sector_solve solves.  factor is
+    the package's only LU, with a reciprocal condition estimate; a block
+    below 1e-10 is flagged "at-resonance" and solved by least squares
+    (sweeps cross resonances on purpose).  sector_solve is the only
+    solve: it joins the block solutions as x = sum_s V_s x_s and returns
+    x with its residual on the full support, r = sum_s V_s M_s x_s - rhs
+    (node sup norm), so the part of rhs in a sector left out counts; it
+    is flagged when any block is, and an unflagged solve whose residual
+    exceeds 1e-8 sup|rhs| raises RuntimeError, so a wrong solution never
+    reads as physics.  solve_generalized, the inverse-bound probe and
+    the derivative recursion scan once at mu = 0, the resonance sweep,
+    mu_peak and the resonance-class probe once per k.  Neither a
+    critical coupling nor a bound-state crossing needs a solve:
+    residual_certificate applies 1 - c T^V to candidate vectors in one
+    apply_kernel_rows pass, and their residuals bound sigma_min from
+    above.  smallest_singular_value, one subspace_iteration on an LU
+    from factor, is the dense reference the tests and sigma_min_at use.
+    A failed LU (LAPACK raised, or the LU is not finite) has lu None and
+    rcond NaN; then its block solves to NaN and flags the solve,
+    sigma_min is NaN and subspace_iteration None. negative_count reads
+    the inertia of a Hermitian matrix off one LDL^H; it solves nothing.
 
     Symmetry sectors: symmetry_sectors finds the largest group among
     C4h (the 90-degree rotation about z, (i, j, k) -> (n-1-j, i, k) with
@@ -92,10 +90,9 @@ SOLVES
     The critical-coupling search solves one dense Hermitian pencil per
     sector, Sector.weigh giving the block W_s of the node-wise shape.
     The bound-state branch runs on the sectors that hold the threshold
-    basis: at n = 9 two LUs of 129 unknowns per kappa.  The coupling
-    scans run on the sectors that their plane waves reach: at n = 9 four
-    LUs of 129 unknowns per (mu, k) on the z axis and all eight off it,
-    instead of one of 1004.
+    basis: at n = 9 two LUs of 129 unknowns per kappa.  A plane wave on
+    the z axis reaches four blocks of 129 unknowns, one off it all
+    eight, instead of one matrix of 1004.
 
     Matrix-sized products go through scipy's BLAS (kernel.blas_matmul,
     or zgemm for the kernel rows), so numpy's separate OpenBLAS thread
@@ -151,6 +148,7 @@ _NEAR_CELLS = 2  # Chebyshev distance, in cells
 _LATTICE_TOL = 1e-9  # in cells: a point this close to a lattice node is on it
 _RESONANCE_RCOND = 1e-10
 _RESIDUAL_REL = 1e-8
+_SECTOR_REL = 1e-8  # a vector or a block reaches a symmetry sector above this weight
 _PAIR_BUDGET = 100_000  # target-source pairs per kernel chunk
 _ITER_STEPS = 30  # cap on subspace_iteration steps
 _ITER_REL = 1e-4  # relative change of the sigma_min estimate that stops it
@@ -575,10 +573,12 @@ def assemble_sectors(sectors: tuple, A: FourPotential, B: FourPotential | None, 
     representatives (about 1/8 of the support for C4h, all of it for
     the trivial group); (T-hat of A,) when B is None.
 
-    The rows of T V for every sector come from one product per matrix:
-    the columns at the images of each representative, gathered once,
-    against the sectors' spreads side by side; each sector then folds
-    its own columns.
+    The rows of T V for every sector come from one product per matrix
+    and orbit: the columns at the images of its representative, gathered
+    once, against the sectors' spreads side by side; each sector then
+    folds its own columns.  The products go through scipy's BLAS: a
+    stacked numpy matmul of this size wakes numpy's thread pool, which
+    then spins beside the next sector LU.
     """
     images = sectors[0].images
     values = [P.values for P in (A, B) if P is not None]
@@ -589,7 +589,8 @@ def assemble_sectors(sectors: tuple, A: FourPotential, B: FourPotential | None, 
     folded = []
     for rows in mats:
         cols = np.take(rows.reshape(len(rows), -1, 4), images, axis=1)  # (m, n_o, G, 4)
-        cols = cols.reshape(len(rows), len(images), -1).transpose(1, 0, 2) @ spreads
+        cols = cols.reshape(len(rows), len(images), -1).transpose(1, 0, 2)
+        cols = np.stack([blas_matmul(c, s) for c, s in zip(cols, spreads)])
         tv = cols.transpose(1, 0, 2).reshape(len(rows), len(images), len(sectors), 4)
         folded.append([sector.fold(tv[:, :, i]) for i, sector in enumerate(sectors)])
     return list(zip(*folded))
@@ -722,37 +723,38 @@ def solve_generalized(
 ):
     """Solve (1 - T^{A+B}_{E_k}) phi = chi(j, k, .) and extend.
 
-    Returns (phi on eval_grid, diagnostics dict). Diagnostics: sup_norm
-    (evaluation grid), support_sup, residual (support nodes, sup norm),
-    rcond estimate, at_resonance flag.
+    One _coupling_scan at mu = 0 on the symmetry sectors of A + B that
+    chi reaches, and one sector_solve.  Returns (phi on eval_grid,
+    diagnostics dict). Diagnostics: sup_norm (evaluation grid),
+    support_sup, residual (support nodes, sup norm), rcond, the smallest
+    block estimate (NaN when a block's LU failed), and at_resonance,
+    sector_solve's flag (set when any block is).
     """
     kvec = np.asarray(kvec, dtype=np.float64)
     k = float(np.linalg.norm(kvec))
     V = combine_potentials(A, B)
-    if eval_grid is None:
-        eval_grid = default_eval_grid(V.grid)
+    eval_grid = eval_grid or default_eval_grid(V.grid)
     chi = free_solution(j, kvec)
     sup = V.support_indices()
-    diagnostics: dict = {"at_resonance": False, "rcond": np.inf}
     if len(sup) == 0:
-        vals = chi.values_at(eval_grid.points)
-        phi = SpinorField(eval_grid, vals)
-        diagnostics.update(
-            sup_norm=phi.sup_norm(), support_sup=1.0, residual=0.0, rcond=1.0
+        phi = SpinorField(eval_grid, chi.values_at(eval_grid.points))
+        return phi, dict(
+            sup_norm=phi.sup_norm(), support_sup=1.0, residual=0.0, rcond=1.0, at_resonance=False
         )
-        return phi, diagnostics
 
-    TV = assemble_T(V, k)
-    fac = factor(system_matrix(TV, out=TV))
-    sol, diagnostics["residual"] = fac.solve(chi.values_at(V.grid.points[sup]).reshape(-1))
-    diagnostics.update(rcond=fac.rcond, at_resonance=fac.at_resonance)
+    rhs = chi.values_at(V.grid.points[sup]).reshape(-1)
+    systems = _coupling_scan(symmetry_sectors(V), V, None, k, rhs)(0.0)
+    sol, residual, flagged = sector_solve(systems, rhs)
     phi_sup = sol.reshape(-1, 4)
-    diagnostics["support_sup"] = float(np.max(np.linalg.norm(phi_sup, axis=1)))
     ext = apply_kernel_rows(k, eval_grid.points, V, phi_sup, V.grid.spacing)
-    vals = chi.values_at(eval_grid.points) + ext
-    phi = SpinorField(eval_grid, vals)
-    diagnostics["sup_norm"] = phi.sup_norm()
-    return phi, diagnostics
+    phi = SpinorField(eval_grid, chi.values_at(eval_grid.points) + ext)
+    return phi, dict(
+        sup_norm=phi.sup_norm(),
+        support_sup=float(np.max(np.linalg.norm(phi_sup, axis=1))),
+        residual=residual,
+        rcond=np.min([fac.rcond for _, fac in systems]),
+        at_resonance=flagged,
+    )
 
 
 def _rcond_from_lu(M: np.ndarray, lu, anorm: float) -> float:
@@ -767,7 +769,8 @@ def _rcond_from_lu(M: np.ndarray, lu, anorm: float) -> float:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Dense LU of a system matrix, its 1-norm rcond and resonance flag.
+    """Dense LU of a system matrix, its 1-norm rcond and resonance flag;
+    sector_solve solves with it.
 
     A failed factorization (see factor) has lu None and rcond NaN: it is
     flagged, not read as exactly singular. rcond is computed on first use.
@@ -786,39 +789,16 @@ class Factorization:
     def at_resonance(self) -> bool:
         return not self.rcond >= _RESONANCE_RCOND
 
-    def solve(self, rhs: np.ndarray) -> tuple:
-        """(x, node sup norm of M x - rhs): an LU solve, least squares when
-        flagged, NaN for both when the LU failed.
-
-        An unflagged solve is held to the residual contract
-        residual <= _RESIDUAL_REL sup|rhs| and raises RuntimeError when it
-        misses it. LAPACK's least-squares routine does not return on a
-        non-finite matrix, so a failed factorization yields NaN instead.
-        """
-        x = self._solution(rhs)
-        if self.lu is None:
-            return x, np.nan
-        return x, _residual(blas_matmul(self.matrix, x) - rhs, rhs, self.at_resonance)
-
     def _solution(self, rhs: np.ndarray) -> np.ndarray:
-        """x alone, unchecked: solve and sector_solve check it."""
+        """x of M x = rhs, unchecked (sector_solve checks it): an LU
+        solve, least squares when flagged, NaN when the LU failed.
+        LAPACK's least-squares routine does not return on a non-finite
+        matrix, so a failed factorization yields NaN instead."""
         if self.lu is None:
             return np.full(rhs.shape, np.nan, dtype=np.complex128)
         if self.at_resonance:
             return np.linalg.lstsq(self.matrix, rhs, rcond=None)[0]
         return sla.lu_solve(self.lu, rhs)
-
-
-def _residual(r: np.ndarray, rhs: np.ndarray, flagged: bool) -> float:
-    """The node sup norm of r = M x - rhs (vectors of node-wise 4-spinors).
-    Unless flagged, x is held to the residual contract r <= _RESIDUAL_REL
-    sup|rhs|: RuntimeError when it misses it."""
-    res, scale = (float(np.max(np.linalg.norm(v.reshape(-1, 4), axis=1))) for v in (r, rhs))
-    if not flagged and res > _RESIDUAL_REL * max(scale, 1e-300):
-        raise RuntimeError(
-            f"residual contract violated: {res:.3e} > {_RESIDUAL_REL:.0e} * {scale:.3e}"
-        )
-    return res
 
 
 def factor(M: np.ndarray) -> Factorization:
@@ -833,21 +813,49 @@ def factor(M: np.ndarray) -> Factorization:
     return Factorization(M, lu if np.all(np.isfinite(lu[0])) else None)
 
 
+def _reached(sectors, X: np.ndarray) -> list:
+    """(sector, sector.project(X)) for each sector where X, a vector or a
+    block of columns on the sectors' nodes, has a part whose largest
+    singular value exceeds _SECTOR_REL of X's norm; its parts in the
+    other sectors are round-off."""
+    cut = _SECTOR_REL * np.linalg.norm(X)
+    parts = [(sector, sector.project(X)) for sector in sectors]
+    return [(sector, part) for sector, part in parts if np.linalg.norm(part, 2) > cut]
+
+
+def _coupling_scan(sectors, A: FourPotential, B: FourPotential | None, k: float, rhs):
+    """mu -> [(sector, factor of 1 - T-hat of A + mu B there)] on those
+    of the sectors (symmetry_sectors(A, B)) that rhs, a vector or a
+    block of columns, reaches (see _reached): the systems that
+    sector_solve takes; with B None, 1 - T-hat of A.
+
+    The sector blocks come from one assemble_sectors pass at k, at unit
+    couplings, and are recombined per mu (the contraction is exactly
+    linear in the potential), so each mu costs one small LU per reached
+    sector.
+    """
+    reached = [sector for sector, _ in _reached(sectors, rhs)]
+    blocks = assemble_sectors(reached, A, B, k)
+    return lambda mu: [
+        (sector, factor(system_matrix(*pair, mu=mu))) for sector, pair in zip(reached, blocks)
+    ]
+
+
 def sector_solve(systems: list, rhs: np.ndarray) -> tuple:
     """Solve M x = rhs on the support of a symmetry group's sectors, M
     block diagonal over them, from the factorizations of the blocks M_s
-    on the sectors that rhs reaches.
+    on the sectors that rhs reaches: a _coupling_scan's systems.
 
     systems holds (sector, factorization of M_s) pairs, rhs is a (4 n,)
     vector on the sectors' nodes.  Each block solves the sector
-    coordinates of rhs (Sector.project), by least squares when its
-    factorization is flagged, and the pieces join as x = sum_s V_s x_s
-    (Sector.extend).  Returns (x, residual, flagged): flagged when any
-    block is; residual the node sup norm of sum_s V_s M_s x_s - rhs on
-    the full support, which counts rhs's part in every sector left out.
-    Unless flagged it is held to the residual contract of
-    Factorization.solve.  One trivial sector maps by the identity, so
-    there x is that of factor(M).solve(rhs) bit for bit.
+    coordinates of rhs (Sector.project; Factorization._solution), and
+    the pieces join as x = sum_s V_s x_s (Sector.extend).  Returns (x,
+    residual, flagged): flagged when any block is; residual the node sup
+    norm of sum_s V_s M_s x_s - rhs on the full support, which counts
+    rhs's part in every sector left out.  Unless flagged, the residual
+    contract residual <= _RESIDUAL_REL sup|rhs| holds or RuntimeError is
+    raised.  One trivial sector maps by the identity, so there x is
+    scipy's lu_solve(lu_factor(M), rhs) bit for bit.
     """
     flagged = any(fac.at_resonance for _, fac in systems)
     parts, applied = [], []
@@ -856,7 +864,12 @@ def sector_solve(systems: list, rhs: np.ndarray) -> tuple:
         parts.append(sector.extend(x))
         applied.append(sector.extend(blas_matmul(fac.matrix, x)))
     x, mx = (reduce(np.add, v) for v in (parts, applied))
-    return x, _residual(mx - rhs, rhs, flagged), flagged
+    res, scale = (float(np.max(np.linalg.norm(v.reshape(-1, 4), axis=1))) for v in (mx - rhs, rhs))
+    if not flagged and res > _RESIDUAL_REL * max(scale, 1e-300):
+        raise RuntimeError(
+            f"residual contract violated: {res:.3e} > {_RESIDUAL_REL:.0e} * {scale:.3e}"
+        )
+    return x, res, flagged
 
 
 def cosine_block(n: int, b: int) -> np.ndarray:

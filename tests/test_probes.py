@@ -618,7 +618,6 @@ def test_unflagged_solves_hold_the_residual_contract(monkeypatch, crit_free, cri
         return solver.Factorization(M, real(2.0 * M).lu)
 
     monkeypatch.setattr(solver, "factor", wrong)
-    monkeypatch.setattr(probes, "factor", wrong)
     with pytest.raises(RuntimeError, match="residual"):
         solve_generalized(A, None, 1, (0.0, 0.0, 0.2))
     with pytest.raises(RuntimeError, match="residual"):
@@ -675,7 +674,8 @@ def test_trivial_group_sweep_solutions_are_the_full_lu_bit_for_bit(monkeypatch):
     """A well with only the trivial group (a vector potential whose a_1 is
     nonzero and even) is one sector whose maps are the identity: every
     cell's solution is that of factor(system_matrix(*assemble_pair(...),
-    mu)) on the full support, bit for bit."""
+    mu)) on the full support, scipy's lu_solve(lu_factor(M), chi), bit
+    for bit."""
     grid = Grid3(R, 7)
     shape = build_potential(grid, "spherical-well", 1.0, R, components=(1.0, 0.3, 0.0, 0.0))
     crit = find_critical_coupling(shape, (12.5, 13.3))
@@ -699,15 +699,17 @@ def test_trivial_group_sweep_solutions_are_the_full_lu_bit_for_bit(monkeypatch):
         chi = solver.free_solution(j, k * np.asarray(plan.khat)).values_at(pts).reshape(-1)
         assert chi.tobytes() == rhs.tobytes()
         TA, TB = solver.assemble_pair(A, shape, k)
-        want = solver.factor(solver.system_matrix(TA, TB, mu)).solve(chi)[0]
+        M = solver.system_matrix(TA, TB, mu)
+        want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(M), chi)
         assert want.tobytes() == x.tobytes()
 
 
 def _count_lus(monkeypatch):
-    """Spy on the LUs of probes and on full-size assemblies (solver._assembled
-    on every row, as assemble_T and assemble_pair make)."""
+    """Spy on the LUs of the solves (solver.factor) and on full-size
+    assemblies (solver._assembled on every row, as assemble_T and
+    assemble_pair make)."""
     sizes, full = [], []
-    real_factor, real_assembled = probes.factor, solver._assembled
+    real_factor, real_assembled = solver.factor, solver._assembled
 
     def factor(M):
         sizes.append(len(M))
@@ -718,7 +720,7 @@ def _count_lus(monkeypatch):
             full.append(len(nodes))
         return real_assembled(k, grid, nodes, *values, rows=rows)
 
-    monkeypatch.setattr(probes, "factor", factor)
+    monkeypatch.setattr(solver, "factor", factor)
     monkeypatch.setattr(solver, "_assembled", assembled)
     return sizes, full
 
@@ -727,8 +729,10 @@ def test_coupling_scans_make_only_sector_lus(monkeypatch, crit_free, crit_res, b
     """On the n = 9 C4h well the sweep makes one LU per reached sector and
     (mu, k): 4 on the z axis, 8 off it, none larger than the largest
     sector block, and no full-size assembly (assemble_pair is gone from
-    probes).  mu_peak and the resonance-class probe make no full-size LU
-    either."""
+    probes).  mu_peak, the resonance-class probe, solve_generalized, the
+    inverse-bound probe (whose anisotropic default probe field reaches
+    all 8 sectors) and the m = 2 derivative recursion make no full-size
+    LU or assembly either."""
     assert not hasattr(probes, "assemble_pair")
     A = crit_free.critical_potential()
     largest = max(len(sec.index) for sec in solver.symmetry_sectors(A, b0))
@@ -747,6 +751,18 @@ def test_coupling_scans_make_only_sector_lus(monkeypatch, crit_free, crit_res, b
     assert sizes and max(sizes) <= max(
         len(sec.index) for sec in solver.symmetry_sectors(crit_res.critical_potential())
     )
+    B = b0.rescaled(0.05)
+    for solve in (
+        lambda: solve_generalized(A, B, 1, (0.0, 0.0, 0.2)),
+        lambda: derivative_recursion(A, B, 1, (0.0, 0.0, 0.2), 2, eval_grid=Grid3(1.5, 7)),
+    ):
+        del sizes[:]
+        solve()
+        assert len(sizes) == 4 and max(sizes) <= largest  # chi on the z axis
+    del sizes[:]
+    m_perp = default_probe_field(crit_free)
+    inverse_bound_probe(crit_free, B, (0.0, 0.0, 0.2), crit_free.basis[0], m_perp)
+    assert len(sizes) == 8 and max(sizes) <= largest
     assert full == []
 
 
@@ -755,8 +771,9 @@ def test_a_wrongly_skipped_sector_breaks_the_residual_contract(
 ):
     """The contract is checked on the full support, so the part of a
     right-hand side in a reached sector that is skipped (its projection
-    made zero) raises in the sweep, mu_peak and the resonance-class
-    probe instead of passing."""
+    made zero) raises in the sweep, mu_peak, the resonance-class probe,
+    solve_generalized, the inverse-bound probe and the derivative
+    recursion instead of passing."""
     A = crit_free.critical_potential()
     pts = A.grid.points[b0.support_indices()]
     chi = solver.free_solution(1, (0.0, 0.0, 0.2)).values_at(pts).reshape(-1)
@@ -778,6 +795,14 @@ def test_a_wrongly_skipped_sector_breaks_the_residual_contract(
         mu_peak(crit_free, b0, 0.2, (0.01, 0.05))
     with pytest.raises(RuntimeError, match="residual"):
         lambda1_probe(crit_res, None, (0.1,))
+    B = b0.rescaled(0.05)
+    m_perp = default_probe_field(crit_free)
+    with pytest.raises(RuntimeError, match="residual"):
+        solve_generalized(A, B, 1, (0.0, 0.0, 0.2))
+    with pytest.raises(RuntimeError, match="residual"):
+        inverse_bound_probe(crit_free, B, (0.0, 0.0, 0.2), crit_free.basis[0], m_perp)
+    with pytest.raises(RuntimeError, match="residual"):
+        derivative_recursion(A, B, 1, (0.0, 0.0, 0.2), 2, eval_grid=Grid3(1.5, 7))
 
 
 def test_a_flagged_sector_flags_its_cell_only(monkeypatch, crit_free, b0):
@@ -788,7 +813,7 @@ def test_a_flagged_sector_flags_its_cell_only(monkeypatch, crit_free, b0):
     plan = SweepPlan(crit_free, b0, mus=(0.01, 0.03), ks=(0.2,), js=(1, 2))
     clean = resonance_sweep(plan)
     calls, lstsq = [], []
-    real_factor, real_lstsq = probes.factor, np.linalg.lstsq
+    real_factor, real_lstsq = solver.factor, np.linalg.lstsq
 
     class Flagged(solver.Factorization):
         rcond = 0.0
@@ -802,7 +827,7 @@ def test_a_flagged_sector_flags_its_cell_only(monkeypatch, crit_free, b0):
         lstsq.append(1)
         return real_lstsq(*args, **kwargs)
 
-    monkeypatch.setattr(probes, "factor", factor)
+    monkeypatch.setattr(solver, "factor", factor)
     monkeypatch.setattr(np.linalg, "lstsq", counted)
     flagged = resonance_sweep(plan)
     assert len(calls) == 8 and len(lstsq) == len(plan.js)

@@ -648,7 +648,8 @@ def test_default_extension_evaluates_the_offset_table_once(monkeypatch):
 
     kvec = [0.1, 0.0, 0.0]
     chi = free_solution(1, kvec).values_at(spts)
-    u, _ = solver.factor(solver.system_matrix(assemble_T(A, 0.1))).solve(chi.reshape(-1))
+    M = solver.system_matrix(assemble_T(A, 0.1))
+    u = scipy.linalg.lu_solve(scipy.linalg.lu_factor(M), chi.reshape(-1))
     phi, _ = solve_generalized(A, None, 1, kvec)
     assert phi.grid.same_layout(eval_grid)
     scale = np.max(np.linalg.norm(chi, axis=1))
@@ -999,6 +1000,17 @@ def test_crossing_count_rejects_a_singular_potential_node():
         crossing_count(V, 0.1)
 
 
+def _trivial_sector(n_nodes: int):
+    """The one sector of a support of n_nodes nodes on the positive z
+    axis of Grid3(R, 5), which inversion does not map onto itself: the
+    trivial group, whose maps are the identity."""
+    values = np.zeros((125, 4))
+    values[63 : 63 + n_nodes, 0] = 1.0  # node (2, 2, 3) and up
+    (sector,) = solver.symmetry_sectors(FourPotential(make_grid(5), "row", 1.0, R, values))
+    assert sector.order == 1 and len(sector.nodes) == n_nodes
+    return sector
+
+
 def test_failed_factorization_is_flagged_with_nan_rcond(monkeypatch):
     """A NaN system matrix is a failure, not a resonance: rcond is NaN
     (never 0.0, which would read as exactly singular), the cell is still
@@ -1011,9 +1023,14 @@ def test_failed_factorization_is_flagged_with_nan_rcond(monkeypatch):
 
     grid = make_grid(5)
     A = build_potential(grid, "spherical-well", -0.5, R)
-    broken = assemble_T(A, 0.1)
-    broken[0, 1] = np.nan
-    monkeypatch.setattr(solver, "assemble_T", lambda *args, **kw: broken)
+    real = solver.assemble_sectors
+
+    def broken(*args, **kwargs):
+        blocks = real(*args, **kwargs)
+        blocks[0][0][0, 1] = np.nan
+        return blocks
+
+    monkeypatch.setattr(solver, "assemble_sectors", broken)
     phi, diag = solve_generalized(A, None, 1, [0.1, 0.0, 0.0])
     assert np.isnan(diag["rcond"])
     assert diag["at_resonance"]
@@ -1028,30 +1045,38 @@ def test_non_finite_lu_is_a_failed_factorization():
     m = np.array([[1.0, 1e308], [1.0, -1e308]])
     fac = solver.factor(m)
     assert fac.lu is None and np.isnan(fac.rcond) and fac.at_resonance
-    assert np.all(np.isnan(fac.solve(np.ones(2))[0]))
+    node = np.eye(4)
+    node[:2, :2] = m  # the same overflow in a one-node block
+    x, _, _ = solver.sector_solve([(_trivial_sector(1), solver.factor(node))], np.ones(4))
+    assert np.all(np.isnan(x))
     assert np.isnan(smallest_singular_value(m))
     assert solver.subspace_iteration(fac, 1) is None
 
 
 def test_solve_returns_its_residual():
-    """Factorization.solve returns (x, node sup norm of M x - rhs). An LU
-    solve meets the contract; a flagged least-squares solve reports its
-    residual without raising; a failed LU gives NaN for both."""
+    """sector_solve returns (x, node sup norm of M x - rhs, flagged). An
+    LU solve meets the contract; a flagged least-squares solve reports
+    its residual without raising; a failed LU gives NaN for both."""
     rng = np.random.default_rng(5)
+    sector = _trivial_sector(2)
     m = np.eye(8) + 0.1 * rng.normal(size=(8, 8))
     rhs = rng.normal(size=8) + 0j
-    x, res = solver.factor(m).solve(rhs)
+    x, res, flagged = solver.sector_solve([(sector, solver.factor(m))], rhs)
+    assert not flagged
     assert res <= 1e-12 * np.max(np.abs(rhs))
     np.testing.assert_allclose(m @ x, rhs, rtol=0.0, atol=1e-12)
 
     m[:, 0] = m[:, 1]
     fac = solver.factor(m)
     assert fac.at_resonance
-    x, res = fac.solve(rhs)
+    x, res, flagged = solver.sector_solve([(sector, fac)], rhs)
+    assert flagged
     assert res == np.max(np.linalg.norm((m @ x - rhs).reshape(-1, 4), axis=1))
     assert res > 1e-8
 
-    x, res = solver.factor(np.array([[1.0, 1e308], [1.0, -1e308]])).solve(np.ones(2))
+    node = np.eye(4)
+    node[:2, :2] = [[1.0, 1e308], [1.0, -1e308]]
+    x, res, _ = solver.sector_solve([(_trivial_sector(1), solver.factor(node))], np.ones(4))
     assert np.all(np.isnan(x)) and np.isnan(res)
 
 
