@@ -27,13 +27,19 @@ QUADRATURE
     A target on the source lattice has its blocks depend only on the
     integer offsets i_t - i_s. Per kernel call, the rule is evaluated
     once at every offset of the box that the call's on-lattice targets
-    and the sources span (the 5^3 near cells are its centre block), and
-    each chunk of on-lattice targets gathers table[i_t - i_s]: the 33^3
-    classify grid at n = 9 has 9.2M pairs but 41^3 offsets. So on the
-    lattice T-hat is exactly translation invariant, and where h is a
-    power of two the offset times h is x_t - y_s exactly. Off-lattice
-    targets use x_t - y_s, one pair at a time. The default evaluation
-    grid (default_eval_grid) lies on the lattice.
+    and the sources span (the 5^3 near cells are its centre block): the
+    33^3 classify grid at n = 9 has 9.2M pairs but 41^3 offsets. So on
+    the lattice T-hat is exactly translation invariant, and where h is a
+    power of two the offset times h is x_t - y_s exactly. Dense assembly
+    gathers table[i_t - i_s] for each chunk of targets, one table per
+    assembly.  apply_kernel_rows does not gather: its on-lattice rows
+    are a discrete convolution of the table with the folded fields,
+    computed by zero-padded FFTs (_convolved_rows).  Its round-off is
+    spread over the box, so it is about 1e-15 of the largest row, not
+    of each entry (an entry 1e-3 of the largest moves by up to about
+    1e-13 of itself).  Off-lattice targets use x_t - y_s, one pair at a
+    time. The default evaluation grid (default_eval_grid) lies on the
+    lattice.
 
     Every quadrature block lies in the span of the Clifford basis
     (I, beta, alpha_1, alpha_2, alpha_3) (see the kernel module): the
@@ -41,9 +47,10 @@ QUADRATURE
     derivative orders, and every average over subcells or table entries.
     So quadrature is computed as (nt, ns, 5) complex coefficients, in
     chunks of about _PAIR_BUDGET target-source pairs. apply_kernel_rows
-    applies a chunk to any number of fields as one complex GEMM,
-    C.reshape(t, 5 ns) @ Y with Y[s, c] = B_c (A f)_s; only dense
-    assembly expands coefficients into 4x4 blocks.
+    applies an off-lattice chunk to any number of fields as one complex
+    GEMM, C.reshape(t, 5 ns) @ Y with Y[s, c] = B_c (A f)_s, and an
+    on-lattice target set the symbol sum_c That_c B_c in frequency
+    space; only dense assembly expands coefficients into 4x4 blocks.
 
 SOLVES
     One path: _coupling_scan assembles T-hat's blocks on the symmetry
@@ -95,8 +102,8 @@ SOLVES
     eight, instead of one matrix of 1004.
 
     Matrix-sized products go through scipy's BLAS (kernel.blas_matmul,
-    or zgemm for the kernel rows), so numpy's separate OpenBLAS thread
-    pool never spins beside an LU.
+    or zgemm for the off-lattice kernel rows), so numpy's separate
+    OpenBLAS thread pool never spins beside an LU.
 """
 
 from __future__ import annotations
@@ -106,6 +113,7 @@ from functools import cached_property, reduce
 import warnings
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.linalg as sla
 
 from .algebra import alpha_stack, beta, identity4
@@ -252,14 +260,27 @@ def _quadrature_coefficients(k, disp: np.ndarray, h: float, order: int) -> np.nd
     return out
 
 
-def _lattice_rule(k, lt: np.ndarray, ls: np.ndarray, h: float, order: int):
-    """rows -> coefficients (t, ns, 5) of the targets with integer lattice
-    indices lt[rows] against the sources with indices ls.
+def _lattice_indices(targets: np.ndarray, sources: np.ndarray, h: float) -> tuple:
+    """(on, lt, ls): the integer lattice indices of the targets and the
+    sources, counted from sources[0] in steps of h, and on, which marks
+    the targets within _LATTICE_TOL h of a node.  No target is on the
+    lattice when the sources are not all on it, or there are none."""
+    on = np.zeros(len(targets), dtype=bool)
+    if not len(sources):
+        return on, None, None
+    src = (sources - sources[0]) / h
+    tgt = (targets - sources[0]) / h
+    ls, lt = np.rint(src).astype(np.int64), np.rint(tgt).astype(np.int64)
+    if np.all(np.abs(src - ls) <= _LATTICE_TOL):
+        on = np.all(np.abs(tgt - lt) <= _LATTICE_TOL, axis=1)
+    return on, lt, ls
 
-    They depend on the offsets lt - ls only, so they are gathered from
-    one table of the box of offsets that lt and ls span, built in chunks
-    of _PAIR_BUDGET offsets.
-    """
+
+def _offset_table(k, lt: np.ndarray, ls: np.ndarray, h: float, order: int) -> tuple:
+    """(table, lo): the Clifford coefficients (d0, d1, d2, 5) of the rule
+    at every integer offset lo + (a, b, c) of the box that the offsets
+    lt - ls of targets lt against sources ls span, built in chunks of
+    _PAIR_BUDGET offsets.  Each entry is the rule at its own offset."""
     lo = lt.min(axis=0) - ls.max(axis=0)
     dims = lt.max(axis=0) - ls.min(axis=0) - lo + 1
     offsets = lo + np.indices(dims).reshape(3, -1).T  # row-major over the box
@@ -267,41 +288,38 @@ def _lattice_rule(k, lt: np.ndarray, ls: np.ndarray, h: float, order: int):
     for s in range(0, len(offsets), _PAIR_BUDGET):
         chunk = offsets[s : s + _PAIR_BUDGET] * h
         table[s : s + _PAIR_BUDGET] = _quadrature_coefficients(k, chunk, h, order)
-    strides = np.array([dims[1] * dims[2], dims[2], 1])
-    kt, ks = (lt - lo) @ strides, ls @ strides
-    return lambda rows: table[kt[rows, None] - ks]
+    return table.reshape(tuple(dims) + (5,)), lo
 
 
-def _coefficient_chunks(k, targets, sources, h, order):
+def _coefficient_chunks(k, targets, sources, h, order, table=None):
     """(target rows, coefficients) for each target chunk of the quadrature.
 
     Sources are nodes of a lattice of spacing h.  A target within
     _LATTICE_TOL h of one of its nodes is on the lattice, and its
-    coefficients are gathered from the offset table of _lattice_rule;
-    the other targets use their displacements x_t - y_s, pair by pair.
-    Off-lattice chunks come first, so the offset table is not held while
-    they are computed; each chunk holds at most _chunk_rows(ns) targets
-    in order.
+    coefficients are gathered from an _offset_table of its offsets to
+    the sources: table when given (it must cover them), else one built
+    here; the other targets use their displacements x_t - y_s, pair by
+    pair.  Off-lattice chunks come first, so the offset table is not
+    held while they are computed; each chunk holds at most
+    _chunk_rows(ns) targets in order.
     """
     k = complex(k)
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     sources = np.atleast_2d(np.asarray(sources, dtype=np.float64))
     step = _chunk_rows(len(sources))
-    on = np.zeros(len(targets), dtype=bool)
-    if len(sources):
-        src = (sources - sources[0]) / h
-        tgt = (targets - sources[0]) / h
-        ls, lt = np.rint(src).astype(np.int64), np.rint(tgt).astype(np.int64)
-        if np.all(np.abs(src - ls) <= _LATTICE_TOL):
-            on = np.all(np.abs(tgt - lt) <= _LATTICE_TOL, axis=1)
+    on, lt, ls = _lattice_indices(targets, sources, h)
     rows_off, rows_on = np.flatnonzero(~on), np.flatnonzero(on)
     for s in range(0, len(rows_off), step):
         rows = rows_off[s : s + step]
         yield rows, _quadrature_coefficients(k, targets[rows, None] - sources, h, order)
     if len(rows_on):
-        lattice = _lattice_rule(k, lt[rows_on], ls, h, order)
+        coeffs, lo = table or _offset_table(k, lt[rows_on], ls, h, order)
+        dims = coeffs.shape[:3]
+        strides = np.array([dims[1] * dims[2], dims[2], 1])
+        kt, ks = (lt[rows_on] - lo) @ strides, ls @ strides
+        flat = coeffs.reshape(-1, 5)
         for s in range(0, len(rows_on), step):
-            yield rows_on[s : s + step], lattice(slice(s, s + step))
+            yield rows_on[s : s + step], flat[kt[s : s + step, None] - ks]
 
 
 def assemble_kernel_blocks(
@@ -310,15 +328,20 @@ def assemble_kernel_blocks(
     sources: np.ndarray,
     h: float,
     order: int = 0,
+    *,
+    table: tuple | None = None,
 ) -> np.ndarray:
     """Quadrature blocks int_cell(y_j) d^order G(x_i - y) dy as (nt, ns, 4, 4).
 
     Targets on the source lattice take their blocks from integer
     offsets, the others from their displacements, so mixed target sets
-    are fine.  Only dense assembly needs the 4x4 blocks; apply_kernel_rows
-    works on the coefficients.
+    are fine.  A chunked caller passes one _offset_table of the sources
+    that covers all its targets as table, so the chunks share it (see
+    _coefficient_chunks); the blocks are the same bits.  Only dense
+    assembly needs the 4x4 blocks; apply_kernel_rows works on the
+    coefficients.
     """
-    chunks = list(_coefficient_chunks(k, targets, sources, h, order))
+    chunks = list(_coefficient_chunks(k, targets, sources, h, order, table))
     if len(chunks) == 1:  # one chunk holds every target, in order
         return expand(chunks[0][1])
     nt, ns = len(np.atleast_2d(targets)), len(np.atleast_2d(sources))
@@ -360,7 +383,8 @@ def _assembled(k, grid: Grid3, nodes: np.ndarray, *pot_values: np.ndarray, rows=
     """Dense T-hat of each (n_nodes, 4) potential array on one node set,
     or its rows of the nodes at positions ``rows`` only.
 
-    Each chunk of targets gets its 4x4 blocks from one
+    The rule is evaluated once, on the offset table of all the rows.
+    Each chunk of targets gathers its 4x4 blocks from it in one
     assemble_kernel_blocks call and is contracted once per potential
     straight into the matrix rows.  The chunk budget counts each
     target-source pair once per potential, so a pair assembly, which
@@ -372,9 +396,13 @@ def _assembled(k, grid: Grid3, nodes: np.ndarray, *pot_values: np.ndarray, rows=
     n = len(pts)
     rows = np.arange(n) if rows is None else rows
     mats = [np.empty((4 * len(rows), 4 * n), dtype=np.complex128) for _ in vals]
+    if not len(rows):
+        return mats
+    _, lt, ls = _lattice_indices(pts[rows], pts, grid.spacing)
+    table = _offset_table(k, lt, ls, grid.spacing, 0)
     step = _chunk_rows(n * len(vals))
     for s in range(0, len(rows), step):
-        blocks = assemble_kernel_blocks(k, pts[rows[s : s + step]], pts, grid.spacing)
+        blocks = assemble_kernel_blocks(k, pts[rows[s : s + step]], pts, grid.spacing, table=table)
         for mat, v in zip(mats, vals):
             contract_potential(blocks, v, out=mat[4 * s : 4 * (s + step)])
     return mats
@@ -608,29 +636,119 @@ def apply_kernel_rows(
 
     f_support: (n_support, 4) samples of f on the support nodes of A, or
     a stack (m, n_support, 4) of m such fields; the result is (nt, 4),
-    or (nt, m, 4) for a stack.  Each target chunk's (t, ns, 5) Clifford
-    coefficients are computed once and applied to every field as one
-    complex GEMM against Y[s, c] = B_c (A f)_s, so memory stays bounded
-    regardless of the number of targets.
+    or (nt, m, 4) for a stack.
 
-    The sources are padded to a multiple of 8 by copies of the first with
-    zero rows of Y: at a contraction length that is a multiple of 8 the
-    zgemm's bits do not depend on the BLAS thread count.
+    Targets on the support lattice take every row from one discrete
+    convolution (_convolved_rows).  Off the lattice, each target chunk's
+    (t, ns, 5) Clifford coefficients are computed once and applied to
+    every field as one complex GEMM against Y[s, c] = B_c (A f)_s, so
+    memory stays bounded regardless of the number of targets.  For that
+    GEMM the sources are padded to a multiple of 8 by copies of the first
+    with zero rows of Y: at a contraction length that is a multiple of 8
+    the zgemm's bits do not depend on the BLAS thread count.
     """
     sup = A.support_indices()
     spts = A.grid.points[sup]
-    spts = np.concatenate([spts, np.repeat(spts[:1], -len(spts) % 8, axis=0)])
     f = np.asarray(f_support)
     stack = f if f.ndim == 3 else f[None]
-    af = np.zeros((len(stack), len(spts), 4), dtype=np.complex128)
-    af[:, : len(sup)] = [fold_rows(A.values[sup], g) for g in stack]
-    y = np.einsum("cij,msj->scmi", CLIFFORD_BASIS, af).reshape(5 * len(spts), 4 * len(stack))
+    af = np.array([fold_rows(A.values[sup], g) for g in stack]).reshape(len(stack), len(sup), 4)
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    out = np.empty((len(targets), y.shape[1]), dtype=np.complex128)
-    for rows, coeffs in _coefficient_chunks(k, targets, spts, h, order):
-        # zgemm even for a one-row chunk: zgemv's bits depend on the threads
-        out[rows] = sla.blas.zgemm(1.0, y.T, coeffs.reshape(len(rows), y.shape[0]).T).T
+    out = np.empty((len(targets), len(stack), 4), dtype=np.complex128)
+    on, lt, ls = _lattice_indices(targets, spts, h)
+    if np.any(on):
+        out[on] = _convolved_rows(k, lt[on], ls, af, h, order)
+    if not np.all(on):
+        out[~on] = _gemm_rows(k, targets[~on], spts, af, h, order)
     return out.reshape((len(targets),) + f.shape[:-2] + (4,))
+
+
+def _gemm_rows(k, targets: np.ndarray, spts: np.ndarray, af: np.ndarray, h: float, order: int):
+    """Kernel rows (t, m, 4) at any targets of the folded fields af (m,
+    ns, 4) at the source points spts, chunk by chunk, one zgemm each."""
+    pad = -len(spts) % 8
+    spts = np.concatenate([spts, np.repeat(spts[:1], pad, axis=0)])
+    af = np.concatenate([af, np.zeros((len(af), pad, 4), dtype=np.complex128)], axis=1)
+    y = np.einsum("cij,msj->scmi", CLIFFORD_BASIS, af).reshape(5 * len(spts), 4 * len(af))
+    out = np.empty((len(targets), y.shape[1]), dtype=np.complex128)
+    step = _chunk_rows(len(spts))
+    for s in range(0, len(targets), step):
+        coeffs = _quadrature_coefficients(k, targets[s : s + step, None] - spts, h, order)
+        # zgemm even for a one-row chunk: zgemv's bits depend on the threads
+        out[s : s + step] = sla.blas.zgemm(1.0, y.T, coeffs.reshape(len(coeffs), -1).T).T
+    return out.reshape(len(targets), len(af), 4)
+
+
+def _padded_fft(x: np.ndarray, shape) -> np.ndarray:
+    """The FFT over the last three axes of x zero-padded to shape, one
+    axis at a time from the last, each padded as it is transformed: the
+    lines of the padding that hold only zeros are never transformed."""
+    for axis, n in zip((-1, -2, -3), shape[::-1]):
+        x = sfft.fft(x, n=n, axis=axis)
+    return x
+
+
+def _cropped_ifft(x: np.ndarray, start, stop) -> np.ndarray:
+    """The inverse FFT over the last three axes of x, cut to start:stop,
+    one axis at a time from the first, each cut as soon as it is done.
+    x is overwritten."""
+    for axis in range(3):
+        x = sfft.ifft(x, axis=axis - 3, overwrite_x=True)
+        x = x[(Ellipsis, slice(start[axis], stop[axis])) + (slice(None),) * (2 - axis)]
+    return x
+
+
+def _symbol_terms() -> tuple:
+    """(weights, terms): the entry (i, j) of the symbol sum_c x_c B_c (B
+    = CLIFFORD_BASIS) is sum_c w_c x_c for one of the distinct weight
+    rows w = B[:, i, j], and terms[i] lists the (w's index, j) of row
+    i's nonzero entries."""
+    weights, terms = [], [[] for _ in range(4)]
+    for i, j in zip(*np.nonzero(np.any(CLIFFORD_BASIS, axis=0))):
+        w = tuple(CLIFFORD_BASIS[:, i, j])
+        if w not in weights:
+            weights.append(w)
+        terms[i].append((weights.index(w), j))
+    return weights, terms
+
+
+_SYMBOL_WEIGHTS, _SYMBOL_TERMS = _symbol_terms()
+
+
+def _convolved_rows(k, lt: np.ndarray, ls: np.ndarray, af: np.ndarray, h: float, order: int):
+    """Kernel rows (t, m, 4) at the targets with lattice indices lt of
+    the folded fields af (m, ns, 4) at the sources with indices ls.
+
+    Row t is sum_s sum_c table_c[lt_t - ls_s] B_c af_s: a discrete
+    convolution of the _offset_table with the fields laid out on their
+    source box, read off at the targets.  Zero-padded to the
+    next_fast_len of the table's box on each axis, the circular
+    convolution is the linear one there.  In frequency space it is the
+    4x4 Clifford symbol sum_c That_c B_c applied to each field's
+    transform: one transform per distinct symbol entry (6), 4m forward
+    and 4m inverse ones, the inverse one spinor component at a time so
+    that only one component of the product is held.  scipy.fft runs on
+    one worker, so the bits do not depend on threads.
+    """
+    table, _ = _offset_table(k, lt, ls, h, order)
+    shape = [sfft.next_fast_len(int(d)) for d in table.shape[:3]]
+    symbols = [
+        _padded_fft(sum(w[c] * table[..., c] for c in np.flatnonzero(w)), shape)
+        for w in _SYMBOL_WEIGHTS
+    ]
+    del table
+    s0 = ls.min(axis=0)
+    box = ls.max(axis=0) - s0 + 1
+    field = np.zeros((len(af), 4) + tuple(box), dtype=np.complex128)
+    field[(slice(None), slice(None)) + tuple((ls - s0).T)] = af.transpose(0, 2, 1)
+    fhat = _padded_fft(field, shape)
+    # the linear convolution holds target lt at lt - min(lt) + box - 1
+    at = lt - lt.min(axis=0)
+    rows = np.empty((len(lt), len(af), 4), dtype=np.complex128)
+    for i, terms in enumerate(_SYMBOL_TERMS):
+        ghat = sum(symbols[w] * fhat[:, j] for w, j in terms)
+        g = _cropped_ifft(ghat, box - 1, box + at.max(axis=0))
+        rows[:, :, i] = g[(slice(None),) + tuple(at.T)].T
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +772,8 @@ def combine_potentials(A: FourPotential, B: FourPotential | None) -> FourPotenti
 
 def default_eval_grid(support_grid: Grid3) -> Grid3:
     """The box of twice the support's half-width on the support lattice,
-    so every extension to it gathers its kernel rows from one offset table."""
+    so every extension to it takes its kernel rows from one offset table
+    by one FFT convolution."""
     return Grid3(2.0 * support_grid.half_width, 2 * support_grid.nodes_per_axis - 1)
 
 

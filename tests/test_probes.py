@@ -862,7 +862,7 @@ import numpy as np
 from threshold_dirac.critical import find_critical_coupling
 from threshold_dirac.potentials import Grid3, build_potential
 from threshold_dirac.probes import SweepPlan, resonance_sweep
-from threshold_dirac.solver import apply_kernel_rows
+from threshold_dirac.solver import apply_kernel_rows, default_eval_grid
 grid = Grid3(1.0, 7)
 shape = build_potential(grid, "spherical-well", 1.0, 1.0)
 crit = find_critical_coupling(shape, (5.0, 9.0))
@@ -873,17 +873,21 @@ rows = [[r.sup_norm, r.n_part_norm, r.residual_part, r.predicted_bound, r.n_part
 sup = shape.support_indices()
 f = np.cos(np.arange(3 * len(sup) * 4)).reshape(3, len(sup), 4) * (1 + 0.5j)
 ext = apply_kernel_rows(0.15, plan.crit.shape.grid.points * 1.7, shape, f, grid.spacing)
+lat = apply_kernel_rows(0.15, default_eval_grid(grid).points, shape, f, grid.spacing)
 print(json.dumps({"records": [[v.hex() for v in row] for row in rows],
-                  "rows": [v.hex() for v in ext.view(float).ravel()[::7].tolist()]}))
+                  "rows": [v.hex() for v in ext.view(float).ravel()[::7].tolist()],
+                  "lattice": [v.hex() for v in lat.view(float).ravel()[::7].tolist()]}))
 """
 
 
 def test_sweep_records_deterministic_across_thread_settings():
-    """Kernel rows are one GEMM per target chunk and come out bit-identical
-    with 1 and 2 BLAS threads. Across BLAS thread counts the sweep records
-    agree only to round-off: OpenBLAS's LU (zgetrf) of the cell systems
-    differs in its last bits between 1 and 2 threads (measured about 1e-12
-    relative on these near-resonant cells)."""
+    """Kernel rows come out bit-identical with 1 and 2 BLAS threads: off
+    the lattice one GEMM per target chunk, on it (the default evaluation
+    grid) one FFT convolution, which uses no BLAS and one scipy.fft
+    worker. Across BLAS thread counts the sweep records agree only to
+    round-off: OpenBLAS's LU (zgetrf) of the cell systems differs in its
+    last bits between 1 and 2 threads (measured about 1e-12 relative on
+    these near-resonant cells)."""
     import json
     import os
     import subprocess
@@ -901,6 +905,7 @@ def test_sweep_records_deterministic_across_thread_settings():
         runs.append(json.loads(proc.stdout))
     assert len(runs[0]["records"]) == 8
     assert runs[0]["rows"] == runs[1]["rows"]
+    assert runs[0]["lattice"] == runs[1]["lattice"]
     one = np.array([[float.fromhex(v) for v in row] for row in runs[0]["records"]])
     two = np.array([[float.fromhex(v) for v in row] for row in runs[1]["records"]])
     assert np.all(np.abs(one - two) <= 1e-9 * np.abs(one))

@@ -138,9 +138,9 @@ def test_pair_assembly_spans_chunks_and_matches_assemble_T(monkeypatch):
     calls = []
     kernel_blocks = solver.assemble_kernel_blocks
 
-    def spy(k, targets, sources, h, order=0):
+    def spy(k, targets, sources, h, order=0, **kw):
         calls.append(len(targets))
-        return kernel_blocks(k, targets, sources, h, order)
+        return kernel_blocks(k, targets, sources, h, order, **kw)
 
     monkeypatch.setattr(solver, "_PAIR_BUDGET", 2000)
     monkeypatch.setattr(solver, "assemble_kernel_blocks", spy)
@@ -593,6 +593,73 @@ def _count_kernel_rows(monkeypatch):
 
     monkeypatch.setattr(solver, "kernel_coefficients", spy)
     return rows
+
+
+def _gathered_rows(k, targets, A, fields, h, order):
+    """Reference rows: the offset-table coefficients of _coefficient_chunks
+    contracted with Y[s, c] = B_c (A f)_s by one product per chunk."""
+    sup = A.support_indices()
+    folded = np.stack([fold_rows(A.values[sup], f) for f in fields])
+    y = np.einsum("cij,msj->scmi", CLIFFORD_BASIS, folded).reshape(5 * len(sup), -1)
+    out = np.empty((len(targets), y.shape[1]), dtype=complex)
+    for rows, coeffs in solver._coefficient_chunks(k, targets, A.grid.points[sup], h, order):
+        out[rows] = coeffs.reshape(len(rows), -1) @ y
+    return out.reshape(len(targets), len(fields), 4)
+
+
+def _far_pair(grid):
+    """Two lattice nodes far apart: the centre and 40 cells out on x."""
+    return np.array([[0.0, 0.0, 0.0], [40.0 * grid.spacing, -grid.spacing, 0.0]])
+
+
+def _mixed(grid):
+    """On-lattice targets of the default grid, every 9th shifted off it."""
+    pts = solver.default_eval_grid(grid).points[::5].copy()
+    pts[::9] += np.array([0.3, -0.2, 0.45]) * grid.spacing
+    return pts
+
+
+@pytest.mark.parametrize(
+    "n, k, order, m, targets",
+    [
+        (9, 0.0, 0, 1, lambda grid: Grid3(4.0 * R, 33).points),  # the classify grid
+        (9, 0.2, 0, 8, lambda grid: solver.default_eval_grid(grid).points),
+        (7, 0.4j, 2, 3, lambda grid: solver.default_eval_grid(grid).points),
+        (7, 0.2, 1, 2, _far_pair),
+        (7, 0.3, 0, 2, _mixed),
+    ],
+    ids=["classify", "stack8", "imaginary-order2", "far-pair", "mixed"],
+)
+def test_fft_rows_match_the_table_gather(n, k, order, m, targets):
+    """On-lattice rows come from one FFT convolution of the offset table;
+    they equal the table's gathered coefficients contracted by a product
+    to 1e-13 of the largest row (measured up to 9e-16).  The bound is on
+    rows, not entries: an FFT's round-off is spread over the whole box."""
+    grid = make_grid(n)
+    A = build_potential(grid, "spherical-well", 1.0, R, components=(1.0, 0.2, -0.1, 0.3))
+    sup = A.support_indices()
+    fields = np.stack([smooth_field(grid, seed=s).values[sup] * (1 + 0.3j * s) for s in range(m)])
+    fields[1:] = np.roll(fields[1:], 7, axis=1)
+    pts = targets(grid)
+    got = apply_kernel_rows(k, pts, A, fields, grid.spacing, order=order)
+    want = _gathered_rows(k, pts, A, fields, grid.spacing, order)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_assembly_evaluates_one_offset_table(monkeypatch):
+    """assemble_T of the cell-averaged well at n = 13 (925 support nodes
+    filling the 13^3 box, 9 target chunks) evaluates the kernel at the
+    25^3 offsets of one table plus the 124 x 64 subcells of its near
+    block, not one table per chunk (137,952 rows)."""
+    A = build_potential(
+        make_grid(13), "spherical-well", 1.0, R, w=0.12, cell_average=True, subsamples=5
+    )
+    n = len(A.support_indices())
+    assert n == 925 and -(-n // solver._chunk_rows(n)) == 9
+    rows = _count_kernel_rows(monkeypatch)
+    T = assemble_T(A, 0.2)
+    assert T.shape == (4 * n, 4 * n) and np.all(np.isfinite(T))
+    assert sum(rows) <= 25**3 + 124 * 64
 
 
 def test_sparse_on_lattice_targets_match_the_dense_rows():
