@@ -42,7 +42,6 @@ from .probes import (
     inverse_bound_probe,
     resonance_sweep,
 )
-from .radial import RadialWell, critical_coupling
 from . import configio as cio
 
 __all__ = ["main", "oracle_convergence", "plan_from_config", "DEFAULT_LEVELS"]
@@ -277,8 +276,12 @@ def oracle_convergence(levels=DEFAULT_LEVELS):
 
     The 3D solve uses a cell-averaged spherical well whose edge width
     shrinks with the grid; the target is the sharp-well root from the
-    radial oracle, computed live.
+    radial oracle, computed live.  The oracle (and with it
+    scipy.integrate and scipy.optimize) is imported here, so the other
+    commands start without it.
     """
+    from .radial import RadialWell, critical_coupling
+
     v0 = critical_coupling(RadialWell(1.0, 1.0, -1, 0.0), _SHARP_BRACKET)
     rows = []
     for level, (n, w, sub) in enumerate(levels, start=1):

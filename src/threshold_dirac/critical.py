@@ -54,6 +54,7 @@ from .solver import (
     smallest_singular_value,
     symmetry_sectors,
     system_matrix,
+    weighed_kernel,
 )
 
 __all__ = [
@@ -142,10 +143,11 @@ def find_critical_coupling(
 ) -> CriticalStructure:
     """Locate the coupling in the bracket where 1 - T^{gA}_1 is singular.
 
-    One assemble_sectors pass gives the sector blocks T_s of T-hat at
-    k = 0 (a shape without symmetry is one full-size block), and one
-    scipy.linalg.eigh of (W_s T_s, W_s), W_s = V^H W V, per sector gives
-    every theta = 1/g in the bracket's image.  The candidates are taken
+    One assemble_sectors pass gives the sector blocks K_s of the kernel
+    at k = 0 (a shape without symmetry is one full-size block), and one
+    scipy.linalg.eigh of (W_s K_s W_s, W_s), W_s = V^H W V the shape's
+    block (signed to be positive definite), per sector gives every
+    theta = 1/g in the bracket's image.  The candidates are taken
     in order of |g| and certified by one residual_certificate pass for
     all of them.  The first certified one wins, and every eigenvector
     certified at its g joins its null space: a Kramers pair, one
@@ -166,11 +168,12 @@ def find_critical_coupling(
     rows = _definite_sign(shape) * shape.values[sup]
     sectors = symmetry_sectors(shape)
     gs, vecs = [], []
-    for sector, (block,) in zip(sectors, assemble_sectors(sectors, shape, None, 0.0)):
-        if not len(block):
+    for sector, K in zip(sectors, assemble_sectors(sectors, shape.grid, 0.0)):
+        if not len(K):
             continue
-        weight = sector.weigh(rows, np.eye(len(block), dtype=np.complex128))
-        theta, x = sla.eigh(sector.weigh(rows, block), weight, subset_by_value=image)
+        weight = sector.weigh(rows, np.eye(len(K), dtype=np.complex128))
+        pencil = sector.weigh(rows, weighed_kernel(sector, K, shape))
+        theta, x = sla.eigh(pencil, weight, subset_by_value=image)
         g = 1.0 / theta
         keep = (g_lo < g) & (g < g_hi)
         if keep.any():

@@ -37,7 +37,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import minimize_scalar
 
 from .algebra import alpha_stack, identity4
 from .critical import CriticalStructure
@@ -61,6 +60,7 @@ from .solver import (
     sector_solve,
     symmetry_sectors,
     system_matrix,
+    weighed_kernel,
 )
 
 __all__ = [
@@ -304,8 +304,8 @@ def resonance_sweep(plan: SweepPlan) -> SweepResult:
 
     Each k makes one _sweep_column: the blocks of T_A and T_B on the
     symmetry sectors that the plane waves reach come from one
-    assemble_sectors pass at unit couplings and are recombined per mu
-    (the contraction is exactly linear in the potential), so a mu costs
+    assemble_sectors pass of the kernel, weighed by each potential
+    (solver._coupling_scan), and are recombined per mu, so a mu costs
     one small LU per reached sector (4 of 129 unknowns on the z axis of
     the n = 9 C4h well, 8 off it) and a k one kernel pass.  A potential
     pair with no common symmetry is one sector, the whole support, on
@@ -370,6 +370,8 @@ def mu_peak(crit: CriticalStructure, B0: FourPotential, k: float, bracket: tuple
     reached sector and one sector_solve, held to the residual contract.
     Returns (mu_peak, sup_at_peak).
     """
+    from scipy.optimize import minimize_scalar  # on use: its import costs every start-up 0.1 s
+
     A = crit.critical_potential()
     pts = A.grid.points[combine_potentials(A, B0).support_indices()]
     chi_rhs = free_solution(1, (0.0, 0.0, float(k))).values_at(pts).reshape(-1)
@@ -465,13 +467,6 @@ def _kramers_kept(A: FourPotential, B0: FourPotential, seeds) -> list:
     return kept
 
 
-def _kernels(A: FourPotential, B0: FourPotential, sectors, kappa: float) -> list:
-    """The blocks K_s of the kernel at i kappa on some sectors of
-    symmetry_sectors(A, B0), from one assemble_sectors pass."""
-    unit = _unit_potential(combine_potentials(A, B0))
-    return [K for (K,) in assemble_sectors(sectors, unit, None, 1j * kappa)]
-
-
 def _sector_count(sector, K: np.ndarray, V: FourPotential):
     """crossing_count of V in one sector, from its kernel block K: the
     negative eigenvalues of (V^-1)_s - K, V^-1 the node-wise rows
@@ -499,19 +494,19 @@ def _branch(A: FourPotential, B0: FourPotential, kappa: float, shift: float, see
 
     seeds holds (sector, block) pairs (see _branch_seeds); each block's
     size is the number of values its sector returns.  kernels holds the
-    sectors' kernel blocks K_s at i kappa (see _kernels), assembled here
-    when None: one kernel-row pass on the orbit representatives serves
+    sectors' kernel blocks K_s at i kappa (assemble_sectors), assembled
+    here when None: one offset table on the orbit representatives serves
     every sector.  Per sector, T_B = K_s B0_s and one LU of M = 1 -
-    K_s (A + shift B0)_s serve the block inverse iteration X <- M^-1 T_B
-    X.  Returns (mus, seeds) with the Ritz blocks as the new seeds; None
+    K_s (A + shift B0)_s (weighed_kernel) serve the block inverse
+    iteration X <- M^-1 T_B X.  Returns (mus, seeds) with the Ritz blocks as the new seeds; None
     when factor fails or an iteration does not settle.
     """
     if kernels is None:
-        kernels = _kernels(A, B0, [sector for sector, _ in seeds], kappa)
+        kernels = assemble_sectors([sector for sector, _ in seeds], A.grid, 1j * kappa)
     V = combine_potentials(A, B0.rescaled(shift))
     mus, blocks = [], []
-    for (sector, X), K in zip(seeds, kernels):  # K_s W_s = (W_s K_s^H)^H, W_s Hermitian
-        TB, M = (sector.weigh(P.values[sector.nodes], K.conj().T).conj().T for P in (B0, V))
+    for (sector, X), K in zip(seeds, kernels):
+        TB, M = (weighed_kernel(sector, K, P) for P in (B0, V))
         lu = factor(system_matrix(M, out=M)).lu
         del M  # LAPACK factored a copy: only the LU stays
         if lu is None:
@@ -616,7 +611,7 @@ def boundstate_track(plan: SweepPlan) -> list:
     # before
     seeds = _kramers_kept(A, B0, _branch_seeds(A, B0, crit.basis))
     sectors = [sector for sector, _ in seeds]
-    ends = [_kernels(A, B0, sectors, kp) for kp in (kappas[0], kappas[-1])]
+    ends = [assemble_sectors(sectors, A.grid, 1j * kp) for kp in (kappas[0], kappas[-1])]
     if all(_count_steady(A, B0, mu, sectors, *ends) for mu in plan.mus):
         return []
     shift = 0.0

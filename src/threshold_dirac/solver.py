@@ -25,16 +25,22 @@ QUADRATURE
     the target-source displacement.
 
     A target on the source lattice has its blocks depend only on the
-    integer offsets i_t - i_s. Per kernel call, the rule is evaluated
-    once at every offset of the box that the call's on-lattice targets
-    and the sources span (the 5^3 near cells are its centre block): the
-    33^3 classify grid at n = 9 has 9.2M pairs but 41^3 offsets. So on
-    the lattice T-hat is exactly translation invariant, and where h is a
-    power of two the offset times h is x_t - y_s exactly. Dense assembly
-    gathers table[i_t - i_s] for each chunk of targets, one table per
-    assembly.  apply_kernel_rows does not gather: its on-lattice rows
-    are a discrete convolution of the table with the folded fields,
-    computed by zero-padded FFTs (_convolved_rows).  Its round-off is
+    integer offsets i_t - i_s. Per kernel call, one table holds the rule
+    at every offset of the box that the call's on-lattice targets and
+    the sources span (the 5^3 near cells are its centre block): the
+    33^3 classify grid at n = 9 has 9.2M pairs but 39^3 offsets.  The
+    rule is reflection symmetric bit for bit (I and beta even, alpha_l
+    odd in offset_l), so it is evaluated on one octant only, at the
+    distinct |offset| per axis (20^3 offsets and the 26 near cells
+    there), and the box is filled by reflection.  So on the lattice
+    T-hat is exactly translation and reflection invariant, and where h
+    is a power of two the offset times h is x_t - y_s exactly. Dense
+    assembly gathers table[i_t - i_s] for each chunk of targets, one
+    table per assembly; the sector blocks gather it at the pairs of an
+    orbit representative and an image.  apply_kernel_rows does not
+    gather: its on-lattice rows are a discrete convolution of the table
+    with the folded fields, computed by zero-padded FFTs
+    (_convolved_rows).  Its round-off is
     spread over the box, so it is about 1e-15 of the largest row, not
     of each entry (an entry 1e-3 of the largest moves by up to about
     1e-13 of itself).  Off-lattice targets use x_t - y_s, one pair at a
@@ -50,22 +56,26 @@ QUADRATURE
     applies an off-lattice chunk to any number of fields as one complex
     GEMM, C.reshape(t, 5 ns) @ Y with Y[s, c] = B_c (A f)_s, and an
     on-lattice target set the symbol sum_c That_c B_c in frequency
-    space; only dense assembly expands coefficients into 4x4 blocks.
+    space; assemble_sectors folds the coefficients with the sectors'
+    spreads in the same span, and only dense assembly and the trivial
+    group's kernel matrix expand coefficients into 4x4 blocks.
 
 SOLVES
-    One path: _coupling_scan assembles T-hat's blocks on the symmetry
-    sectors (below) that the right-hand sides reach (_reached) in one
-    assemble_sectors pass, forms 1 - T_A - mu T_B (system_matrix) per
-    coupling mu and factors each block; sector_solve solves.  factor is
-    the package's only LU, with a reciprocal condition estimate; a block
-    below 1e-10 is flagged "at-resonance" and solved by least squares
-    (sweeps cross resonances on purpose).  sector_solve is the only
-    solve: it joins the block solutions as x = sum_s V_s x_s and returns
-    x with its residual on the full support, r = sum_s V_s M_s x_s - rhs
-    (node sup norm), so the part of rhs in a sector left out counts; it
-    is flagged when any block is, and an unflagged solve whose residual
-    exceeds 1e-8 sup|rhs| raises RuntimeError, so a wrong solution never
-    reads as physics.  solve_generalized, the inverse-bound probe and
+    One path: _coupling_scan assembles the kernel's blocks K_s on the
+    symmetry sectors (below) that the right-hand sides reach (_reached)
+    in one assemble_sectors pass, weighs them by the potentials, T_s =
+    K_s W_s (weighed_kernel, through Sector.weigh), forms 1 - T_A - mu
+    T_B (system_matrix) per coupling mu and factors each block;
+    sector_solve solves.  factor is the package's only LU, with a
+    reciprocal condition estimate; a block below 1e-10 is flagged
+    "at-resonance" and solved by least squares (sweeps cross resonances
+    on purpose).  sector_solve is the only solve: it joins the block
+    solutions as x = sum_s V_s x_s and returns x with its residual on
+    the full support, r = sum_s V_s M_s x_s - rhs (node sup norm), so
+    the part of rhs in a sector left out counts; it is flagged when any
+    block is, and an unflagged solve whose residual exceeds 1e-8
+    sup|rhs| raises RuntimeError, so a wrong solution never reads as
+    physics.  solve_generalized, the inverse-bound probe and
     the derivative recursion scan once at mu = 0, the resonance sweep,
     mu_peak and the resonance-class probe once per k.  Neither a
     critical coupling nor a bound-state crossing needs a solve:
@@ -91,15 +101,17 @@ SOLVES
     one 4x4 SVD of the stabiliser projector per orbit type, so the
     centre node and the z axis need no special case; for the trivial
     group both maps are the identity, bit for bit.  assemble_sectors
-    builds a pair's blocks on several sectors from one kernel-row pass
-    over the orbit representatives (40 of the 251 nodes of the n = 9
-    well), folding the columns at their images with the characters.
-    The critical-coupling search solves one dense Hermitian pencil per
-    sector, Sector.weigh giving the block W_s of the node-wise shape.
-    The bound-state branch runs on the sectors that hold the threshold
-    basis: at n = 9 two LUs of 129 unknowns per kappa.  A plane wave on
-    the z axis reaches four blocks of 129 unknowns, one off it all
-    eight, instead of one matrix of 1004.
+    builds the kernel blocks K_s of several sectors from one offset
+    table, gathered at the pairs of an orbit representative (40 of the
+    251 nodes of the n = 9 well) and an image and folded with the
+    sectors' spreads in the Clifford span; a potential enters only
+    through Sector.weigh.  The critical-coupling search solves one dense
+    Hermitian pencil (W_s K_s W_s, W_s) per sector, W_s the block of the
+    node-wise shape.  The bound-state branch runs on the sectors that
+    hold the threshold basis, one per Kramers pair: at n = 9 one LU of
+    129 unknowns per kappa.  A plane wave on the z axis reaches four
+    blocks of 129 unknowns, one off it all eight, instead of one matrix
+    of 1004.
 
     Matrix-sized products go through scipy's BLAS (kernel.blas_matmul,
     or zgemm for the off-lattice kernel rows), so numpy's separate
@@ -130,6 +142,7 @@ __all__ = [
     "Sector",
     "symmetry_sectors",
     "assemble_sectors",
+    "weighed_kernel",
     "assemble_kernel_blocks",
     "contract_potential",
     "apply_kernel_rows",
@@ -242,7 +255,12 @@ def _quadrature_coefficients(k, disp: np.ndarray, h: float, order: int) -> np.nd
     """Clifford coefficients (..., 5) of the quadrature block at each
     target-source displacement (..., 3): within Chebyshev distance 2h the
     sphere rule at zero and 4x4x4 subdivided midpoint elsewhere, one
-    midpoint sample beyond.  disp, a float array, is overwritten."""
+    midpoint sample beyond.  A subdivided cell is integrated at |d| and
+    each alpha_l coefficient taken times sign(d_l), so the rule is
+    exactly reflection symmetric, as the midpoint sample is: I and beta
+    even, alpha_l odd in d_l, bit for bit (at d_l = 0 the subcells
+    cancel alpha_l only to about 1e-18, and it is 0).  disp, a float
+    array, is overwritten."""
     reach = (_NEAR_CELLS + _LATTICE_TOL) * h
     near = np.abs(disp[..., 0]) <= reach
     for l in (1, 2):
@@ -255,7 +273,8 @@ def _quadrature_coefficients(k, disp: np.ndarray, h: float, order: int) -> np.nd
         vals = np.empty((len(dnear), 5), dtype=np.complex128)
         centre = np.max(np.abs(dnear), axis=1) <= _LATTICE_TOL * h
         vals[centre] = self_cell_coefficients(k, h, order)
-        vals[~centre] = _subdivided_coefficients(k, dnear[~centre], h, order)
+        vals[~centre] = _subdivided_coefficients(k, np.abs(dnear[~centre]), h, order)
+        vals[:, 2:] *= np.sign(dnear)
         out[near] = vals
     return out
 
@@ -279,16 +298,28 @@ def _lattice_indices(targets: np.ndarray, sources: np.ndarray, h: float) -> tupl
 def _offset_table(k, lt: np.ndarray, ls: np.ndarray, h: float, order: int) -> tuple:
     """(table, lo): the Clifford coefficients (d0, d1, d2, 5) of the rule
     at every integer offset lo + (a, b, c) of the box that the offsets
-    lt - ls of targets lt against sources ls span, built in chunks of
-    _PAIR_BUDGET offsets.  Each entry is the rule at its own offset."""
+    lt - ls of targets lt against sources ls span.  The rule is
+    evaluated, in chunks of _PAIR_BUDGET offsets, only at the distinct
+    |offset| on each axis (one octant of a box symmetric about 0), and
+    the box is filled by reflection, I and beta even and alpha_l odd in
+    offset_l: each entry is the rule at its own offset bit for bit (see
+    _quadrature_coefficients)."""
     lo = lt.min(axis=0) - ls.max(axis=0)
-    dims = lt.max(axis=0) - ls.min(axis=0) - lo + 1
-    offsets = lo + np.indices(dims).reshape(3, -1).T  # row-major over the box
-    table = np.empty((len(offsets), 5), dtype=np.complex128)
-    for s in range(0, len(offsets), _PAIR_BUDGET):
-        chunk = offsets[s : s + _PAIR_BUDGET] * h
-        table[s : s + _PAIR_BUDGET] = _quadrature_coefficients(k, chunk, h, order)
-    return table.reshape(tuple(dims) + (5,)), lo
+    steps = [np.arange(a, b + 1) for a, b in zip(lo, lt.max(axis=0) - ls.min(axis=0))]
+    folds = [np.unique(np.abs(s), return_inverse=True) for s in steps]
+    octant = np.stack(np.meshgrid(*(u for u, _ in folds), indexing="ij"), axis=-1).reshape(-1, 3)
+    coeffs = np.empty((len(octant), 5), dtype=np.complex128)
+    for s in range(0, len(octant), _PAIR_BUDGET):
+        chunk = octant[s : s + _PAIR_BUDGET] * h
+        coeffs[s : s + _PAIR_BUDGET] = _quadrature_coefficients(k, chunk, h, order)
+    coeffs = coeffs.reshape(tuple(len(u) for u, _ in folds) + (5,))
+    table = coeffs[np.ix_(*(inverse for _, inverse in folds))]
+    for l, s in enumerate(steps):  # the negative offsets come first on each axis
+        flip = [slice(None)] * 3 + [2 + l]
+        flip[l] = slice(np.count_nonzero(s < 0))
+        alpha = table[tuple(flip)]
+        np.negative(alpha, out=alpha)
+    return table, lo
 
 
 def _coefficient_chunks(k, targets, sources, h, order, table=None):
@@ -379,11 +410,10 @@ def contract_potential(
     return out
 
 
-def _assembled(k, grid: Grid3, nodes: np.ndarray, *pot_values: np.ndarray, rows=None) -> list:
-    """Dense T-hat of each (n_nodes, 4) potential array on one node set,
-    or its rows of the nodes at positions ``rows`` only.
+def _assembled(k, grid: Grid3, nodes: np.ndarray, *pot_values: np.ndarray) -> list:
+    """Dense T-hat of each (n_nodes, 4) potential array on one node set.
 
-    The rule is evaluated once, on the offset table of all the rows.
+    The rule is evaluated once, on the offset table of all the nodes.
     Each chunk of targets gathers its 4x4 blocks from it in one
     assemble_kernel_blocks call and is contracted once per potential
     straight into the matrix rows.  The chunk budget counts each
@@ -394,15 +424,14 @@ def _assembled(k, grid: Grid3, nodes: np.ndarray, *pot_values: np.ndarray, rows=
     pts = grid.points[nodes]
     vals = [v[nodes] for v in pot_values]
     n = len(pts)
-    rows = np.arange(n) if rows is None else rows
-    mats = [np.empty((4 * len(rows), 4 * n), dtype=np.complex128) for _ in vals]
-    if not len(rows):
+    mats = [np.empty((4 * n, 4 * n), dtype=np.complex128) for _ in vals]
+    if not n:
         return mats
-    _, lt, ls = _lattice_indices(pts[rows], pts, grid.spacing)
+    _, lt, ls = _lattice_indices(pts, pts, grid.spacing)
     table = _offset_table(k, lt, ls, grid.spacing, 0)
     step = _chunk_rows(n * len(vals))
-    for s in range(0, len(rows), step):
-        blocks = assemble_kernel_blocks(k, pts[rows[s : s + step]], pts, grid.spacing, table=table)
+    for s in range(0, n, step):
+        blocks = assemble_kernel_blocks(k, pts[s : s + step], pts, grid.spacing, table=table)
         for mat, v in zip(mats, vals):
             contract_potential(blocks, v, out=mat[4 * s : 4 * (s + step)])
     return mats
@@ -595,33 +624,67 @@ def symmetry_sectors(A: FourPotential, B: FourPotential | None = None) -> tuple:
     return tuple(sectors)
 
 
-def assemble_sectors(sectors: tuple, A: FourPotential, B: FourPotential | None, k) -> list:
-    """(T-hat of A, T-hat of B) on each of some sectors of one
-    symmetry_sectors(A, B) call, from one kernel-row pass over the orbit
-    representatives (about 1/8 of the support for C4h, all of it for
-    the trivial group); (T-hat of A,) when B is None.
+def _orbit_coefficients(k, grid: Grid3, sector: Sector) -> np.ndarray:
+    """The rule's Clifford coefficients (n_o, R, G, 5) at the blocks of
+    T-hat from each orbit representative r (rows) to each image g of the
+    representative of each orbit o (columns), gathered from one
+    _offset_table of the R representatives against the support."""
+    pts = grid.points[sector.nodes]
+    _, lt, ls = _lattice_indices(pts, pts, grid.spacing)
+    reps = sector.images[:, 0]
+    table, lo = _offset_table(k, lt[reps], ls, grid.spacing, 0)
+    dims = table.shape[:3]
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    kt, ks = (lt[reps] - lo) @ strides, ls @ strides
+    return table.reshape(-1, 5)[kt[None, :, None] - ks[sector.images][:, None, :]]
 
-    The rows of T V for every sector come from one product per matrix
-    and orbit: the columns at the images of its representative, gathered
-    once, against the sectors' spreads side by side; each sector then
-    folds its own columns.  The products go through scipy's BLAS: a
-    stacked numpy matmul of this size wakes numpy's thread pool, which
-    then spins beside the next sector LU.
+
+def assemble_sectors(sectors: tuple, grid: Grid3, k) -> list:
+    """The blocks K_s = V^H K V of the kernel matrix K (T-hat of the unit
+    potential) on each of some sectors of one symmetry_sectors call; a
+    potential W enters as K_s W_s (weighed_kernel).
+
+    The rows (K V)[r] on the R orbit representatives (about 1/8 of the
+    support for C4h) come from the coefficients at the (representative,
+    image) pairs (_orbit_coefficients), folded in Clifford space: per
+    orbit o, one product of the (R, 5 G) coefficients against Y_o[g, c,
+    i, :] = sum_j B_c[i, j] spread_o[g, j, :], the sectors' spreads side
+    by side; each sector then folds its own columns.  The products go
+    through scipy's BLAS: a stacked numpy matmul of this size wakes
+    numpy's thread pool, which then spins beside the next sector LU.
+    For the trivial group V = 1, and the blocks, gathered from one offset
+    table chunk by chunk, are expanded straight into K.
     """
-    images = sectors[0].images
-    values = [P.values for P in (A, B) if P is not None]
-    mats = _assembled(k, A.grid, sectors[0].nodes, *values, rows=images[:, 0])
-    if sectors[0].order == 1:  # the trivial group: V = 1, the blocks are the matrices
-        return [tuple(mats)]
+    first = sectors[0]
+    if first.order == 1:
+        pts = grid.points[first.nodes]
+        n, h = len(pts), grid.spacing
+        _, lt, ls = _lattice_indices(pts, pts, h)
+        table = _offset_table(k, lt, ls, h, 0)
+        K = np.empty((4 * n, 4 * n), dtype=np.complex128)
+        step = _chunk_rows(n)
+        for s in range(0, n, step):
+            blocks = assemble_kernel_blocks(k, pts[s : s + step], pts, h, table=table)
+            K[4 * s : 4 * (s + step)].reshape(-1, 4, n, 4)[...] = blocks.transpose(0, 2, 1, 3)
+        return [K]
+    n_o, G = first.images.shape
+    # every Y_o in one product: the spreads' columns x (the sectors side
+    # by side) as rows against B_c[i, j], then laid out (n_o, (g, c), (x, i))
     spreads = np.concatenate([sector.spread for sector in sectors], axis=2)
-    folded = []
-    for rows in mats:
-        cols = np.take(rows.reshape(len(rows), -1, 4), images, axis=1)  # (m, n_o, G, 4)
-        cols = cols.reshape(len(rows), len(images), -1).transpose(1, 0, 2)
-        cols = np.stack([blas_matmul(c, s) for c, s in zip(cols, spreads)])
-        tv = cols.transpose(1, 0, 2).reshape(len(rows), len(images), len(sectors), 4)
-        folded.append([sector.fold(tv[:, :, i]) for i, sector in enumerate(sectors)])
-    return list(zip(*folded))
+    spreads = spreads.reshape(n_o, G, 4, -1).transpose(0, 1, 3, 2).reshape(-1, 4)
+    ys = blas_matmul(spreads, CLIFFORD_BASIS.transpose(2, 0, 1).reshape(4, 20))
+    ys = ys.reshape(n_o, G, -1, 5, 4).transpose(0, 1, 3, 2, 4).reshape(n_o, 5 * G, -1)
+    coeffs = _orbit_coefficients(k, grid, first)
+    rows = np.stack([blas_matmul(c.reshape(n_o, -1), y) for c, y in zip(coeffs, ys)])
+    tv = rows.reshape(n_o, n_o, len(sectors), 4, 4).transpose(2, 1, 4, 0, 3)
+    return [sector.fold(t.reshape(4 * n_o, n_o, 4)) for sector, t in zip(sectors, tv)]
+
+
+def weighed_kernel(sector: Sector, K: np.ndarray, P: FourPotential) -> np.ndarray:
+    """T-hat of the potential P on a sector, K_s W_s, from the sector's
+    kernel block K_s (assemble_sectors): (W_s K_s^H)^H by Sector.weigh,
+    W_s being Hermitian."""
+    return sector.weigh(P.values[sector.nodes], K.conj().T).conj().T
 
 
 def apply_kernel_rows(
@@ -948,13 +1011,17 @@ def _coupling_scan(sectors, A: FourPotential, B: FourPotential | None, k: float,
     block of columns, reaches (see _reached): the systems that
     sector_solve takes; with B None, 1 - T-hat of A.
 
-    The sector blocks come from one assemble_sectors pass at k, at unit
-    couplings, and are recombined per mu (the contraction is exactly
-    linear in the potential), so each mu costs one small LU per reached
-    sector.
+    The kernel blocks K_s come from one assemble_sectors pass at k; the
+    potentials enter as T_A,s = K_s W_A,s and T_B,s = K_s W_B,s
+    (weighed_kernel), recombined per mu, so each mu costs one small LU
+    per reached sector.
     """
     reached = [sector for sector, _ in _reached(sectors, rhs)]
-    blocks = assemble_sectors(reached, A, B, k)
+    pots = [P for P in (A, B) if P is not None]
+    blocks = [
+        [weighed_kernel(sector, K, P) for P in pots]
+        for sector, K in zip(reached, assemble_sectors(reached, A.grid, k))
+    ]
     return lambda mu: [
         (sector, factor(system_matrix(*pair, mu=mu))) for sector, pair in zip(reached, blocks)
     ]

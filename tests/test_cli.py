@@ -115,6 +115,24 @@ def test_experiment_scripts_import_and_parse(script):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_leaves_out_the_optimizer_and_the_integrator():
+    """Importing the CLI in a fresh interpreter loads neither
+    scipy.optimize nor scipy.integrate: only mu_peak and the radial
+    oracle (oracle-compare) use them, and they import them on use."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    probe = (
+        "import sys, threshold_dirac.cli; "
+        "print(' '.join(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
 def test_search_without_a_coupling_exits_naming_the_bracket(tmp_path):
     """A bracket that holds no certified coupling ends find-critical, and
     every config command that searches first, with a one-line exit that

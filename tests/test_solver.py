@@ -220,7 +220,8 @@ def test_symmetry_sector_spectra_make_the_full_spectrum():
     assert sum(len(sec.index) for sec in sectors) == 4 * len(sectors[0].nodes)
     for k in (0.2, 0.1j):
         TA, TB = solver.assemble_pair(A, B, k)
-        blocks = solver.assemble_sectors(sectors, A, B, k)
+        kernels = solver.assemble_sectors(sectors, grid, k)
+        blocks = [[solver.weighed_kernel(sec, K, P) for P in (A, B)] for sec, K in zip(sectors, kernels)]
         assert [len(ta) for ta, _ in blocks] == [len(sec.index) for sec in sectors]
         for full, part in ((TA, [ta for ta, _ in blocks]), (TB, [tb for _, tb in blocks])):
             want = np.linalg.eigvals(full)
@@ -232,6 +233,33 @@ def test_symmetry_sector_spectra_make_the_full_spectrum():
             assert w == pytest.approx(np.sqrt(0.5), rel=1e-10)
         else:
             assert w <= 1e-14
+
+
+def test_sector_kernel_blocks_weighed_match_the_dense_pair():
+    """The sector path, K_s from assemble_sectors weighed by each
+    potential (weighed_kernel, through Sector.weigh), is the dense T-hat
+    restricted to the sector, V_s^H T V_s: on the 7^3 C4h pair against
+    assemble_pair in all 8 sectors, and on a well shifted off the
+    centre (the trivial group, one sector with V = 1) against assemble_T,
+    to 1e-13 of the block's largest entry, at real and imaginary k."""
+    grid = make_grid(7)
+    A = build_potential(grid, "spherical-well", 1.3, R)
+    B = build_potential(grid, "spherical-well", 0.7, 0.7)
+    well = build_potential(grid, "spherical-well", 1.0, 0.6)
+    moved = np.roll(well.values.reshape(7, 7, 7, 4), 1, axis=0).reshape(-1, 4)
+    shifted = FourPotential(grid, "shifted-well", 1.0, R, moved)
+    cases = [(solver.symmetry_sectors(A, B), (A, B), lambda k: solver.assemble_pair(A, B, k))]
+    cases.append((solver.symmetry_sectors(shifted), (shifted,), lambda k: (assemble_T(shifted, k),)))
+    assert [len(c[0]) for c in cases] == [8, 1]
+    for sectors, pots, dense in cases:
+        for k in (0.2, 0.1j):
+            kernels = solver.assemble_sectors(sectors, grid, k)
+            for T, P in zip(dense(k), pots):
+                for sec, K in zip(sectors, kernels):
+                    V = sec.extend(np.eye(len(sec.index), dtype=complex))
+                    want = sec.project(T @ V)
+                    got = solver.weighed_kernel(sec, K, P)
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), k
 
 
 def test_symmetry_sector_maps_round_trip():
@@ -324,16 +352,16 @@ def test_sector_branch_values_are_pencil_eigenvalues():
 
 
 def test_sector_track_makes_one_row_pass_per_kappa_and_small_lus(monkeypatch):
-    """On the C4h lattice wells the eigen track makes one kernel-row pass
-    on the orbit representatives per kappa (curve points and secant
-    steps), of the unit potential only: the wells are electric, so one
-    sector of the Kramers pair that holds the threshold basis serves
-    the branch, with one LU per kappa.  The curve's two ends are
-    assembled first, for the inertia-count gate, and reused.  Every LU
-    of the branch has at most ceil(4 S / 8) + 8 unknowns, and no LU is
-    full size.  Each crossing's residual certificate is one more
-    kernel-row pass, targeting every support node of A + mu B0, so it
-    stays off the sectors."""
+    """On the C4h lattice wells the eigen track makes one gather of the
+    offset table per kappa (curve points and secant steps), at the pairs
+    of an orbit representative and an image, and no dense assembly: the
+    wells are electric, so one sector of the Kramers pair that holds the
+    threshold basis serves the branch, with one LU per kappa.  The
+    curve's two ends are assembled first, for the inertia-count gate,
+    and reused.  Every LU of the branch has at most ceil(4 S / 8) + 8
+    unknowns, and no LU is full size.  Each crossing's residual
+    certificate is one more kernel-row pass, targeting every support
+    node of A + mu B0, so it stays off the sectors."""
     from threshold_dirac import critical, probes
     from threshold_dirac.forms import gamma_spectrum, taylor_form
 
@@ -359,9 +387,10 @@ def test_sector_track_makes_one_row_pass_per_kappa_and_small_lus(monkeypatch):
     monkeypatch.setattr(probes, "_branch", spy(
         lambda A, B0, kappa, shift, seeds, kernels=None: kappas.append((kappa, len(seeds))),
         probes._branch))
+    monkeypatch.setattr(solver, "_orbit_coefficients", spy(
+        lambda k, grid, sector: passes.append((k, sector.images)), solver._orbit_coefficients))
     monkeypatch.setattr(solver, "_assembled", spy(
-        lambda k, grid, nodes, *vals, rows=None: passes.append((k, rows, vals[0][nodes], len(vals))),
-        solver._assembled))
+        lambda *args: full_sizes.append(args), solver._assembled))
     monkeypatch.setattr(probes, "factor", spy(lambda M: branch_sizes.append(len(M)), probes.factor))
     monkeypatch.setattr(solver, "factor", spy(lambda M: full_sizes.append(len(M)), solver.factor))
     monkeypatch.setattr(solver, "apply_kernel_rows", spy(
@@ -369,13 +398,10 @@ def test_sector_track_makes_one_row_pass_per_kappa_and_small_lus(monkeypatch):
     records = probes.boundstate_track(plan)
     assert len(records) == len(plan.mus)
     assert all(n == 1 for _, n in kappas)
-    row_passes = [(k, rows) for k, rows, _, _ in passes if rows is not None]
-    assert sorted(k.imag for k, _ in row_passes) == sorted(kappa for kappa, _ in kappas)
-    unit = [1.0, 0.0, 0.0, 0.0]
-    assert all(n == 1 and np.all(v == unit) for _, rows, v, n in passes if rows is not None)
+    assert sorted(k.imag for k, _ in passes) == sorted(kappa for kappa, _ in kappas)
     reps = solver.symmetry_sectors(A, B0)[0].images[:, 0]
     assert 8 * len(reps) < 2 * n_unknowns // 4
-    assert all(np.array_equal(rows, reps) for _, rows in row_passes)
+    assert all(np.array_equal(images[:, 0], reps) for _, images in passes)
     assert len(branch_sizes) == len(kappas)
     assert max(branch_sizes) <= -(-n_unknowns // 8) + 8
     assert full_sizes == []
@@ -581,6 +607,30 @@ def test_offset_table_moves_the_direct_rule_at_round_off(n, targets):
             assert moved <= 1e-15 * size, (k, order, moved / size)
 
 
+def test_offset_table_and_near_rule_are_reflection_symmetric():
+    """On a box of offsets symmetric about 0 the table is exactly
+    reflection symmetric, at every k and order: flipping offset_l keeps
+    I, beta and alpha_m (m != l) and negates alpha_l, bit for bit, so
+    alpha_l is 0 at offset_l = 0.  The direct rule at an off-lattice
+    near displacement -d is its value at d with the alpha signs
+    flipped, bit for bit."""
+    h = make_grid(7).spacing
+    cube = np.indices((7, 7, 7)).reshape(3, -1).T - 3
+    near = np.array([[0.3, -1.2, 0.45], [-1.7, 0.2, 1.1], [0.6, 0.7, -0.15]]) * h
+    for k in (0.0, 0.2, 0.1j):
+        for order in range(4):
+            table, lo = solver._offset_table(k, cube, cube, h, order)
+            assert np.array_equal(lo, [-6, -6, -6]) and table.shape == (13, 13, 13, 5)
+            for l in range(3):
+                sign = np.ones(5)
+                sign[2 + l] = -1.0
+                assert np.array_equal(np.flip(table, axis=l) * sign, table), (k, order, l)
+            plus = solver._quadrature_coefficients(k, near.copy(), h, order)
+            minus = solver._quadrature_coefficients(k, -near, h, order)
+            assert np.array_equal(minus[:, :2], plus[:, :2]), (k, order)
+            assert np.array_equal(minus[:, 2:], -plus[:, 2:]), (k, order)
+
+
 def _count_kernel_rows(monkeypatch):
     """Spy on solver.kernel_coefficients; the list collects the number of
     displacements of each call."""
@@ -649,8 +699,9 @@ def test_fft_rows_match_the_table_gather(n, k, order, m, targets):
 def test_assembly_evaluates_one_offset_table(monkeypatch):
     """assemble_T of the cell-averaged well at n = 13 (925 support nodes
     filling the 13^3 box, 9 target chunks) evaluates the kernel at the
-    25^3 offsets of one table plus the 124 x 64 subcells of its near
-    block, not one table per chunk (137,952 rows)."""
+    13^3 offsets of one octant of its 25^3 table plus the 26 x 64
+    subcells of the octant's near cells, not one table per chunk
+    (137,952 rows) nor the whole box (25^3 + 124 x 64)."""
     A = build_potential(
         make_grid(13), "spherical-well", 1.0, R, w=0.12, cell_average=True, subsamples=5
     )
@@ -659,7 +710,7 @@ def test_assembly_evaluates_one_offset_table(monkeypatch):
     rows = _count_kernel_rows(monkeypatch)
     T = assemble_T(A, 0.2)
     assert T.shape == (4 * n, 4 * n) and np.all(np.isfinite(T))
-    assert sum(rows) <= 25**3 + 124 * 64
+    assert sum(rows) <= 13**3 + 26 * 64
 
 
 def test_sparse_on_lattice_targets_match_the_dense_rows():
@@ -680,8 +731,9 @@ def test_sparse_on_lattice_targets_match_the_dense_rows():
 
 def test_classify_extension_evaluates_the_offset_table_once(monkeypatch):
     """extend_to_grid onto the 33^3 classify grid at n = 9 (9.2M
-    target-source pairs) evaluates the kernel at the 41^3 lattice offsets
-    plus the 124 x 64 subcells of the near block, not pair by pair."""
+    target-source pairs) evaluates the kernel at the 20^3 offsets of one
+    octant of the 39^3 lattice offsets plus the 26 x 64 subcells of its
+    near cells, not pair by pair nor on the whole box."""
     grid = make_grid(9)
     A = build_potential(grid, "spherical-well", 1.0, R)
     phi = smooth_field(grid)
@@ -691,14 +743,14 @@ def test_classify_extension_evaluates_the_offset_table_once(monkeypatch):
     ext = extend_to_grid(crit, phi, eval_grid)
     assert ext.values.shape == (eval_grid.n_nodes, 4) and np.all(np.isfinite(ext.values))
     assert len(A.support_indices()) * eval_grid.n_nodes > 9_000_000
-    assert sum(rows) <= 41**3 + 124 * 64
+    assert sum(rows) <= 20**3 + 26 * 64
 
 
 def test_default_extension_evaluates_the_offset_table_once(monkeypatch):
     """default_eval_grid at n = 9 is Grid3(2, 17) on the support lattice:
     it holds every support node bit for bit, and one extension onto it
-    evaluates the kernel at the 25^3 offsets plus the 124 x 64 subcells
-    of the near block. At the support nodes that extension of a solve
+    evaluates the kernel at the 12^3 offsets of one octant of its 23^3
+    offsets plus the 26 x 64 subcells of its near cells. At the support nodes that extension of a solve
     reproduces the node solution to the residual contract."""
     A = build_potential(make_grid(9), "spherical-well", -0.55, R)
     sup = A.support_indices()
@@ -711,7 +763,7 @@ def test_default_extension_evaluates_the_offset_table_once(monkeypatch):
     f = smooth_field(A.grid).values[sup]
     ext = apply_kernel_rows(0.1, eval_grid.points, A, f, A.grid.spacing)
     assert ext.shape == (eval_grid.n_nodes, 4) and np.all(np.isfinite(ext))
-    assert sum(rows) <= 25**3 + 124 * 64
+    assert sum(rows) <= 12**3 + 26 * 64
 
     kvec = [0.1, 0.0, 0.0]
     chi = free_solution(1, kvec).values_at(spts)
@@ -1094,7 +1146,7 @@ def test_failed_factorization_is_flagged_with_nan_rcond(monkeypatch):
 
     def broken(*args, **kwargs):
         blocks = real(*args, **kwargs)
-        blocks[0][0][0, 1] = np.nan
+        blocks[0][0, 1] = np.nan
         return blocks
 
     monkeypatch.setattr(solver, "assemble_sectors", broken)
