@@ -45,6 +45,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .algebra import one_plus_beta
+from .kernel import blas_matmul
 from .potentials import FourPotential, Grid3, SpinorField, norms, pseudo_inner
 from .solver import (
     apply_kernel_rows,
@@ -54,7 +55,6 @@ from .solver import (
     smallest_singular_value,
     symmetry_sectors,
     system_matrix,
-    weighed_kernel,
 )
 
 __all__ = [
@@ -165,14 +165,15 @@ def find_critical_coupling(
     ends = sorted(1.0 / g if g else np.copysign(np.inf, g_lo + g_hi) for g in (g_lo, g_hi))
     image = (-np.inf, np.inf) if g_lo < 0.0 < g_hi else tuple(ends)
     sup = shape.support_indices()
-    rows = _definite_sign(shape) * shape.values[sup]
+    sign = _definite_sign(shape)
+    rows = sign * shape.values[sup]
     sectors = symmetry_sectors(shape)
     gs, vecs = [], []
     for sector, K in zip(sectors, assemble_sectors(sectors, shape.grid, 0.0)):
         if not len(K):
             continue
         weight = sector.weigh(rows, np.eye(len(K), dtype=np.complex128))
-        pencil = sector.weigh(rows, weighed_kernel(sector, K, shape))
+        pencil = sign * blas_matmul(blas_matmul(weight, K), weight)
         theta, x = sla.eigh(pencil, weight, subset_by_value=image)
         g = 1.0 / theta
         keep = (g_lo < g) & (g < g_hi)

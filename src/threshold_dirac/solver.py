@@ -57,8 +57,9 @@ QUADRATURE
     GEMM, C.reshape(t, 5 ns) @ Y with Y[s, c] = B_c (A f)_s, and an
     on-lattice target set the symbol sum_c That_c B_c in frequency
     space; assemble_sectors folds the coefficients with the sectors'
-    spreads in the same span, and only dense assembly and the trivial
-    group's kernel matrix expand coefficients into 4x4 blocks.
+    spreads in the same span, and only dense assembly (_assembled, which
+    also gives the trivial group's kernel matrix as T-hat of the unit
+    potential) expands coefficients into 4x4 blocks.
 
 SOLVES
     One path: _coupling_scan assembles the kernel's blocks K_s on the
@@ -652,21 +653,13 @@ def assemble_sectors(sectors: tuple, grid: Grid3, k) -> list:
     by side; each sector then folds its own columns.  The products go
     through scipy's BLAS: a stacked numpy matmul of this size wakes
     numpy's thread pool, which then spins beside the next sector LU.
-    For the trivial group V = 1, and the blocks, gathered from one offset
-    table chunk by chunk, are expanded straight into K.
+    For the trivial group V = 1, and K is T-hat of the unit potential.
     """
     first = sectors[0]
     if first.order == 1:
-        pts = grid.points[first.nodes]
-        n, h = len(pts), grid.spacing
-        _, lt, ls = _lattice_indices(pts, pts, h)
-        table = _offset_table(k, lt, ls, h, 0)
-        K = np.empty((4 * n, 4 * n), dtype=np.complex128)
-        step = _chunk_rows(n)
-        for s in range(0, n, step):
-            blocks = assemble_kernel_blocks(k, pts[s : s + step], pts, h, table=table)
-            K[4 * s : 4 * (s + step)].reshape(-1, 4, n, 4)[...] = blocks.transpose(0, 2, 1, 3)
-        return [K]
+        unit = np.zeros((grid.n_nodes, 4))
+        unit[:, 0] = 1.0
+        return _assembled(k, grid, first.nodes, unit)
     n_o, G = first.images.shape
     # every Y_o in one product: the spreads' columns x (the sectors side
     # by side) as rows against B_c[i, j], then laid out (n_o, (g, c), (x, i))

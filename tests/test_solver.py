@@ -611,16 +611,20 @@ def test_offset_table_and_near_rule_are_reflection_symmetric():
     """On a box of offsets symmetric about 0 the table is exactly
     reflection symmetric, at every k and order: flipping offset_l keeps
     I, beta and alpha_m (m != l) and negates alpha_l, bit for bit, so
-    alpha_l is 0 at offset_l = 0.  The direct rule at an off-lattice
-    near displacement -d is its value at d with the alpha signs
-    flipped, bit for bit."""
+    alpha_l is 0 at offset_l = 0.  Each entry is the direct rule at its
+    own offset times h, bit for bit, so each sign of the reflected fill
+    is right.  The direct rule at an off-lattice near displacement -d
+    is its value at d with the alpha signs flipped, bit for bit."""
     h = make_grid(7).spacing
     cube = np.indices((7, 7, 7)).reshape(3, -1).T - 3
+    offsets = np.indices((13, 13, 13)).reshape(3, -1).T - 6
     near = np.array([[0.3, -1.2, 0.45], [-1.7, 0.2, 1.1], [0.6, 0.7, -0.15]]) * h
     for k in (0.0, 0.2, 0.1j):
         for order in range(4):
             table, lo = solver._offset_table(k, cube, cube, h, order)
             assert np.array_equal(lo, [-6, -6, -6]) and table.shape == (13, 13, 13, 5)
+            direct = solver._quadrature_coefficients(k, offsets * h, h, order)
+            assert np.array_equal(table.reshape(-1, 5), direct), (k, order)
             for l in range(3):
                 sign = np.ones(5)
                 sign[2 + l] = -1.0
