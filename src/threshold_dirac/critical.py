@@ -280,9 +280,7 @@ def extend_to_grid(crit: CriticalStructure, phi: SpinorField, eval_grid: Grid3) 
     """Extend a threshold state to an arbitrary grid via Phi = T^{g*A} Phi."""
     A = crit.critical_potential()
     sup = A.support_indices()
-    vals = apply_kernel_rows(
-        0.0, eval_grid.points, A, phi.values[sup], A.grid.spacing
-    )
+    vals = apply_kernel_rows(0.0, eval_grid.points, A, phi.values[sup])
     return SpinorField(eval_grid, vals)
 
 

@@ -93,7 +93,7 @@ def _pair_matrix(A: FourPotential, crit: CriticalStructure, k: complex, order: i
     """
     sup, pts, w, pot = _support_data(A)
     fields = np.stack([phi.values[sup] for phi in crit.basis])
-    timg = apply_kernel_rows(k, pts, A, fields, A.grid.spacing, order=order)
+    timg = apply_kernel_rows(k, pts, A, fields, order=order)
     folded = [fold_rows(pot, f) for f in fields]
     n = crit.dim
     out = np.empty((n, n), dtype=np.complex128)

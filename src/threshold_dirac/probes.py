@@ -45,16 +45,17 @@ from .potentials import FourPotential, Grid3, SpinorField, fold_rows, norms, pse
 from .kernel import blas_matmul
 from .solver import (
     _SECTOR_REL,
+    _assembled,
     _coupling_scan,
     _reached,
     apply_kernel_rows,
     assemble_sectors,
-    assemble_T,
     combine_potentials,
     default_eval_grid,
     factor,
     free_solution,
     free_spinor,
+    kernel_rows,
     negative_count,
     residual_certificate,
     sector_solve,
@@ -227,15 +228,6 @@ def resonance_prediction(mu: float, k: float, gammas: np.ndarray) -> float:
     return float(k * np.sum(1.0 / dens))
 
 
-def _unit_potential(V: FourPotential) -> FourPotential:
-    """Unit scalar potential on the support of V: kernel rows through it
-    apply the kernel to already folded (V f) rows and fold nothing, and
-    its T-hat is the kernel matrix K, so T-hat of any W there is K W."""
-    values = np.zeros_like(V.values)
-    values[V.support_indices(), 0] = 1.0
-    return FourPotential(V.grid, "unit", 1.0, V.radius, values)
-
-
 # ---------------------------------------------------------------------------
 # resonance sweep
 
@@ -248,8 +240,8 @@ def _sweep_column(crit, sectors, A: FourPotential, B, k: float, kvec, mus, js, e
     sectors are sectors: one _coupling_scan from every j's plane wave,
     and per mu one sector_solve of each chi.  A cell is flagged when a
     block of its coupling is.  phi = chi + T phi is extended by one
-    stacked kernel pass: the cells' (V_mu u) rows are applied through
-    the unit potential on the support.  Returns one SweepRecord per
+    stacked kernel pass: kernel_rows applies the kernel to the cells'
+    folded (V_mu u) rows on the support.  Returns one SweepRecord per
     cell, predicted_bound left 0.
     """
     V = combine_potentials(A, B)
@@ -272,7 +264,7 @@ def _sweep_column(crit, sectors, A: FourPotential, B, k: float, kvec, mus, js, e
             u = u.reshape(-1, 4)
             cells.append((mu, j, flagged, chi, u))
             folded.append(fold_rows(vmu_rows, u))
-    exts = apply_kernel_rows(k, eval_points, _unit_potential(V), np.stack(folded), grid.spacing)
+    exts = kernel_rows(k, eval_points, grid, union, np.stack(folded))
     out = []
     for (mu, j, flagged, chi, u), tail in zip(cells, exts.transpose(1, 0, 2)):
         ext = chi.values_at(eval_points) + tail
@@ -653,7 +645,7 @@ def boundstate_track(plan: SweepPlan) -> list:
 
 def crossing_count(V: FourPotential, kappa: float) -> int:
     """Negative eigenvalues of the Hermitian H = V^-1 - G(i kappa) on the
-    support of V: G is T-hat of the unit potential there, V^-1 the
+    support of V: G is the kernel matrix there (solver._assembled), V^-1 the
     node-wise (a0 - a.alpha) / (a0^2 - |a|^2).  H is singular where
     1 - T^V = (V^-1 - G) V is, and the count never falls as kappa grows
     (Birman-Schwinger for Dirac operators in the gap; M. Klaus, Helv.
@@ -671,7 +663,7 @@ def crossing_count(V: FourPotential, kappa: float) -> int:
         raise ValueError("V is singular at a support node (a0^2 = |a|^2): no crossing count")
     inv = rows[:, :1, None] * identity4() - np.einsum("sl,lij->sij", rows[:, 1:], alpha_stack())
     n = len(rows)
-    H = -assemble_T(_unit_potential(V), 1j * kappa)
+    H = -_assembled(1j * kappa, V.grid, V.support_indices())
     H.reshape(n, 4, n, 4)[np.arange(n), :, np.arange(n), :] += inv / det[:, None, None]
     return negative_count(H)
 
@@ -829,7 +821,6 @@ def derivative_recursion(
 
     union = V.support_indices()
     pts = V.grid.points[union]
-    h = V.grid.spacing
     eval_grid = eval_grid or default_eval_grid(V.grid)
     chis_sup = _free_derivatives(j, k, khat, m, pts)
     rhs = np.stack([chi.reshape(-1) for chi in chis_sup], axis=1)
@@ -838,7 +829,7 @@ def derivative_recursion(
     for order in range(m + 1):
         f = chis_sup[order].copy()
         for l in range(1, order + 1):
-            dT = apply_kernel_rows(k, pts, V, phis[order - l], h, order=l)
+            dT = apply_kernel_rows(k, pts, V, phis[order - l], order=l)
             f += math.comb(order, l) * dT
         x, _, flagged = sector_solve(systems, f.reshape(-1))  # one flag for all: same blocks
         phis.append(x.reshape(-1, 4))
@@ -846,7 +837,7 @@ def derivative_recursion(
     targets = eval_grid.points
     # pass l applies [d^l T] to phi^(o - l) for every order o >= max(l, 1)
     stacks = [np.stack([phis[o - l] for o in range(max(l, 1), m + 1)]) for l in range(m + 1)]
-    passes = [apply_kernel_rows(k, targets, V, f, h, order=l) for l, f in enumerate(stacks)]
+    passes = [apply_kernel_rows(k, targets, V, f, order=l) for l, f in enumerate(stacks)]
     chis_eval = _free_derivatives(j, k, khat, m, targets)
     orders = {}
     for order in range(1, m + 1):

@@ -34,13 +34,12 @@ QUADRATURE
     distinct |offset| per axis (20^3 offsets and the 26 near cells
     there), and the box is filled by reflection.  So on the lattice
     T-hat is exactly translation and reflection invariant, and where h
-    is a power of two the offset times h is x_t - y_s exactly. Dense
-    assembly gathers table[i_t - i_s] for each chunk of targets, one
-    table per assembly; the sector blocks gather it at the pairs of an
-    orbit representative and an image.  apply_kernel_rows does not
-    gather: its on-lattice rows are a discrete convolution of the table
-    with the folded fields, computed by zero-padded FFTs
-    (_convolved_rows).  Its round-off is
+    is a power of two the offset times h is x_t - y_s exactly. The
+    dense kernel matrix gathers table[i_t - i_s] for each chunk of
+    targets from one table; the sector blocks gather it at the pairs of
+    an orbit representative and an image.  kernel_rows does not gather:
+    its on-lattice rows are a discrete convolution of the table with the
+    folded fields, computed by zero-padded FFTs (_convolved_rows).  Its round-off is
     spread over the box, so it is about 1e-15 of the largest row, not
     of each entry (an entry 1e-3 of the largest moves by up to about
     1e-13 of itself).  Off-lattice targets use x_t - y_s, one pair at a
@@ -52,14 +51,15 @@ QUADRATURE
     midpoint samples, the sphere rule -(E I + beta) J_1 and its
     derivative orders, and every average over subcells or table entries.
     So quadrature is computed as (nt, ns, 5) complex coefficients, in
-    chunks of about _PAIR_BUDGET target-source pairs. apply_kernel_rows
-    applies an off-lattice chunk to any number of fields as one complex
-    GEMM, C.reshape(t, 5 ns) @ Y with Y[s, c] = B_c (A f)_s, and an
-    on-lattice target set the symbol sum_c That_c B_c in frequency
-    space; assemble_sectors folds the coefficients with the sectors'
-    spreads in the same span, and only dense assembly (_assembled, which
-    also gives the trivial group's kernel matrix as T-hat of the unit
-    potential) expands coefficients into 4x4 blocks.
+    chunks of about _PAIR_BUDGET target-source pairs, and only the
+    kernel K is built from them: dense (_assembled expands them into 4x4
+    blocks), as sector blocks K_s (assemble_sectors folds them with the
+    sectors' spreads in the same span) or as rows on folded fields
+    (kernel_rows: C.reshape(t, 5 ns) @ Y with Y[s, c] = B_c (A f)_s off
+    the lattice, the symbol sum_c That_c B_c in frequency space on it).
+    A potential enters T-hat = K A by contract_potential (assemble_T,
+    assemble_pair), Sector.weigh (weighed_kernel) or fold_rows
+    (apply_kernel_rows), one way per shape.
 
 SOLVES
     One path: _coupling_scan assembles the kernel's blocks K_s on the
@@ -147,6 +147,7 @@ __all__ = [
     "assemble_kernel_blocks",
     "contract_potential",
     "apply_kernel_rows",
+    "kernel_rows",
     "Factorization",
     "factor",
     "sector_solve",
@@ -323,17 +324,27 @@ def _offset_table(k, lt: np.ndarray, ls: np.ndarray, h: float, order: int) -> tu
     return table, lo
 
 
-def _coefficient_chunks(k, targets, sources, h, order, table=None):
+def _offset_index(k, lt: np.ndarray, ls: np.ndarray, h: float, order: int) -> tuple:
+    """(flat, kt, ks): the _offset_table of targets lt against sources
+    ls as (entries, 5) rows, and flat indices of the targets and the
+    sources in it: flat[kt[t] - ks[s]] is the rule at offset lt[t] -
+    ls[s]."""
+    table, lo = _offset_table(k, lt, ls, h, order)
+    dims = table.shape[:3]
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    return table.reshape(-1, 5), (lt - lo) @ strides, ls @ strides
+
+
+def _coefficient_chunks(k, targets, sources, h, order):
     """(target rows, coefficients) for each target chunk of the quadrature.
 
     Sources are nodes of a lattice of spacing h.  A target within
     _LATTICE_TOL h of one of its nodes is on the lattice, and its
-    coefficients are gathered from an _offset_table of its offsets to
-    the sources: table when given (it must cover them), else one built
-    here; the other targets use their displacements x_t - y_s, pair by
-    pair.  Off-lattice chunks come first, so the offset table is not
-    held while they are computed; each chunk holds at most
-    _chunk_rows(ns) targets in order.
+    coefficients are gathered from one _offset_table of all the
+    on-lattice targets' offsets to the sources; the other targets use
+    their displacements x_t - y_s, pair by pair.  Off-lattice chunks
+    come first, so the offset table is not held while they are
+    computed; each chunk holds at most _chunk_rows(ns) targets in order.
     """
     k = complex(k)
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
@@ -345,40 +356,24 @@ def _coefficient_chunks(k, targets, sources, h, order, table=None):
         rows = rows_off[s : s + step]
         yield rows, _quadrature_coefficients(k, targets[rows, None] - sources, h, order)
     if len(rows_on):
-        coeffs, lo = table or _offset_table(k, lt[rows_on], ls, h, order)
-        dims = coeffs.shape[:3]
-        strides = np.array([dims[1] * dims[2], dims[2], 1])
-        kt, ks = (lt[rows_on] - lo) @ strides, ls @ strides
-        flat = coeffs.reshape(-1, 5)
+        flat, kt, ks = _offset_index(k, lt[rows_on], ls, h, order)
         for s in range(0, len(rows_on), step):
             yield rows_on[s : s + step], flat[kt[s : s + step, None] - ks]
 
 
 def assemble_kernel_blocks(
-    k,
-    targets: np.ndarray,
-    sources: np.ndarray,
-    h: float,
-    order: int = 0,
-    *,
-    table: tuple | None = None,
+    k, targets: np.ndarray, sources: np.ndarray, h: float, order: int = 0
 ) -> np.ndarray:
     """Quadrature blocks int_cell(y_j) d^order G(x_i - y) dy as (nt, ns, 4, 4).
 
     Targets on the source lattice take their blocks from integer
     offsets, the others from their displacements, so mixed target sets
-    are fine.  A chunked caller passes one _offset_table of the sources
-    that covers all its targets as table, so the chunks share it (see
-    _coefficient_chunks); the blocks are the same bits.  Only dense
-    assembly needs the 4x4 blocks; apply_kernel_rows works on the
-    coefficients.
+    are fine (see _coefficient_chunks).  The package builds K by
+    _assembled, assemble_sectors and kernel_rows; the tests read blocks.
     """
-    chunks = list(_coefficient_chunks(k, targets, sources, h, order, table))
-    if len(chunks) == 1:  # one chunk holds every target, in order
-        return expand(chunks[0][1])
     nt, ns = len(np.atleast_2d(targets)), len(np.atleast_2d(sources))
     coeffs = np.empty((nt, ns, 5), dtype=np.complex128)
-    for rows, c in chunks:
+    for rows, c in _coefficient_chunks(k, targets, sources, h, order):
         coeffs[rows] = c
     return expand(coeffs)
 
@@ -391,7 +386,8 @@ def contract_potential(
     blocks: (nt, ns, 4, 4); pot_values: (ns, 4) real components.
     Returns the (4 nt, 4 ns) matrix of f |-> sum_j block_ij A_j f_j,
     written into out when given (a C-contiguous complex array of that
-    shape, such as a row slice of the assembled matrix).
+    shape, such as a row slice of the kernel matrix; blocks may be a
+    view of out itself, as in _weighed).
     """
     nt, ns = blocks.shape[:2]
     if out is None:
@@ -411,52 +407,51 @@ def contract_potential(
     return out
 
 
-def _assembled(k, grid: Grid3, nodes: np.ndarray, *pot_values: np.ndarray) -> list:
-    """Dense T-hat of each (n_nodes, 4) potential array on one node set.
-
-    The rule is evaluated once, on the offset table of all the nodes.
-    Each chunk of targets gathers its 4x4 blocks from it in one
-    assemble_kernel_blocks call and is contracted once per potential
-    straight into the matrix rows.  The chunk budget counts each
-    target-source pair once per potential, so a pair assembly, which
-    holds one matrix more, holds a block array half as tall; no
-    matrix-sized temporary is made.
-    """
+def _assembled(k, grid: Grid3, nodes: np.ndarray) -> np.ndarray:
+    """The dense kernel matrix K (4 n, 4 n) on the grid's nodes, T-hat
+    of a potential A there being K A (_weighed).  One _coefficient_chunks
+    pass evaluates the rule once, on the offset table of all the nodes,
+    and expands each chunk of targets straight into K's rows."""
     pts = grid.points[nodes]
-    vals = [v[nodes] for v in pot_values]
     n = len(pts)
-    mats = [np.empty((4 * n, 4 * n), dtype=np.complex128) for _ in vals]
-    if not n:
-        return mats
-    _, lt, ls = _lattice_indices(pts, pts, grid.spacing)
-    table = _offset_table(k, lt, ls, grid.spacing, 0)
-    step = _chunk_rows(n * len(vals))
+    K = np.empty((4 * n, 4 * n), dtype=np.complex128)
+    rows_of = K.reshape(n, 4, n, 4)
+    for rows, c in _coefficient_chunks(k, pts, pts, grid.spacing, 0):
+        rows_of[rows] = expand(c).transpose(0, 2, 1, 3)
+    return K
+
+
+def _weighed(K: np.ndarray, pot_values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """K A from the kernel matrix K (_assembled) and the potential's
+    (n, 4) values on its nodes, contract_potential into out chunk by
+    chunk of targets; out may be K itself."""
+    n = len(pot_values)
+    step = _chunk_rows(n)
     for s in range(0, n, step):
-        blocks = assemble_kernel_blocks(k, pts[s : s + step], pts, grid.spacing, table=table)
-        for mat, v in zip(mats, vals):
-            contract_potential(blocks, v, out=mat[4 * s : 4 * (s + step)])
-    return mats
+        rows = slice(4 * s, 4 * (s + step))
+        blocks = K[rows].reshape(-1, 4, n, 4).transpose(0, 2, 1, 3)
+        contract_potential(blocks, pot_values, out=out[rows])
+    return out
 
 
 def assemble_T(A: FourPotential, k) -> np.ndarray:
-    """Dense T-hat of T^A_{E_k} on the support of A, (4 N_s, 4 N_s).
-
-    Row and column blocks follow A.support_indices().
-    """
-    (matrix,) = _assembled(k, A.grid, A.support_indices(), A.values)
-    return matrix
+    """Dense T-hat of T^A_{E_k} on the support of A, (4 N_s, 4 N_s): the
+    kernel matrix there weighed in place by A.  Row and column blocks
+    follow A.support_indices()."""
+    sup = A.support_indices()
+    K = _assembled(k, A.grid, sup)
+    return _weighed(K, A.values[sup], out=K)
 
 
 def assemble_pair(A: FourPotential, B: FourPotential, k) -> tuple:
-    """(T-hat of A, T-hat of B) on the support of A + B, one kernel pass.
-
-    The contraction is linear in the potential, so T-hat of A + mu B is
-    TA + mu TB for every mu.  The coupling scans recombine the pair's
-    sector blocks (assemble_sectors); this full-size pair is their
-    dense reference.
-    """
+    """(T-hat of A, T-hat of B) on the support of A + B from one kernel
+    matrix K, weighed into a new matrix by A and in place by B.  T-hat
+    of A + mu B is TA + mu TB: this pair is the dense reference of the
+    coupling scans' weighed sector blocks (_coupling_scan)."""
     union = combine_potentials(A, B).support_indices()
-    return tuple(_assembled(k, A.grid, union, A.values, B.values))
+    K = _assembled(k, A.grid, union)
+    TA = _weighed(K, A.values[union], out=np.empty_like(K))
+    return TA, _weighed(K, B.values[union], out=K)
 
 
 # ---------------------------------------------------------------------------
@@ -632,18 +627,14 @@ def _orbit_coefficients(k, grid: Grid3, sector: Sector) -> np.ndarray:
     _offset_table of the R representatives against the support."""
     pts = grid.points[sector.nodes]
     _, lt, ls = _lattice_indices(pts, pts, grid.spacing)
-    reps = sector.images[:, 0]
-    table, lo = _offset_table(k, lt[reps], ls, grid.spacing, 0)
-    dims = table.shape[:3]
-    strides = np.array([dims[1] * dims[2], dims[2], 1])
-    kt, ks = (lt[reps] - lo) @ strides, ls @ strides
-    return table.reshape(-1, 5)[kt[None, :, None] - ks[sector.images][:, None, :]]
+    flat, kt, ks = _offset_index(k, lt[sector.images[:, 0]], ls, grid.spacing, 0)
+    return flat[kt[None, :, None] - ks[sector.images][:, None, :]]
 
 
 def assemble_sectors(sectors: tuple, grid: Grid3, k) -> list:
-    """The blocks K_s = V^H K V of the kernel matrix K (T-hat of the unit
-    potential) on each of some sectors of one symmetry_sectors call; a
-    potential W enters as K_s W_s (weighed_kernel).
+    """The blocks K_s = V^H K V of the kernel matrix K (_assembled) on
+    each of some sectors of one symmetry_sectors call; a potential W
+    enters as K_s W_s (weighed_kernel).
 
     The rows (K V)[r] on the R orbit representatives (about 1/8 of the
     support for C4h) come from the coefficients at the (representative,
@@ -653,13 +644,11 @@ def assemble_sectors(sectors: tuple, grid: Grid3, k) -> list:
     by side; each sector then folds its own columns.  The products go
     through scipy's BLAS: a stacked numpy matmul of this size wakes
     numpy's thread pool, which then spins beside the next sector LU.
-    For the trivial group V = 1, and K is T-hat of the unit potential.
+    For the trivial group V = 1, and K_s is K.
     """
     first = sectors[0]
     if first.order == 1:
-        unit = np.zeros((grid.n_nodes, 4))
-        unit[:, 0] = 1.0
-        return _assembled(k, grid, first.nodes, unit)
+        return [_assembled(k, grid, first.nodes)]
     n_o, G = first.images.shape
     # every Y_o in one product: the spreads' columns x (the sectors side
     # by side) as rows against B_c[i, j], then laid out (n_o, (g, c), (x, i))
@@ -681,41 +670,48 @@ def weighed_kernel(sector: Sector, K: np.ndarray, P: FourPotential) -> np.ndarra
 
 
 def apply_kernel_rows(
-    k,
-    targets: np.ndarray,
-    A: FourPotential,
-    f_support: np.ndarray,
-    h: float,
-    order: int = 0,
+    k, targets: np.ndarray, A: FourPotential, f_support: np.ndarray, order: int = 0
 ) -> np.ndarray:
-    """(T^A f) at arbitrary target points without storing the full matrix.
+    """(T^A f) at arbitrary target points without storing the full matrix:
+    the fields folded by A on its support (fold_rows), then kernel_rows.
 
     f_support: (n_support, 4) samples of f on the support nodes of A, or
     a stack (m, n_support, 4) of m such fields; the result is (nt, 4),
     or (nt, m, 4) for a stack.
+    """
+    sup = A.support_indices()
+    f = np.asarray(f_support)
+    stack = f if f.ndim == 3 else f[None]
+    af = np.array([fold_rows(A.values[sup], g) for g in stack]).reshape(len(stack), len(sup), 4)
+    out = kernel_rows(k, targets, A.grid, sup, af, order)
+    return out.reshape((len(out),) + f.shape[:-2] + (4,))
 
-    Targets on the support lattice take every row from one discrete
-    convolution (_convolved_rows).  Off the lattice, each target chunk's
-    (t, ns, 5) Clifford coefficients are computed once and applied to
-    every field as one complex GEMM against Y[s, c] = B_c (A f)_s, so
+
+def kernel_rows(
+    k, targets: np.ndarray, grid: Grid3, nodes: np.ndarray, af: np.ndarray, order: int = 0
+) -> np.ndarray:
+    """The kernel applied as rows to already folded fields: sum_s of the
+    d^order kernel block from node s to each target, times af[:, s], for
+    a stack af (m, n_nodes, 4) on the grid's nodes; (nt, m, 4).
+
+    Targets on the lattice take every row from one discrete convolution
+    (_convolved_rows).  Off the lattice, each target chunk's (t, ns, 5)
+    Clifford coefficients are computed once and applied to every field
+    as one complex GEMM against Y[s, c] = B_c af_s (_gemm_rows), so
     memory stays bounded regardless of the number of targets.  For that
     GEMM the sources are padded to a multiple of 8 by copies of the first
     with zero rows of Y: at a contraction length that is a multiple of 8
     the zgemm's bits do not depend on the BLAS thread count.
     """
-    sup = A.support_indices()
-    spts = A.grid.points[sup]
-    f = np.asarray(f_support)
-    stack = f if f.ndim == 3 else f[None]
-    af = np.array([fold_rows(A.values[sup], g) for g in stack]).reshape(len(stack), len(sup), 4)
+    spts, h = grid.points[nodes], grid.spacing
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    out = np.empty((len(targets), len(stack), 4), dtype=np.complex128)
+    out = np.empty((len(targets), len(af), 4), dtype=np.complex128)
     on, lt, ls = _lattice_indices(targets, spts, h)
     if np.any(on):
         out[on] = _convolved_rows(k, lt[on], ls, af, h, order)
     if not np.all(on):
         out[~on] = _gemm_rows(k, targets[~on], spts, af, h, order)
-    return out.reshape((len(targets),) + f.shape[:-2] + (4,))
+    return out
 
 
 def _gemm_rows(k, targets: np.ndarray, spts: np.ndarray, af: np.ndarray, h: float, order: int):
@@ -863,7 +859,7 @@ def residual_certificate(k, V: FourPotential, fields: np.ndarray, couplings=(1.0
     off_centre = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
     node = np.lexsort((off_centre, -np.linalg.norm(V.values[sup], axis=1)))[0]
     stack[len(fields) :, node] = np.eye(4)
-    tf = apply_kernel_rows(k, pts, V, stack, V.grid.spacing).transpose(1, 0, 2)
+    tf = apply_kernel_rows(k, pts, V, stack).transpose(1, 0, 2)
     residuals = np.empty((len(couplings), len(fields)))
     scales = np.empty(len(couplings))
     for c, coupling in enumerate(couplings):
@@ -921,7 +917,7 @@ def solve_generalized(
     systems = _coupling_scan(symmetry_sectors(V), V, None, k, rhs)(0.0)
     sol, residual, flagged = sector_solve(systems, rhs)
     phi_sup = sol.reshape(-1, 4)
-    ext = apply_kernel_rows(k, eval_grid.points, V, phi_sup, V.grid.spacing)
+    ext = apply_kernel_rows(k, eval_grid.points, V, phi_sup)
     phi = SpinorField(eval_grid, chi.values_at(eval_grid.points) + ext)
     return phi, dict(
         sup_norm=phi.sup_norm(),
@@ -1129,12 +1125,12 @@ def symmetry_probe(
         return 0.0 + 0.0j, 0.0 + 0.0j
 
     # side 1: <h, A, T^B g>, needing T^B g only where A is nonzero
-    tbg = apply_kernel_rows(k, grid.points[supA], B, g.values[supB], grid.spacing)
+    tbg = apply_kernel_rows(k, grid.points[supA], B, g.values[supB])
     a_tbg = fold_rows(A.values[supA], tbg)
     side1 = complex(np.sum(w[supA] * np.einsum("ni,ni->n", h.values[supA].conj(), a_tbg)))
 
     # side 2: <T^A h, B, g>
-    tah = apply_kernel_rows(k, grid.points[supB], A, h.values[supA], grid.spacing)
+    tah = apply_kernel_rows(k, grid.points[supB], A, h.values[supA])
     bg = fold_rows(B.values[supB], g.values[supB])
     side2 = complex(np.sum(w[supB] * np.einsum("ni,ni->n", tah.conj(), bg)))
     return side1, side2

@@ -4,6 +4,7 @@ tests keep every name it relies on, and its three campaigns, working."""
 import ast
 import dataclasses
 import importlib
+import inspect
 import os
 import sys
 import types
@@ -74,6 +75,41 @@ def test_worker_wraps_resolve():
     assert len(wrapped) >= 20
     for module, name in wrapped:
         assert callable(getattr(importlib.import_module(module), name)), (module, name)
+
+
+def test_worker_hooks_read_the_parameters_they_name():
+    """A tracer hook reads an argument of the function it wraps by
+    position, as ``args[i] if len(args) > i else kwargs["name"]``.
+    Parameter i of that function must still be called name: _pairs_rows
+    reads apply_kernel_rows' third parameter A, _crossings reads
+    boundstate_track's first parameter plan.  Otherwise only a traced
+    run would notice, by failing or counting the wrong argument."""
+    tree = _tree("worker.py")
+    aliases = _module_aliases(tree)
+    hooks = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    wrapped = {
+        call.args[3].id: (_dotted(call.args[1], aliases), call.args[2].value)
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "wrap"
+        and len(call.args) > 3
+        and isinstance(call.args[2], ast.Constant)
+    }
+    reads = [
+        (module, name, node.body.slice.value, node.orelse.slice.value)
+        for hook, (module, name) in wrapped.items()
+        for node in ast.walk(hooks[hook])
+        if isinstance(node, ast.IfExp)
+        and isinstance(node.body, ast.Subscript)
+        and isinstance(node.body.value, ast.Name)
+        and node.body.value.id == "args"
+    ]
+    assert ("threshold_dirac.solver", "apply_kernel_rows", 2, "A") in reads
+    assert ("threshold_dirac.probes", "boundstate_track", 0, "plan") in reads
+    for module, name, index, param in reads:
+        fn = getattr(importlib.import_module(module), name)
+        assert list(inspect.signature(fn).parameters)[index] == param, (module, name)
 
 
 def test_campaign_imports_resolve():

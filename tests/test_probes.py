@@ -197,9 +197,9 @@ def wider_b0_track():
     """The track for a B0 that is not proportional to the shape: a unit
     well of radius 1 against a critical well of radius 0.8, so B0 also
     lives on nodes outside A's support.  7^3 grid, short kappa range.
-    The track runs with assemble_sectors, assemble_T, the kernel-row
-    passes (solver.apply_kernel_rows), ARPACK and full-size assemblies
-    (solver._assembled) counted."""
+    The track runs with assemble_sectors, the dense reference
+    solver.assemble_T, the kernel-row passes (solver.apply_kernel_rows),
+    ARPACK and full-size assemblies (solver._assembled) counted."""
     grid = Grid3(R, 7)
     crit = find_critical_coupling(build_potential(grid, "spherical-well", 1.0, 0.8), (8.0, 14.0))
     B0 = build_potential(grid, "spherical-well", 1.0, 1.0)
@@ -213,8 +213,9 @@ def wider_b0_track():
         n_kappa=20,
         kappa_range=(0.04, 0.15),
     )
-    names = ("assemble_sectors", "assemble_T")
-    calls = dict.fromkeys(names + ("apply_kernel_rows", "eigs", "full_assembly"), 0)
+    calls = dict.fromkeys(
+        ("assemble_sectors", "assemble_T", "apply_kernel_rows", "eigs", "full_assembly"), 0
+    )
     assembled = solver._assembled
 
     def full_assembly(*args):
@@ -229,8 +230,8 @@ def wider_b0_track():
         return spy
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in names:
-            mp.setattr(probes, name, counted(name, getattr(probes, name)))
+        mp.setattr(probes, "assemble_sectors", counted("assemble_sectors", probes.assemble_sectors))
+        mp.setattr(solver, "assemble_T", counted("assemble_T", solver.assemble_T))
         mp.setattr(solver, "apply_kernel_rows", counted("apply_kernel_rows", solver.apply_kernel_rows))
         mp.setattr(scipy.sparse.linalg, "eigs", counted("eigs", scipy.sparse.linalg.eigs))
         mp.setattr(solver, "_assembled", full_assembly)
@@ -589,12 +590,12 @@ def test_derivative_extension_one_kernel_pass_per_order(monkeypatch):
     grid = Grid3(1.5, 7)
     real, calls = probes.apply_kernel_rows, []
 
-    def spy(k, targets, V, fields, h, order=0):
+    def spy(k, targets, V, fields, order=0):
         calls.append((len(targets), order))
-        out = real(k, targets, V, fields, h, order=order)
+        out = real(k, targets, V, fields, order=order)
         if fields.ndim == 3:
             for i, f in enumerate(fields):
-                single = real(k, targets, V, f, h, order=order)
+                single = real(k, targets, V, f, order=order)
                 scale = np.max(np.abs(single))
                 np.testing.assert_allclose(out[:, i], single, rtol=0.0, atol=1e-13 * scale)
         return out
@@ -704,6 +705,46 @@ def test_trivial_group_sweep_solutions_are_the_full_lu_bit_for_bit(monkeypatch):
         assert want.tobytes() == x.tobytes()
 
 
+@pytest.mark.parametrize("eval_grid", [None, Grid3(1.3, 7)], ids=["lattice", "off-lattice"])
+def test_sweep_extension_over_folded_rows_matches_apply_kernel_rows(monkeypatch, eval_grid):
+    """The sweep extends every cell at one k by one kernel_rows pass over
+    the cells' folded (V_mu u) rows.  For a vector B0, each cell's
+    extension equals apply_kernel_rows(k, points, A + mu B0, u) to 1e-13
+    of the largest row, on the default (lattice) evaluation grid and on
+    one off the lattice."""
+    grid = Grid3(R, 7)
+    crit = find_critical_coupling(build_potential(grid, "spherical-well", 1.0, R), (5.0, 9.0))
+    A = crit.critical_potential()
+    B0 = build_potential(grid, "spherical-well", 1.0, R, components=(1.0, 0.3, -0.2, 0.1))
+    plan = SweepPlan(crit, B0, mus=(0.01, 0.03), ks=(0.1, 0.2), khat=_OFF_AXIS, eval_grid=eval_grid)
+    solved, passes = [], []
+    real_solve, real_rows = probes.sector_solve, probes.kernel_rows
+
+    def solve(systems, rhs):
+        got = real_solve(systems, rhs)
+        solved.append(got[0].reshape(-1, 4))
+        return got
+
+    def rows(k, targets, *args):
+        got = real_rows(k, targets, *args)
+        passes.append((k, targets, got))
+        return got
+
+    monkeypatch.setattr(probes, "sector_solve", solve)
+    monkeypatch.setattr(probes, "kernel_rows", rows)
+    resonance_sweep(plan)
+    cells = [(mu, j) for mu in plan.mus for j in plan.js]
+    assert [k for k, _, _ in passes] == list(plan.ks)
+    assert len(solved) == len(plan.ks) * len(cells)
+    for p, (k, targets, exts) in enumerate(passes):
+        assert exts.shape == (len(targets), len(cells), 4)
+        for c, (mu, _) in enumerate(cells):
+            V = solver.combine_potentials(A, B0.rescaled(mu))
+            assert np.array_equal(V.support_indices(), A.support_indices())
+            want = solver.apply_kernel_rows(k, targets, V, solved[p * len(cells) + c])
+            assert np.max(np.abs(exts[:, c] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def _count_lus(monkeypatch):
     """Spy on the LUs of the solves (solver.factor) and on full-size
     assemblies (solver._assembled, as assemble_T and assemble_pair
@@ -715,9 +756,9 @@ def _count_lus(monkeypatch):
         sizes.append(len(M))
         return real_factor(M)
 
-    def assembled(k, grid, nodes, *values):
+    def assembled(k, grid, nodes):
         full.append(len(nodes))
-        return real_assembled(k, grid, nodes, *values)
+        return real_assembled(k, grid, nodes)
 
     monkeypatch.setattr(solver, "factor", factor)
     monkeypatch.setattr(solver, "_assembled", assembled)
@@ -871,8 +912,8 @@ rows = [[r.sup_norm, r.n_part_norm, r.residual_part, r.predicted_bound, r.n_part
         for r in res.records]
 sup = shape.support_indices()
 f = np.cos(np.arange(3 * len(sup) * 4)).reshape(3, len(sup), 4) * (1 + 0.5j)
-ext = apply_kernel_rows(0.15, plan.crit.shape.grid.points * 1.7, shape, f, grid.spacing)
-lat = apply_kernel_rows(0.15, default_eval_grid(grid).points, shape, f, grid.spacing)
+ext = apply_kernel_rows(0.15, plan.crit.shape.grid.points * 1.7, shape, f)
+lat = apply_kernel_rows(0.15, default_eval_grid(grid).points, shape, f)
 print(json.dumps({"records": [[v.hex() for v in row] for row in rows],
                   "rows": [v.hex() for v in ext.view(float).ravel()[::7].tolist()],
                   "lattice": [v.hex() for v in lat.view(float).ravel()[::7].tolist()]}))

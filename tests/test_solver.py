@@ -125,10 +125,10 @@ def test_assembly_linear_in_potential_entrywise():
 
 
 def test_pair_assembly_spans_chunks_and_matches_assemble_T(monkeypatch):
-    """With a budget of 2000 pairs, shared by the two potentials, the 99
-    support nodes at n = 7 span ten target chunks; each matrix of the
-    pair equals the one-chunk assemble_T of its potential bit for bit, at
-    zero, real and imaginary k."""
+    """With a budget of 2000 pairs, the 99 support nodes at n = 7 span
+    five target chunks of the pair's one kernel matrix; each matrix of
+    the pair equals the one-chunk assemble_T of its potential bit for
+    bit, at zero, real and imaginary k."""
     grid = make_grid(7)
     A = build_potential(grid, "spherical-well", 1.3, R)
     B = build_potential(grid, "spherical-well", 0.7, R, components=(1.0, 0.2, 0.0, -0.1))
@@ -136,18 +136,19 @@ def test_pair_assembly_spans_chunks_and_matches_assemble_T(monkeypatch):
     ks = (0.0, 0.2, 0.1j)
     want = [(assemble_T(A, k), assemble_T(B, k)) for k in ks]
     calls = []
-    kernel_blocks = solver.assemble_kernel_blocks
+    coefficient_chunks = solver._coefficient_chunks
 
-    def spy(k, targets, sources, h, order=0, **kw):
-        calls.append(len(targets))
-        return kernel_blocks(k, targets, sources, h, order, **kw)
+    def spy(*args):
+        for rows, coeffs in coefficient_chunks(*args):
+            calls.append(len(rows))
+            yield rows, coeffs
 
     monkeypatch.setattr(solver, "_PAIR_BUDGET", 2000)
-    monkeypatch.setattr(solver, "assemble_kernel_blocks", spy)
+    monkeypatch.setattr(solver, "_coefficient_chunks", spy)
     for k, (want_a, want_b) in zip(ks, want):
         calls.clear()
         TA, TB = solver.assemble_pair(A, B, k)
-        assert len(calls) == 10 and sum(calls) == len(A.support_indices())
+        assert len(calls) == 5 and sum(calls) == len(A.support_indices())
         assert np.array_equal(TA, want_a) and np.array_equal(TB, want_b)
         assert np.array_equal(TA, assemble_T(A, k))
 
@@ -484,9 +485,7 @@ def test_application_linear_in_potential():
     outs = {}
     for name, pot in (("A", A), ("B", B), ("AB", AB)):
         sup = pot.support_indices()
-        outs[name] = apply_kernel_rows(
-            0.25, targets, pot, f.values[sup], grid.spacing
-        )
+        outs[name] = apply_kernel_rows(0.25, targets, pot, f.values[sup])
     diff = outs["AB"] - outs["A"] - outs["B"]
     assert np.max(np.abs(diff)) < 1e-13 * np.max(np.abs(outs["AB"]))
 
@@ -533,7 +532,7 @@ def test_apply_kernel_rows_matches_pairwise_green_sum(k, order):
             np.array([[3.0, -1.0, 2.0], [0.1, 4.2, -0.7]]),  # far away
         ]
     )
-    got = apply_kernel_rows(k, targets, A, f, h, order=order)
+    got = apply_kernel_rows(k, targets, A, f, order=order)
     want = _pairwise_rows(k, targets, A, f, h, order)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -545,14 +544,14 @@ def test_stacked_rows_equal_single_calls():
     fields = np.stack([smooth_field(grid, seed=s).values[sup] * (1 + 0.3j * s) for s in range(3)])
     fields[1] = np.roll(fields[1], 5, axis=0)
     targets = Grid3(1.6, 9).points
-    stacked = apply_kernel_rows(0.2, targets, A, fields, grid.spacing)
+    stacked = apply_kernel_rows(0.2, targets, A, fields)
     assert stacked.shape == (len(targets), 3, 4)
     for i, f in enumerate(fields):
-        single = apply_kernel_rows(0.2, targets, A, f, grid.spacing)
+        single = apply_kernel_rows(0.2, targets, A, f)
         assert single.shape == (len(targets), 4)
         assert np.max(np.abs(stacked[:, i] - single)) <= 1e-14 * np.max(np.abs(single))
     zero = build_potential(grid, "spherical-well", 0.0, R)
-    empty = apply_kernel_rows(0.2, targets, zero, fields[:, :0], grid.spacing)
+    empty = apply_kernel_rows(0.2, targets, zero, fields[:, :0])
     assert empty.shape == (len(targets), 3, 4) and not np.any(empty)
 
 
@@ -695,7 +694,7 @@ def test_fft_rows_match_the_table_gather(n, k, order, m, targets):
     fields = np.stack([smooth_field(grid, seed=s).values[sup] * (1 + 0.3j * s) for s in range(m)])
     fields[1:] = np.roll(fields[1:], 7, axis=1)
     pts = targets(grid)
-    got = apply_kernel_rows(k, pts, A, fields, grid.spacing, order=order)
+    got = apply_kernel_rows(k, pts, A, fields, order=order)
     want = _gathered_rows(k, pts, A, fields, grid.spacing, order)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -765,7 +764,7 @@ def test_default_extension_evaluates_the_offset_table_once(monkeypatch):
     at = np.concatenate(at)
     rows = _count_kernel_rows(monkeypatch)
     f = smooth_field(A.grid).values[sup]
-    ext = apply_kernel_rows(0.1, eval_grid.points, A, f, A.grid.spacing)
+    ext = apply_kernel_rows(0.1, eval_grid.points, A, f)
     assert ext.shape == (eval_grid.n_nodes, 4) and np.all(np.isfinite(ext))
     assert sum(rows) <= 12**3 + 26 * 64
 
@@ -848,7 +847,7 @@ def defect_residual(n, k=0.4):
             shifted[:, l] += s * h
             targets.append(shifted)
     allpts = np.vstack(targets)
-    tf = apply_kernel_rows(k, allpts, A, fsup, h)
+    tf = apply_kernel_rows(k, allpts, A, fsup)
     m = len(probes)
     tf0 = tf[:m]
     grads = []
@@ -949,7 +948,7 @@ def test_far_field_decay_slope():
         )
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         pts = rho * dirs
-        vals = apply_kernel_rows(0.2, pts, A, f.values[sup], grid.spacing)
+        vals = apply_kernel_rows(0.2, pts, A, f.values[sup])
         sups.append(np.max(np.linalg.norm(vals, axis=1)))
     slope = np.polyfit(np.log(radii), np.log(sups), 1)[0]
     assert -1.15 < slope < -0.85
@@ -967,7 +966,7 @@ def test_internode_jump_bounded_by_h():
         sup = A.support_indices()
         ts = grid.axis
         line = np.stack([ts, np.zeros_like(ts), np.zeros_like(ts)], axis=1)
-        vals = apply_kernel_rows(k, line, A, f.values[sup], grid.spacing)
+        vals = apply_kernel_rows(k, line, A, f.values[sup])
         jump = float(np.max(np.linalg.norm(np.diff(vals, axis=0), axis=1)))
         return jump, float(np.max(np.linalg.norm(vals, axis=1))), grid.spacing
 
