@@ -254,7 +254,7 @@ def lambda_of(phi: SpinorField, A: FourPotential) -> np.ndarray:
     """Tail moment int (1+beta) A(y) Phi(y) d^3y; lower components exact 0."""
     if not phi.grid.same_layout(A.grid):
         raise ValueError("Phi must live on the potential's grid")
-    return one_plus_beta() @ (A.grid.weights @ A.apply(phi.values))
+    return one_plus_beta() @ blas_matmul(A.grid.weights[None, :], A.apply(phi.values))[0]
 
 
 def lambda_vanishes(lam: np.ndarray, A: FourPotential, phi: SpinorField) -> bool:

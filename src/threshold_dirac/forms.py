@@ -55,6 +55,7 @@ import numpy as np
 
 from .algebra import alpha, one_plus_beta
 from .critical import CriticalStructure, lambda_of, lambda_vanishes
+from .kernel import blas_matmul
 from .potentials import FourPotential, SpinorField, fold_rows
 from .solver import apply_kernel_rows
 
@@ -207,9 +208,9 @@ def s_split(A: FourPotential, phi: SpinorField) -> SSplit:
         sl = slice(s, min(s + _SPLIT_CHUNK, n))
         diff = pts[sl, None, :] - pts[None, :, :]
         d2 = np.einsum("xyl,xyl->xy", diff, diff)
-        s1 += (1j / (24.0 * math.pi)) * np.sum(d2 * (uP[sl] @ u.T))
+        s1 += (1j / (24.0 * math.pi)) * np.sum(d2 * blas_matmul(uP[sl], u.T))
         for l in range(3):
-            s2 += (1.0 / (12.0 * math.pi)) * np.sum(diff[:, :, l] * (uAl[l][sl] @ u.T))
+            s2 += (1.0 / (12.0 * math.pi)) * np.sum(diff[:, :, l] * blas_matmul(uAl[l][sl], u.T))
     moment = u.sum(axis=0)
     s3 = (-1j / (8.0 * math.pi)) * complex(moment.conj() @ moment)
     xi = (12.0 * math.pi) ** -0.5 * (pts.T @ u)

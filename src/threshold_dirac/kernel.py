@@ -42,11 +42,16 @@ PHYSICS SCOPE
 
 BLAS
     numpy and scipy each load their own OpenBLAS, each with its own
-    thread pool. A numpy product on a large operand wakes numpy's pool,
-    whose threads then spin beside the next scipy LU (an n = 1028 LU
-    took 61 ms alone and 113 ms right after a numpy M @ Q on a 2-core
-    box). blas_matmul forms such products with scipy's BLAS, the LU's
-    library.
+    thread pool. A call past OpenBLAS's threading cut wakes its pool;
+    measured at two threads, that is an LU from n = 100, a zgemv above
+    m n = 9216 and a zgemm from m n k = 65536. A woken worker spins for
+    about 130 ms after the call, so a numpy product leaves a second
+    pool spinning beside scipy's LUs (an n = 1028 LU took 61 ms alone
+    and 113 ms right after a numpy M @ Q on a 2-core box). Every
+    product past the cut is formed by blas_matmul, with scipy's BLAS,
+    the LU's library; tests/test_kernel.py::
+    test_numpy_blas_pool_stays_asleep checks that numpy's worker runs
+    0 ns through the CLI campaigns.
 
 UNITS
     Natural units, threshold at E = 1 (see algebra module).
@@ -140,7 +145,12 @@ def blas_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     are numpy's whenever the two OpenBLAS builds split the work alike.
     They do at one thread and, measured at two, for every product whose
     right operand has few columns; an n x n right operand for n from 396
-    to 1028 differs in the last bit of about 0.4% of the entries."""
+    to 1028 differs in the last bit of about 0.4% of the entries.
+
+    Use it for every complex product past the threading cut (zgemv
+    m n > 9216, zgemm m n k >= 65536 at two threads): numpy's own call
+    would wake numpy's pool, which then spins for about 130 ms beside
+    scipy's (see BLAS in the module docstring)."""
     if b.ndim == 1:
         return blas.zgemv(1.0, a.T, b, trans=1)
     if a.shape[0] == 1:

@@ -114,9 +114,11 @@ SOLVES
     blocks of 129 unknowns, one off it all eight, instead of one matrix
     of 1004.
 
-    Matrix-sized products go through scipy's BLAS (kernel.blas_matmul,
-    or zgemm for the off-lattice kernel rows), so numpy's separate
-    OpenBLAS thread pool never spins beside an LU.
+    Every product past OpenBLAS's threading cut goes through scipy's
+    BLAS (kernel.blas_matmul, or zgemm for the off-lattice kernel rows),
+    so numpy's separate OpenBLAS thread pool never wakes to spin beside
+    an LU (see kernel's BLAS note for the cuts and the test that holds
+    this).
 """
 
 from __future__ import annotations

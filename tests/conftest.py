@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,29 @@ from threshold_dirac.solver import combine_potentials
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture
+def run_python():
+    """run(*args, threads=None, timeout=120, check=False): a fresh
+    interpreter on `args` with the package's src on PYTHONPATH and, when
+    threads is given, OPENBLAS_NUM_THREADS set to it; returns the
+    CompletedProcess with text stdout and stderr."""
+
+    def run(*args, threads=None, timeout=120, check=False):
+        env = dict(os.environ)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = str(threads)
+        env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True,
+            check=check, timeout=timeout,
+        )
+
+    return run
 
 
 @pytest.fixture

@@ -1,8 +1,6 @@
 """CLI plumbing: determinism of dumps and the solve field round trip."""
 
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -102,33 +100,23 @@ def test_find_critical_config_shape_is_used(tmp_path):
 @pytest.mark.parametrize(
     "script", ["boundstate_lines.py", "derivative_growth.py", "divergence_sweep.py"]
 )
-def test_experiment_scripts_import_and_parse(script):
+def test_experiment_scripts_import_and_parse(script, run_python):
     """Each experiment script imports what it uses from the package and
     parses its arguments (--help exits 0 before any computation)."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", script), "--help"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python(os.path.join(root, "scripts", script), "--help", timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_leaves_out_the_optimizer_and_the_integrator():
+def test_cli_import_leaves_out_the_optimizer_and_the_integrator(run_python):
     """Importing the CLI in a fresh interpreter loads neither
     scipy.optimize nor scipy.integrate: only mu_peak and the radial
     oracle (oracle-compare) use them, and they import them on use."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
     probe = (
         "import sys, threshold_dirac.cli; "
         "print(' '.join(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python("-c", probe, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
 

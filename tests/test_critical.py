@@ -2,15 +2,13 @@
 
 import dataclasses
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+from threshold_dirac.algebra import one_plus_beta
 from threshold_dirac.potentials import (
     Grid3,
     SpinorField,
@@ -329,20 +327,14 @@ print(json.dumps(out))
 """
 
 
-def test_search_deterministic_across_thread_settings():
+def test_search_deterministic_across_thread_settings(run_python):
     """The two benchmark wells give bit-identical g*, dim and lambda-bar
     with 1 and 2 BLAS threads. sigma_min is round-off and moves
     in its last bits with the thread count, so it is only checked against
     the certificate."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     runs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c", _THREAD_PROBE],
-            env=env, capture_output=True, text=True, check=True, timeout=300,
-        )
+        proc = run_python("-c", _THREAD_PROBE, threads=threads, timeout=300, check=True)
         runs.append(json.loads(proc.stdout))
     assert [r[:3] for r in runs[0]] == [r[:3] for r in runs[1]]
     assert all(r[3] < 1e-8 for run in runs for r in run)
@@ -367,6 +359,18 @@ def test_lambda_trivial_cases(crit9):
     # lower two components of any tail moment vanish identically
     lam1 = lambda_of(crit9.basis[0], A)
     assert lam1[2] == 0 and lam1[3] == 0
+
+
+def test_lambda_of_matches_einsum_on_a_seeded_field():
+    """lambda = (1 + beta) sum_n w_n (A Phi)_n against einsum, which uses
+    no BLAS, for a seeded field and a four-component well at n = 15."""
+    grid = Grid3(R, 15)
+    A = build_potential(grid, "spherical-well", 1.0, R, components=(1.0, 0.3, -0.2, 0.5))
+    rng = np.random.default_rng(15)
+    vals = rng.normal(size=(grid.n_nodes, 4)) + 1j * rng.normal(size=(grid.n_nodes, 4))
+    lam = lambda_of(SpinorField(grid, vals), A)
+    want = one_plus_beta() @ np.einsum("n,ni->i", grid.weights, A.apply(vals))
+    assert np.linalg.norm(lam - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_lambda_bar_classes(crit9, crit9_bound):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from threshold_dirac.algebra import alpha_stack
+from threshold_dirac.algebra import alpha_stack, one_plus_beta
 from threshold_dirac.potentials import Grid3, SpinorField, build_potential, fold_rows, pseudo_inner
 from threshold_dirac.critical import find_critical_coupling
 from threshold_dirac.forms import (
@@ -150,6 +150,24 @@ def test_s2_matches_closed_form(crit9_bound):
         ) / np.sqrt(12.0 * np.pi)
         assert abs(sp.s2 - closed) <= 1e-10 * abs(sp.s2)
         assert abs(sp.s2) > 0.1 * (abs(sp.s1) + abs(sp.s3))
+
+
+def test_s_split_nested_sums_match_einsum(crit9_bound):
+    """s1 and s2 are the nested sums over support pairs, with u = w A Phi,
+    (i / 24 pi) sum_xy |x - y|^2 u_x^dag (1 + beta) u_y and
+    (1 / 12 pi) sum_xyl (x - y)_l u_x^dag alpha_l u_y; einsum sums them
+    here without BLAS."""
+    A = crit9_bound.critical_potential()
+    sup = A.support_indices()
+    diff = A.grid.points[sup, None, :] - A.grid.points[None, sup, :]
+    d2 = np.einsum("xyl,xyl->xy", diff, diff)
+    for phi in crit9_bound.basis:
+        sp = s_split(A, phi)
+        u = fold_rows(A.values[sup], phi.values[sup]) * A.grid.weights[sup, None]
+        s1 = 1j / (24 * np.pi) * np.einsum("xy,xi,ij,yj->", d2, u.conj(), one_plus_beta(), u)
+        s2 = np.einsum("xyl,xi,lij,yj->", diff, u.conj(), alpha_stack(), u) / (12 * np.pi)
+        assert abs(sp.s1 - s1) <= 1e-13 * abs(s1)
+        assert abs(sp.s2 - s2) <= 1e-13 * abs(s2)
 
 
 def test_s_split_rejects_resonance_class(crit9):

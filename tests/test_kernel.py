@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -227,22 +229,84 @@ for left in (rng.normal(size=(1028, 1028)) + 1j * rng.normal(size=(1028, 1028)),
 """
 
 
-def test_blas_matmul_matrix_sized_right_operand_bits_at_one_thread():
+def test_blas_matmul_matrix_sized_right_operand_bits_at_one_thread(run_python):
     """A matrix-sized right operand, with a square and with a conjugate-
     transposed 2 x 1028 left one: numpy's bits at one BLAS thread. At
     two, numpy's OpenBLAS 0.3.31 and scipy's 0.3.30 split such
     mid-size products differently (n x n for n from 396 to 1028 differ
     in the last bit of about 0.4% of the entries), so this runs in a
     one-thread child."""
-    import os
-    import subprocess
-    import sys
-
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", _MATRIX_SIZED_PROBE],
-        env=env, capture_output=True, text=True, check=True, timeout=300,
-    )
+    proc = run_python("-c", _MATRIX_SIZED_PROBE, threads=1, timeout=300, check=True)
     assert proc.stdout.split() == ["True", "True"]
+
+
+_POOL_PROBE = """
+import contextlib, io, json, os, sys, tempfile, time
+try:
+    def tids():
+        return set(os.listdir("/proc/self/task"))
+
+    def run_ns(tid):
+        with open(f"/proc/self/task/{tid}/schedstat") as f:
+            return int(f.read().split()[0])
+
+    before = tids()
+    import numpy
+    pool = sorted(tids() - before)
+    [run_ns(t) for t in pool]
+except OSError as exc:
+    print(json.dumps({"skip": f"schedstat not readable: {exc}"}))
+    raise SystemExit
+if not pool:
+    print(json.dumps({"skip": "numpy started no BLAS worker thread"}))
+    raise SystemExit
+from threshold_dirac.cli import main
+from threshold_dirac.critical import find_critical_coupling
+from threshold_dirac.forms import compute_forms
+from threshold_dirac.potentials import Grid3, build_potential
+
+start = None
+for _ in range(100):  # let the workers' start-up spin end
+    now = [run_ns(t) for t in pool]
+    if now == start:
+        break
+    start = now
+    time.sleep(0.05)
+ran = {}
+configs = os.path.join(sys.argv[1], "scripts", "configs")
+ref, bs = os.path.join(configs, "reference.ini"), os.path.join(configs, "boundstates.ini")
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    out = lambda name: os.path.join(tmp, name)
+    for argv in (
+        ["forms", "--config", ref, "--out", out("forms.csv")],
+        ["sweep", "--plan", ref, "--out", out("sweep")],
+        ["classify", "--config", ref, "--out", out("classify.csv")],
+        ["boundstates", "--plan", bs, "--out", out("boundstates")],
+        ["find-critical", "--config", ref, "--bracket=5,7", "--out", out("critical.csv")],
+    ):
+        main(argv)
+        ran[argv[0]] = [run_ns(t) - s for t, s in zip(pool, start)]
+    shape = build_potential(Grid3(1.0, 15), "spherical-well", 1.0, 1.0)
+    crit = find_critical_coupling(shape, (5.0, 7.0))
+    ran["search n=15"] = [run_ns(t) - s for t, s in zip(pool, start)]
+    compute_forms(crit)
+    ran["compute_forms n=15"] = [run_ns(t) - s for t, s in zip(pool, start)]
+print(json.dumps({"ran_ns": ran}))
+"""
+
+
+def test_numpy_blas_pool_stays_asleep(run_python):
+    """numpy and scipy each load an OpenBLAS with its own thread pool;
+    every matrix-sized product goes through blas_matmul, so numpy's pool
+    never wakes to spin beside scipy's. A child at two BLAS threads runs
+    the forms, sweep, classify, boundstates and find-critical CLIs on
+    scripts/configs, then a search and compute_forms on the smooth well
+    at n = 15, where lambda_of's product is past numpy's threading cut.
+    The worker threads that `import numpy` started run 0 ns of CPU
+    meanwhile (their /proc schedstat run time)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = run_python("-c", _POOL_PROBE, root, threads=2, timeout=300, check=True)
+    got = json.loads(proc.stdout.splitlines()[-1])
+    if "skip" in got:
+        pytest.skip(got["skip"])
+    assert all(ns == 0 for ran in got["ran_ns"].values() for ns in ran), got["ran_ns"]

@@ -414,9 +414,12 @@ def test_boundstate_certificate_bounds_sigma_min_and_refuses_wrong_kappa(
     ||M||_1, so every record passes the sigma_min gate.  The scale is a
     column sum of 4 N_s terms that the dense assembly sums in another
     order, so it may exceed ||M||_1 by that sum's round-off, about
-    4 N_s eps (measured: 1.6e-15 relative).  The same Ritz vector at a
-    kappa 25% off fails the gate, and a secant that returns that kappa
-    gives no record for its mu, leaving the other mu's.  The gate is a
+    4 N_s eps (measured: 1.6e-15 relative).  At the crossing both sides
+    are round-off near 5e-16, so the vector's residual at kappa 5% off,
+    where sigma_min is resolved, is held to sigma_min there too.  The
+    same Ritz vector at a kappa 25% off fails the gate, and a secant
+    that returns that kappa gives no record for its mu, leaving the
+    other mu's.  The gate is a
     near-singularity test, not a kappa tolerance: 1e-5 ||M||_1 lets the
     vector through up to about 9% and 3% off at these two crossings."""
     plan, rec_e, _ = wider_b0_track
@@ -442,6 +445,10 @@ def test_boundstate_certificate_bounds_sigma_min_and_refuses_wrong_kappa(
         for off in (0.75, 1.25):
             residual, scale = probes._certificate(A, B0, kap * off, r.mu, branch)
             assert residual > probes._CROSSING_REL * scale
+        for off in (0.95, 1.05):
+            residual, _ = probes._certificate(A, B0, kap * off, r.mu, branch)
+            M = solver.system_matrix(solver.assemble_T(V, 1j * kap * off))
+            assert residual >= scipy.linalg.svdvals(M).min()
 
     wrong = rec_e[0].mu
     monkeypatch.setattr(probes, "_secant_crossing", lambda A, B0, mu, *args: (
@@ -920,7 +927,7 @@ print(json.dumps({"records": [[v.hex() for v in row] for row in rows],
 """
 
 
-def test_sweep_records_deterministic_across_thread_settings():
+def test_sweep_records_deterministic_across_thread_settings(run_python):
     """Kernel rows come out bit-identical with 1 and 2 BLAS threads: off
     the lattice one GEMM per target chunk, on it (the default evaluation
     grid) one FFT convolution, which uses no BLAS and one scipy.fft
@@ -929,19 +936,10 @@ def test_sweep_records_deterministic_across_thread_settings():
     last bits between 1 and 2 threads (measured about 1e-12 relative on
     these near-resonant cells)."""
     import json
-    import os
-    import subprocess
-    import sys
 
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     runs = []
     for blas in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c", _SWEEP_THREAD_PROBE],
-            env=env, capture_output=True, text=True, check=True, timeout=300,
-        )
+        proc = run_python("-c", _SWEEP_THREAD_PROBE, threads=blas, timeout=300, check=True)
         runs.append(json.loads(proc.stdout))
     assert len(runs[0]["records"]) == 8
     assert runs[0]["rows"] == runs[1]["rows"]
